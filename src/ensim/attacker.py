@@ -119,6 +119,9 @@ class AttackerServer:
         # First hearing is what matters: it starts the upload clock, and the
         # relay deadline depends only on the slot, which repeats hearings share.
         self._relay_candidates: dict[bytes, HarvestRecord] = {}
+        # decoded frame per distinct (payload, mac): a device repeats one frame
+        # for its whole 10-minute interval, so hearings mostly repeat
+        self._frames: dict[tuple[bytes, str], beacon.BeaconFrame] = {}
 
     # -- deputy side ------------------------------------------------------
 
@@ -126,7 +129,10 @@ class AttackerServer:
         """Forward one hearing to the server. One hearing is all it takes."""
         if sighting.mac == self.policy.relay_mac:
             return None  # don't harvest our own re-emissions
-        frame = beacon.decode(sighting.payload, sighting.mac)
+        heard = (sighting.payload, sighting.mac)
+        frame = self._frames.get(heard)
+        if frame is None:
+            frame = self._frames[heard] = beacon.decode(sighting.payload, sighting.mac)
         if not self.policy.collect_all and not isinstance(frame.kind, beacon.Gaen):
             return None
         record = HarvestRecord(
@@ -214,31 +220,31 @@ class AttackerServer:
 
     # -- analysis over published keys --------------------------------------
 
-    def reidentify(self, published) -> list[dict]:
+    def reidentify(self, published, *, index: Optional[dict] = None) -> list[dict]:
         """Per published key: every harvested hearing of that person.
 
-        Joins the key's regenerated identifiers against the harvest by exact
+        Joins the harvest against the published identifiers by exact
         identifier equality, so nothing is ever attributed to a key whose
         schedule does not contain the sighted identifier. Our own
-        re-emissions are excluded by MAC.
+        re-emissions are excluded by MAC. `index` is
+        `crypto.identifier_index` over the keys of `published`, built here
+        when not given.
         """
-        gaen_records = [
-            (r, r.frame.kind.rpi)
-            for r in self.db
-            if r.mac != self.policy.relay_mac and isinstance(r.frame.kind, beacon.Gaen)
-        ]
+        if index is None:
+            index = crypto.identifier_index([e.tek for e in published])
+        hits: list[list[dict]] = [[] for _ in published]
+        for r in self.db:
+            kind = r.frame.kind
+            if r.mac == self.policy.relay_mac or not isinstance(kind, beacon.Gaen):
+                continue
+            for pos, _interval in index.get(kind.rpi, ()):
+                hits[pos].append({"t": r.time, "x": r.location[0], "y": r.location[1],
+                                  "rssi": r.rssi, "mac": r.mac})
 
         dossiers = []
-        for entry in sorted(published, key=lambda e: e.tek.key.hex()):
-            rpis = {r.rpi for r in crypto.regenerate_day(entry.tek)}
-            hits = [
-                {"t": r.time, "x": r.location[0], "y": r.location[1],
-                 "rssi": r.rssi, "mac": r.mac}
-                for r, rpi in gaen_records
-                if rpi in rpis
-            ]
-            hits.sort(key=lambda h: (h["t"], h["x"], h["y"]))
-            dossiers.append({"tek_hex": entry.tek.key.hex(), "sightings": hits})
+        for pos in sorted(range(len(published)), key=lambda i: published[i].tek.key.hex()):
+            sightings = sorted(hits[pos], key=lambda h: (h["t"], h["x"], h["y"]))
+            dossiers.append({"tek_hex": published[pos].tek.key.hex(), "sightings": sightings})
         return dossiers
 
     def correlate_mac_rpi(self) -> list[dict]:

@@ -135,6 +135,23 @@ def regenerate_day(tek: TemporaryExposureKey) -> list[RollingProximityIdentifier
     return [generate_rpi(rpik, tek.rolling_start + i) for i in range(INTERVALS_PER_DAY)]
 
 
+def identifier_index(teks) -> dict[bytes, list[tuple[int, int]]]:
+    """rpi -> [(position in teks, interval)] over every key's day of identifiers.
+
+    The one join between published keys and sighted identifiers, shared by
+    exposure matching and re-identification. Each distinct key is
+    regenerated once; a key listed twice appears under both positions.
+    """
+    index: dict[bytes, list[tuple[int, int]]] = {}
+    days: dict[TemporaryExposureKey, list[RollingProximityIdentifier]] = {}
+    for pos, tek in enumerate(teks):
+        if tek not in days:
+            days[tek] = regenerate_day(tek)
+        for r in days[tek]:
+            index.setdefault(r.rpi, []).append((pos, r.interval))
+    return index
+
+
 def _keystream4(aemk: bytes, rpi: bytes) -> bytes:
     if len(rpi) != 16:
         raise ValueError("counter block (rpi) must be 16 bytes")

@@ -1,5 +1,9 @@
 """Honest device state machine: key rotation, broadcast, storage, matching.
 
+Broadcast: the advertised frame is computed once per (identifier, MAC,
+tx power) and reused on every tick of its 10-minute interval; only key
+rotation or a power change re-encrypts.
+
 Matching semantics:
 
   * A stored sighting matches a published key when its payload carries one
@@ -17,7 +21,11 @@ Matching semantics:
     `duration_threshold` (default 15 min).
 
 Devices store every sighting unfiltered at receive time; all filtering
-happens here at matching time.
+happens here at matching time. Matching is an index join: stored
+sightings are grouped by payload, each distinct payload is decoded once
+and looked up in the published-identifier index (`crypto.identifier_index`,
+built once per run and shared with re-identification), and each distinct
+(key, identifier, metadata ciphertext) is decrypted once.
 """
 
 from __future__ import annotations
@@ -65,6 +73,8 @@ class DeviceState:
     _rpik: bytes = b""
     _aemk: bytes = b""
     _rpi: bytes = b""
+    _frame: Optional[beacon.BeaconFrame] = None
+    _frame_key: tuple = ()  # (rpi, mac, tx_power) the cached frame was built from
 
 
 def _random_mac(rng: Random) -> str:
@@ -97,10 +107,15 @@ def broadcast_current(state: DeviceState, t: int) -> Optional[beacon.BeaconFrame
     if not state.app_enabled:
         return None
     _roll_keys(state, t)
-    meta = crypto.Metadata(tx_power=state.tx_power)
-    aem = crypto.encrypt_aem(state._aemk, state._rpi, meta)
-    payload = beacon.encode_gaen(state._rpi, aem)
-    return beacon.BeaconFrame(mac=state._mac, payload=payload, kind=beacon.Gaen(state._rpi, aem))
+    key = (state._rpi, state._mac, state.tx_power)
+    if state._frame_key != key:
+        meta = crypto.Metadata(tx_power=state.tx_power)
+        aem = crypto.encrypt_aem(state._aemk, state._rpi, meta)
+        payload = beacon.encode_gaen(state._rpi, aem)
+        state._frame = beacon.BeaconFrame(mac=state._mac, payload=payload,
+                                          kind=beacon.Gaen(state._rpi, aem))
+        state._frame_key = key
+    return state._frame
 
 
 def on_scan(state: DeviceState, sighting: Sighting) -> None:
@@ -109,6 +124,10 @@ def on_scan(state: DeviceState, sighting: Sighting) -> None:
 
 def diagnose_and_upload(state: DeviceState, server, t: int) -> list:
     """Publish the retained daily keys; the registry is world-readable."""
+    if state.app_enabled and state.current_tek is None:
+        # diagnosed before the first broadcast (t = 0): draw today's key now,
+        # exactly as that broadcast would have, so there is a key to publish
+        _roll_keys(state, t)
     teks = list(state.tek_history)
     if state.current_tek is not None:
         teks.append(state.current_tek)
@@ -117,46 +136,64 @@ def diagnose_and_upload(state: DeviceState, server, t: int) -> list:
     return teks
 
 
-def match_exposures(state: DeviceState, published_teks, params: MatchingParams) -> list:
-    """Run exposure matching against published keys; appends to state.notified."""
+def match_exposures(state: DeviceState, published_teks, params: MatchingParams, *,
+                     index: Optional[dict] = None) -> list:
+    """Run exposure matching against published keys; appends to state.notified.
+
+    `index` is `crypto.identifier_index(published_teks)`, built here when not
+    given; a run builds it once and shares it across devices.
+    """
+    if index is None:
+        index = crypto.identifier_index(published_teks)
     own = {tek.key for tek in state.tek_history}
     if state.current_tek is not None:
         own.add(state.current_tek.key)
 
-    parsed = []
+    by_payload: dict[bytes, list[Sighting]] = {}
     for s in state.sightings:
-        kind = beacon.decode(s.payload, s.mac).kind
-        if isinstance(kind, beacon.Gaen):
-            parsed.append((s.time, s.rssi, kind.rpi, kind.aem))
+        by_payload.setdefault(s.payload, []).append(s)
 
-    notifications = []
-    for tek in published_teks:
-        if tek.key in own:
+    matched_ticks: list[set[int]] = [set() for _ in published_teks]
+    min_att: list[Optional[float]] = [None] * len(matched_ticks)
+    aemks: dict[bytes, bytes] = {}
+    claims: dict[tuple[bytes, bytes, bytes], int] = {}  # (key, rpi, aem) -> claimed tx power
+    for payload, group in by_payload.items():
+        kind = beacon.decode(payload, group[0].mac).kind
+        if not isinstance(kind, beacon.Gaen):
             continue
-        aemk = crypto.derive_aemk(tek)
-        rpi_interval = {r.rpi: r.interval for r in crypto.regenerate_day(tek)}
-        matched_ticks: set[int] = set()
-        min_att: Optional[float] = None
-        for s_time, s_rssi, rpi, aem in parsed:
-            interval = rpi_interval.get(rpi)
-            if interval is None:
-                continue
+        for pos, interval in index.get(kind.rpi, ()):
+            tek = published_teks[pos]
             window_start = interval * crypto.INTERVAL_SECONDS
             window_end = window_start + crypto.INTERVAL_SECONDS
-            if not (window_start - params.tolerance <= s_time <= window_end + params.tolerance):
+            in_window = [s for s in group
+                         if window_start - params.tolerance <= s.time <= window_end + params.tolerance]
+            if not in_window:
                 continue
-            meta = crypto.decrypt_aem(aemk, rpi, aem)
-            att = attenuation(meta.tx_power, s_rssi)
-            if att <= params.attenuation_threshold:
-                matched_ticks.add(s_time)
-                min_att = att if min_att is None else min(min_att, att)
-        duration = len(matched_ticks) * params.tick
+            claimed = claims.get((tek.key, kind.rpi, kind.aem))
+            if claimed is None:
+                if tek.key not in aemks:
+                    aemks[tek.key] = crypto.derive_aemk(tek)
+                claimed = crypto.decrypt_aem(aemks[tek.key], kind.rpi, kind.aem).tx_power
+                claims[(tek.key, kind.rpi, kind.aem)] = claimed
+            ticks, best = matched_ticks[pos], min_att[pos]
+            for s in in_window:
+                att = attenuation(claimed, s.rssi)
+                if att <= params.attenuation_threshold:
+                    ticks.add(s.time)
+                    best = att if best is None else min(best, att)
+            min_att[pos] = best
+
+    notifications = []
+    for pos, tek in enumerate(published_teks):
+        if tek.key in own:
+            continue
+        duration = len(matched_ticks[pos]) * params.tick
         if duration >= params.duration_threshold:
             note = ExposureNotification(
                 matched_tek=tek,
                 day=tek.rolling_start // crypto.INTERVALS_PER_DAY,
                 cumulative_duration=duration,
-                min_attenuation=min_att,
+                min_attenuation=min_att[pos],
             )
             notifications.append(note)
             state.notified.append(note)

@@ -7,7 +7,6 @@ reads hand out immutable snapshots, publishes go through the single owner.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 from .crypto import TemporaryExposureKey
@@ -30,13 +29,3 @@ class DiagnosisServer:
     def snapshot(self, t: int) -> tuple[PublishedTek, ...]:
         """Everything published at or before t; append-only, so snapshots only grow."""
         return tuple(e for e in self._entries if e.publication_time <= t)
-
-    def export_lines(self, t: int) -> list[str]:
-        return [
-            json.dumps({
-                "tek_hex": e.tek.key.hex(),
-                "rolling_start": e.tek.rolling_start,
-                "publication_time": e.publication_time,
-            })
-            for e in self.snapshot(t)
-        ]

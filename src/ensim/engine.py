@@ -3,7 +3,9 @@
 Per tick, in fixed order: scheduled diagnoses publish keys; honest app
 devices broadcast; the attacker plans and deputies re-emit; the world
 delivers; receivers store (honest) or upload (deputies). Matching runs
-once at the end of the run against the published-key snapshot.
+once at the end of the run against the published-key snapshot; the
+snapshot's identifier index is built once and shared by every device's
+matching and the attacker's re-identification.
 
 Ground truth for false-positive accounting is tracked outside the
 protocol: per (receiver, emitter) pair, the ticks with a direct
@@ -27,6 +29,7 @@ from typing import Optional
 
 from . import attacker as attacker_mod
 from . import coverage as coverage_mod
+from . import crypto
 from . import device as device_mod
 from .attacker import AttackPolicy, AttackerServer, Zone
 from .device import DeviceState, MatchingParams
@@ -367,8 +370,10 @@ def run_scenario(cfg: ScenarioConfig) -> RunResult:
 
     rows = []
     published_teks = [e.tek for e in published]
+    index = crypto.identifier_index(published_teks)
     for nid in sorted(devices):
-        for note in device_mod.match_exposures(devices[nid], published_teks, cfg.matching):
+        notes = device_mod.match_exposures(devices[nid], published_teks, cfg.matching, index=index)
+        for note in notes:
             owner = tek_owner.get(note.matched_tek.key)
             direct = direct_close.get((nid, owner), set()) if owner else set()
             genuine = len(direct) * cfg.tick >= cfg.matching.duration_threshold
@@ -381,7 +386,7 @@ def run_scenario(cfg: ScenarioConfig) -> RunResult:
                 "ground_truth_contact": genuine,
             })
 
-    dossiers = server.reidentify(published) if server is not None else []
+    dossiers = server.reidentify(published, index=index) if server is not None else []
     return RunResult(
         config=cfg,
         world=world,

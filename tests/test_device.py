@@ -63,6 +63,16 @@ class TestBroadcast:
         meta = crypto.decrypt_aem(aemk, frame.kind.rpi, frame.kind.aem)
         assert meta.tx_power == -4
 
+    def test_power_change_within_interval_reencrypts(self):
+        dev = make_device(tx_power=0)
+        f1 = broadcast_current(dev, 0)
+        assert broadcast_current(dev, 1) is f1  # one frame per interval
+        dev.tx_power = -4
+        f2 = broadcast_current(dev, 2)
+        aemk = crypto.derive_aemk(dev.current_tek)
+        assert (f2.kind.rpi, f2.mac) == (f1.kind.rpi, f1.mac)
+        assert crypto.decrypt_aem(aemk, f2.kind.rpi, f2.kind.aem).tx_power == -4
+
     def test_daily_tek_rotation(self):
         dev = make_device()
         broadcast_current(dev, 0)

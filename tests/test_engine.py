@@ -1,9 +1,10 @@
 import json
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-from ensim import crypto, scenarios
+from ensim import beacon, crypto, scenarios
 from ensim.engine import ScenarioConfig, ScenarioError, run_scenario, write_outputs
 from ensim.radio import event_log_lines
 
@@ -215,3 +216,45 @@ class TestDeterminism:
         r1 = run_scenario(ScenarioConfig.from_dict(small_scenario(seed=1)))
         r2 = run_scenario(ScenarioConfig.from_dict(small_scenario(seed=2)))
         assert event_log_lines(r1.world.events) != event_log_lines(r2.world.events)
+
+
+class TestDiagnosisAtStart:
+    def test_diagnosed_at_zero_publishes_todays_key(self):
+        raw = small_scenario()
+        raw["nodes"][0]["diagnosed_at"] = 0
+        result = run_scenario(ScenarioConfig.from_dict(raw))
+        assert [e.publication_time for e in result.published] == [0]
+        assert result.published[0].tek == result.devices["a"].current_tek
+        rows = result.notification_rows
+        assert [r["device_id"] for r in rows] == ["b"]
+        assert rows[0]["ground_truth_contact"] is True
+
+
+class TestComputeOnce:
+    """Each crypto and codec result is computed once per distinct input."""
+
+    def test_call_counts_two_devices(self, monkeypatch):
+        calls = Counter()
+
+        def count(module, name):
+            fn = getattr(module, name)
+
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+
+        for name in ("encrypt_aem", "decrypt_aem", "regenerate_day"):
+            count(crypto, name)
+        count(beacon, "decode")
+        # a is diagnosed at 1200 s; both hear each other for 1500 s
+        result = run_scenario(ScenarioConfig.from_dict(small_scenario()))
+        intervals = 3  # 0-599, 600-1199, 1200-1499
+        assert calls["encrypt_aem"] == len(result.devices) * intervals
+        assert calls["regenerate_day"] == len(result.published) == 1
+        distinct_payloads = sum(len({s.payload for s in dev.sightings})
+                                for dev in result.devices.values())
+        assert calls["decode"] == distinct_payloads == 2 * intervals
+        # b decrypts each of a's frames once; a hears only b, whose key is unpublished
+        assert calls["decrypt_aem"] == intervals

@@ -1,0 +1,116 @@
+"""Differential tests: index-join matching and re-identification against the
+straightforward joins in reference_matching.py.
+
+Generated inputs mix genuine, replayed and tampered GAEN sightings at the
+edges of the replay tolerance, duplicate ticks, the matching device's own
+frames, non-GAEN and malformed payloads, and published lists that repeat a
+key, include the device's own keys or a key nobody broadcast.
+"""
+
+import random
+
+from hypothesis import given, settings, strategies as st
+
+import reference_matching as ref
+from ensim import beacon, crypto
+from ensim.attacker import AttackPolicy, AttackerServer, tamper
+from ensim.device import DeviceState, MatchingParams, broadcast_current, match_exposures, on_scan
+from ensim.diagnosis import PublishedTek
+from ensim.radio import Sighting
+
+# straddles the first day boundary, so every device holds two daily keys
+INTERVALS = (0, 1, 2, 142, 143, 144, 145)
+MASKS = (None, b"\x00\xf8\x00\x00", b"\x01\x02\x03\x04")
+DECOY = beacon.encode_decoy(beacon.IBeacon(
+    uuid="01022022-fa0f-0100-00ac-dd1c6502da1c", major=53479, minor=42571, tx=-59))
+OTHER_MAC = "02:00:00:00:00:99"
+
+
+def _device(nid, seed, tx_power):
+    dev = DeviceState(id=nid, rng=random.Random(seed), tx_power=tx_power)
+    frames = {i: broadcast_current(dev, i * crypto.INTERVAL_SECONDS) for i in INTERVALS}
+    return dev, frames
+
+
+def _keys(dev):
+    return dev.tek_history + [dev.current_tek]
+
+
+@st.composite
+def worlds(draw):
+    """(receiver, published keys, sightings, matching params)."""
+    tolerance = draw(st.sampled_from([0, 60, 7200]))
+    params = MatchingParams(
+        tolerance=tolerance,
+        attenuation_threshold=draw(st.sampled_from([41.0, 55.0, 61.0])),
+        duration_threshold=draw(st.sampled_from([0, 1, 2, 3])),
+        tick=draw(st.sampled_from([1, 2])),
+    )
+    seeds = draw(st.lists(st.integers(0, 2**16), min_size=3, max_size=3, unique=True))
+    powers = draw(st.lists(st.sampled_from([-8, 0, 4]), min_size=3, max_size=3))
+    receiver, own = _device("rx", seeds[0], powers[0])
+    carriers = [_device(f"c{i}", s, p) for i, (s, p) in enumerate(zip(seeds[1:], powers[1:]))]
+    keys = _keys(receiver) + [k for dev, _ in carriers for k in _keys(dev)]
+    keys.append(crypto.new_tek(random.Random(seeds[0] + 1), 0))  # published, never heard
+
+    window = crypto.INTERVAL_SECONDS
+    edges = [-tolerance - 1, -tolerance, 0, 1, window - 1, window,
+             window + tolerance, window + tolerance + 1]
+    sightings = []
+    for _ in range(draw(st.integers(0, 40))):
+        source = draw(st.sampled_from(["c0", "c0", "c1", "c1", "own", "decoy", "garbage"]))
+        interval = draw(st.sampled_from(INTERVALS))
+        offset = draw(st.sampled_from(edges) | st.sampled_from(edges)
+                      | st.integers(-tolerance - 5, window + tolerance + 5))
+        t = interval * window + offset
+        rssi = draw(st.sampled_from([-20.0, -41.0, -47.0, -55.0, -58.0, -70.5])
+                    | st.floats(-100.0, 0.0, allow_nan=False))
+        if source == "decoy":
+            payload, mac = DECOY, OTHER_MAC
+        elif source == "garbage":
+            payload, mac = draw(st.binary(max_size=31)), OTHER_MAC
+        else:
+            frames = own if source == "own" else carriers[int(source[1])][1]
+            frame = frames[interval]
+            aem, mask = frame.kind.aem, draw(st.sampled_from(MASKS))
+            if mask is not None:
+                aem = tamper(aem, mask)
+            payload = beacon.encode_gaen(frame.kind.rpi, aem)
+            mac = draw(st.sampled_from([frame.mac, OTHER_MAC]))
+        repeats = draw(st.integers(1, 2))  # the same hearing twice on one tick
+        sightings += [Sighting(payload, mac, rssi, t, (float(offset % 7), 0.0))] * repeats
+    published = [keys[i] for i in draw(st.lists(st.integers(0, len(keys) - 1), max_size=9))]
+    return receiver, published, sightings, params
+
+
+@settings(max_examples=120, deadline=None)
+@given(worlds())
+def test_match_exposures_equals_reference(world):
+    receiver, published, sightings, params = world
+    for s in sightings:
+        on_scan(receiver, s)
+    expected = ref.match_exposures(receiver, published, params)
+    assert match_exposures(receiver, published, params) == expected
+    index = crypto.identifier_index(published)
+    assert match_exposures(receiver, published, params, index=index) == expected
+
+
+@settings(max_examples=80, deadline=None)
+@given(worlds(), st.booleans())
+def test_reidentify_equals_reference(world, collect_all):
+    _, published, sightings, _ = world
+    server = AttackerServer(AttackPolicy(collect_all=collect_all))
+    for i, s in enumerate(sightings):
+        server.deputy_on_scan(f"d{i % 3}", s)
+    entries = [PublishedTek(tek, i) for i, tek in enumerate(published)]
+    assert server.reidentify(entries) == ref.reidentify(server, entries)
+
+
+@settings(max_examples=40, deadline=None)
+@given(worlds())
+def test_harvest_frames_keep_each_hearings_mac(world):
+    _, _, sightings, _ = world
+    server = AttackerServer(AttackPolicy(collect_all=True))
+    for s in sightings:
+        record = server.deputy_on_scan("d", s)
+        assert record.frame == beacon.decode(s.payload, s.mac)
