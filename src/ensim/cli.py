@@ -17,39 +17,22 @@ from pathlib import Path
 
 from . import coverage as coverage_mod
 from . import crypto, scenarios
-from .engine import RunResult, ScenarioConfig, ScenarioError, run_scenario, write_outputs
+from .engine import RunResult, ScenarioError, SweepConfig, load_config, run_scenario, write_outputs
 
 
-def _load_config(ref: str) -> dict:
+def _load_config(ref: str, seed):
     p = Path(ref)
     if p.exists():
         try:
-            return json.loads(p.read_text())
-        except json.JSONDecodeError as e:
+            raw = json.loads(p.read_text())
+        except (OSError, ValueError) as e:
             raise ScenarioError(f"config {ref!r} is not valid JSON: {e}") from e
-    if ref in scenarios.BUILDERS:
-        return scenarios.BUILDERS[ref]()
-    raise ScenarioError(
-        f"config {ref!r} is neither a file nor a bundled scenario "
-        f"(bundled: {', '.join(sorted(scenarios.BUILDERS))})"
-    )
-
-
-def _run_sweep(raw: dict, outdir: Path) -> None:
-    for key in ("seed", "alphas_sc", "alphas_cd"):
-        if key not in raw:
-            raise ScenarioError(f"missing required field '{key}' in sweep config")
-    reports = coverage_mod.sweep(
-        alphas_sc=raw["alphas_sc"],
-        alphas_cd=raw["alphas_cd"],
-        n=raw.get("n", 10000),
-        n_contacts=raw.get("n_contacts", 100000),
-        seed=raw["seed"],
-        one_sided_quality=raw.get("one_sided_quality", 1.0),
-    )
-    outdir.mkdir(parents=True, exist_ok=True)
-    coverage_mod.write_sweep_csv(reports, outdir / "coverage.csv")
-    print(f"sweep: {len(reports)} grid points -> {outdir / 'coverage.csv'}")
+    elif ref in scenarios.BUILDERS:
+        raw = scenarios.BUILDERS[ref]()
+    else:
+        raise ScenarioError(f"config {ref!r} is neither a file nor a bundled scenario "
+                            f"(bundled: {', '.join(sorted(scenarios.BUILDERS))})")
+    return load_config(raw, seed)
 
 
 def _summarize(result: RunResult) -> None:
@@ -65,29 +48,21 @@ def _summarize(result: RunResult) -> None:
 
 
 def cmd_run(args) -> int:
-    raw = _load_config(args.config)
-    outdir = Path(args.out) if args.out else Path("out") / raw.get("name", "run")
-    if args.seed is not None:
-        raw = dict(raw, seed=args.seed)
-    if raw.get("kind", "scenario") == "sweep":
-        _run_sweep(raw, outdir)
+    """`ensim run` runs either kind of config; `ensim sweep` only a sweep."""
+    cfg = _load_config(args.config, args.seed)
+    if args.command == "sweep" and not isinstance(cfg, SweepConfig):
+        raise ScenarioError("field 'kind' must be 'sweep' for `ensim sweep`")
+    outdir = Path(args.out) if args.out else Path("out") / cfg.name
+    if isinstance(cfg, SweepConfig):
+        reports = coverage_mod.sweep(**cfg.params)
+        outdir.mkdir(parents=True, exist_ok=True)
+        coverage_mod.write_sweep_csv(reports, outdir / "coverage.csv")
+        print(f"sweep: {len(reports)} grid points -> {outdir / 'coverage.csv'}")
         return 0
-    cfg = ScenarioConfig.from_dict(raw)
     result = run_scenario(cfg)
     write_outputs(result, outdir)
     _summarize(result)
     print(f"artifacts -> {outdir}")
-    return 0
-
-
-def cmd_sweep(args) -> int:
-    raw = _load_config(args.config)
-    if raw.get("kind") != "sweep":
-        raise ScenarioError(f"field 'kind' is {raw.get('kind')!r}, expected 'sweep'")
-    if args.seed is not None:
-        raw = dict(raw, seed=args.seed)
-    outdir = Path(args.out) if args.out else Path("out") / raw.get("name", "sweep")
-    _run_sweep(raw, outdir)
     return 0
 
 
@@ -110,17 +85,12 @@ def main(argv=None) -> int:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_run = sub.add_parser("run", help="run a scenario config end to end")
-    p_run.add_argument("config", help="bundled scenario name or path to a JSON config")
-    p_run.add_argument("--out", help="output directory (default out/<name>)")
-    p_run.add_argument("--seed", type=int, help="override the config seed")
-    p_run.set_defaults(func=cmd_run)
-
-    p_sweep = sub.add_parser("sweep", help="run a coverage sweep config")
-    p_sweep.add_argument("config", help="bundled sweep name or path to a JSON config")
-    p_sweep.add_argument("--out", help="output directory (default out/<name>)")
-    p_sweep.add_argument("--seed", type=int, help="override the config seed")
-    p_sweep.set_defaults(func=cmd_sweep)
+    for command, what in (("run", "scenario"), ("sweep", "coverage sweep")):
+        p = sub.add_parser(command, help=f"run a {what} config")
+        p.add_argument("config", help=f"bundled {what} name or path to a JSON config")
+        p.add_argument("--out", help="output directory (default out/<name>)")
+        p.add_argument("--seed", type=int, help="override the config seed")
+        p.set_defaults(func=cmd_run)
 
     p_vec = sub.add_parser("vectors", help="emit crypto pipeline test vectors")
     p_vec.add_argument("--count", type=int, required=True)

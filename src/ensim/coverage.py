@@ -139,8 +139,9 @@ def visibility_from_run(infected_ids, deputy_ids, published_owner_ids, harvested
     )
 
 
-def sweep(alphas_sc, alphas_cd, n=10_000, n_contacts=100_000, seed=0,
-          one_sided_quality=1.0) -> list[CoverageReport]:
+def sweep(alphas_sc, alphas_cd, n=PopulationModel.n, n_contacts=PopulationModel.n_contacts,
+          seed=PopulationModel.seed,
+          one_sided_quality=PopulationModel.one_sided_quality) -> list[CoverageReport]:
     """One coverage report per grid point, deterministic per-cell seeding."""
     reports = []
     for i, a_sc in enumerate(alphas_sc):

@@ -13,16 +13,25 @@ protocol: per (receiver, emitter) pair, the ticks with a direct
 threshold. A notification is a genuine contact only if that direct
 exposure alone reaches the duration threshold.
 
-Everything is keyed off config.seed; identical configs produce
+Configs are checked against one field table per object (`SCENARIO_FIELDS`
+and the tables it nests, `SWEEP_FIELDS`), which maps every key the object
+may hold to its type-and-range check. An absent key takes the default of
+the dataclass or function that owns it; anything invalid raises
+ScenarioError naming the field before the run starts.
+
+Everything is keyed off the config's seed; identical configs produce
 byte-identical artifacts.
 """
 
 from __future__ import annotations
 
+import copy
 import csv
+import functools
 import hashlib
 import json
-from dataclasses import dataclass
+import sys
+from dataclasses import dataclass, field
 from pathlib import Path
 from random import Random
 from typing import Optional
@@ -52,13 +61,93 @@ class ScenarioError(ValueError):
     """Config rejected before the run starts; message names the field."""
 
 
+def _fail(where: str, expected: str, value):
+    raise ScenarioError(f"field '{where}' must be {expected}, got {json.dumps(value, default=repr)}")
+
+
+def _check(ok, expected: str, inner=None):
+    """A check: (value, path) -> the value to use, or ScenarioError naming the path.
+    `inner`, when given, checks and converts the value before `ok` tests it."""
+    def check(value, where):
+        checked = inner(value, where) if inner else value
+        if not ok(checked):
+            _fail(where, expected, value)
+        return checked
+    return check
+
+
+def _ranged(kind: str, is_type):
+    def make(lo=None, hi=None, above=None):
+        limits = [f"{op} {b}" for op, b in ((">=", lo), ("<=", hi), (">", above)) if b is not None]
+        return _check(lambda v: is_type(v) and (lo is None or v >= lo) and (hi is None or v <= hi)
+                      and (above is None or v > above), " ".join([kind, " and ".join(limits)]).strip())
+    return make
+
+
+integer = _ranged("an integer", lambda v: type(v) is int)
+# abs() also rules out nan, infinities and ints too large to become a float
+number = _ranged("a number", lambda v: type(v) in (int, float) and abs(v) <= sys.float_info.max)
+TEXT = _check(lambda v: isinstance(v, str), "a string")
+BOOL = _check(lambda v: isinstance(v, bool), "true or false")
+
+
+def const(c):
+    return _check(lambda v: type(v) is type(c) and v == c, repr(c))
+
+
+def hex_string(size=None):
+    def ok(v):
+        try:
+            return size in (None, len(bytes.fromhex(v)))
+        except (TypeError, ValueError):
+            return False
+    return _check(ok, f"a hex string of {size} bytes" if size else "a hex string")
+
+
+def optional(check):
+    return lambda value, where: None if value is None else check(value, where)
+
+
+def list_of(item, size=None):
+    """A list checked item by item, returned as a tuple; exactly `size` long when set."""
+    def check(value, where):
+        if not isinstance(value, (list, tuple)) or size not in (None, len(value)):
+            _fail(where, f"a list of {size}" if size else "a list", value)
+        return tuple(item(v, f"{where}[{i}]") for i, v in enumerate(value))
+    return check
+
+
+class required(functools.partial):
+    """Wraps a table row's check: the key must be present. Calls go to the check."""
+
+
+def parse(table: dict, raw, where: str = "") -> dict:
+    """The checked values of the keys present in `raw`, an object whose keys `table`
+    maps to their checks. An absent key is left out, so its owner's default applies."""
+    if not isinstance(raw, dict):
+        _fail(where or "config", "a JSON object", raw)
+    path = (lambda key: f"{where}.{key}") if where else str
+    for key in raw:
+        if key not in table:
+            raise ScenarioError(f"unknown field '{path(key)}'")
+    for key, check in table.items():
+        if isinstance(check, required) and key not in raw:
+            raise ScenarioError(f"missing required field '{path(key)}'")
+    return {key: table[key](value, path(key)) for key, value in raw.items()}
+
+
+def obj(table: dict, build=dict):
+    return lambda value, where: build(**parse(table, value, where))
+
+
+def _attack(value, where):
+    fields = parse(ATTACK_FIELDS, value, where)
+    mask = fields.pop("tamper_mask_hex", None)
+    return AttackPolicy(tamper_mask=mask and bytes.fromhex(mask), **fields)
+
+
 @dataclass(frozen=True)
-class NodeConfig:
-    id: str
-    trajectory: tuple
-    app: bool = False
-    deputy: bool = False
-    tx_power: int = 0
+class NodeConfig(NodeSpec):
     infected_at: Optional[int] = None
     diagnosed_at: Optional[int] = None
 
@@ -69,203 +158,145 @@ class InjectionSpec:
     receiver: str
     payload_hex: str
     mac: str
-    rssi: float
+    rssi: float = -12.0
+
+
+PATH_LOSS_FIELDS = {
+    "ref_rssi_at_1m": number(),
+    "exponent": number(above=0),
+    "noise_sigma": number(0),
+}
+WORLD_FIELDS = {
+    "tick": integer(1),
+    "duration": required(integer(1)),
+    "radio_range_max": number(above=0),
+    "path_loss": obj(PATH_LOSS_FIELDS, PathLoss),
+}
+MATCHING_FIELDS = {
+    "tolerance": integer(0),
+    "attenuation_threshold": number(),
+    # at least one matched tick, so every notification has a minimum attenuation
+    "duration_threshold": integer(1),
+}
+NODE_FIELDS = {
+    "id": required(TEXT),
+    "trajectory": required(_check(
+        lambda wps: wps and [wp[0] for wp in wps] == sorted(wp[0] for wp in wps),
+        "a non-empty list of [t, x, y] sorted by t", list_of(list_of(number(), size=3)))),
+    "app": BOOL,
+    "deputy": BOOL,
+    "tx_power": integer(-128, 127),  # one signed byte in the broadcast metadata
+    "infected_at": optional(integer(0)),
+    "diagnosed_at": optional(integer(0)),
+}
+ZONE = _check(lambda z: z.x_min <= z.x_max and z.y_min <= z.y_max,
+              "[x_min, y_min, x_max, y_max] with min <= max",
+              lambda value, where: Zone(*list_of(number(), size=4)(value, where)))
+ATTACK_FIELDS = {
+    "harvest_zones": list_of(ZONE),
+    "target_zones": list_of(ZONE),
+    "tamper_mask_hex": optional(hex_string(4)),
+    "relay_latency": integer(0),
+    "collect_all": BOOL,
+    "relay_window": optional(_check(lambda w: w[0] <= w[1], "[start, end] with start <= end",
+                                    list_of(integer(0), size=2))),
+    "replay_horizon": integer(0),
+    "max_relays_per_deputy": optional(integer(0)),
+    "relay_mac": TEXT,
+}
+INJECTION_FIELDS = {
+    "t": required(integer(0)),
+    "receiver": required(TEXT),
+    "payload_hex": required(hex_string()),
+    "mac": required(TEXT),
+    "rssi": number(),
+}
+SCENARIO_FIELDS = {
+    "schema_version": const(SCHEMA_VERSION),
+    "kind": const("scenario"),
+    "name": required(TEXT),
+    "seed": required(integer()),
+    "world": required(obj(WORLD_FIELDS)),
+    "matching": obj(MATCHING_FIELDS),
+    "nodes": required(list_of(obj(NODE_FIELDS, NodeConfig))),
+    "attack": optional(_attack),
+    "injections": list_of(obj(INJECTION_FIELDS, InjectionSpec)),
+}
+SWEEP_FIELDS = {  # all but schema_version, kind and name are arguments of coverage.sweep
+    "schema_version": const(SCHEMA_VERSION),
+    "kind": required(const("sweep")),
+    "name": required(TEXT),
+    "seed": required(integer(0)),
+    "alphas_sc": required(list_of(number(0, 1))),
+    "alphas_cd": required(list_of(number(0, 1))),
+    "n": integer(2),
+    "n_contacts": integer(1),
+    "one_sided_quality": number(0, 1),
+}
+
+
+def _on_schedule(world: WorldConfig, t: int, where: str) -> None:
+    if t % world.tick or t >= world.duration:
+        raise ScenarioError(f"field '{where}' must fall on a tick (multiple of {world.tick}) "
+                            f"before world.duration {world.duration}, got {t}")
 
 
 @dataclass(frozen=True)
 class ScenarioConfig:
     name: str
-    seed: int
-    tick: int
-    duration: int
-    radio_range_max: float
-    path_loss: PathLoss
-    nodes: tuple
+    world: WorldConfig  # the seed, the radio model and the nodes (NodeConfig)
     matching: MatchingParams
-    attack: Optional[AttackPolicy] = None
-    injections: tuple = ()
+    attack: Optional[AttackPolicy]
+    injections: tuple
+    doc: dict = field(compare=False, repr=False)  # the validated document
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ScenarioConfig":
-        def need(obj, key, where="config"):
-            if key not in obj:
-                raise ScenarioError(f"missing required field '{key}' in {where}")
-            return obj[key]
-
-        if raw.get("kind", "scenario") != "scenario":
-            raise ScenarioError(f"field 'kind' is {raw.get('kind')!r}, expected 'scenario'")
-        if raw.get("schema_version", SCHEMA_VERSION) != SCHEMA_VERSION:
-            raise ScenarioError(f"unsupported schema_version {raw.get('schema_version')!r}")
-        name = need(raw, "name")
-        seed = need(raw, "seed")
-        if not isinstance(seed, int):
-            raise ScenarioError("field 'seed' must be an integer")
-        world = need(raw, "world")
-        pl_raw = world.get("path_loss", {})
+        doc = parse(SCENARIO_FIELDS, raw)
+        ids = [node.id for node in doc["nodes"]]
+        if len(set(ids)) < len(ids):
+            duplicate = next(nid for nid in ids if ids.count(nid) > 1)
+            raise ScenarioError(f"field 'nodes' has duplicate node id {duplicate!r}")
         try:
-            path_loss = PathLoss(
-                ref_rssi_at_1m=pl_raw.get("ref_rssi_at_1m", -41.0),
-                exponent=pl_raw.get("exponent", 2.0),
-                noise_sigma=pl_raw.get("noise_sigma", 0.0),
-            )
-        except ValueError as e:
-            raise ScenarioError(f"world.path_loss: {e}") from e
-
-        nodes = []
-        ids = set()
-        for i, nd in enumerate(need(raw, "nodes")):
-            where = f"nodes[{i}]"
-            nid = need(nd, "id", where)
-            if nid in ids:
-                raise ScenarioError(f"duplicate node id {nid!r}")
-            ids.add(nid)
-            traj = tuple(tuple(wp) for wp in need(nd, "trajectory", where))
-            node = NodeConfig(
-                id=nid,
-                trajectory=traj,
-                app=nd.get("app", False),
-                deputy=nd.get("deputy", False),
-                tx_power=nd.get("tx_power", 0),
-                infected_at=nd.get("infected_at"),
-                diagnosed_at=nd.get("diagnosed_at"),
-            )
-            if node.diagnosed_at is not None and not node.app:
-                raise ScenarioError(f"{where}: diagnosed_at set on a node without the app")
-            nodes.append(node)
-
-        m_raw = raw.get("matching", {})
-        matching = MatchingParams(
-            tolerance=m_raw.get("tolerance", 7200),
-            attenuation_threshold=m_raw.get("attenuation_threshold", 55.0),
-            duration_threshold=m_raw.get("duration_threshold", 900),
-            tick=world.get("tick", 1),
-        )
-
-        attack = None
-        if raw.get("attack") is not None:
-            a = raw["attack"]
-            mask_hex = a.get("tamper_mask_hex")
-            window = a.get("relay_window")
-            try:
-                attack = AttackPolicy(
-                    harvest_zones=tuple(Zone(*z) for z in a.get("harvest_zones", [])),
-                    target_zones=tuple(Zone(*z) for z in a.get("target_zones", [])),
-                    tamper_mask=bytes.fromhex(mask_hex) if mask_hex else None,
-                    relay_latency=a.get("relay_latency", 5),
-                    collect_all=a.get("collect_all", False),
-                    relay_window=tuple(window) if window else None,
-                    replay_horizon=a.get("replay_horizon", 7200),
-                    max_relays_per_deputy=a.get("max_relays_per_deputy", 1),
-                    relay_mac=a.get("relay_mac", attacker_mod.DEFAULT_RELAY_MAC),
-                )
-            except (ValueError, TypeError) as e:
-                raise ScenarioError(f"attack: {e}") from e
-
-        injections = []
-        for i, inj in enumerate(raw.get("injections", [])):
-            where = f"injections[{i}]"
-            spec = InjectionSpec(
-                t=need(inj, "t", where),
-                receiver=need(inj, "receiver", where),
-                payload_hex=need(inj, "payload_hex", where),
-                mac=need(inj, "mac", where),
-                rssi=inj.get("rssi", -12.0),
-            )
-            if spec.receiver not in ids:
-                raise ScenarioError(f"{where}: unknown receiver {spec.receiver!r}")
-            injections.append(spec)
-
-        try:
-            cfg = cls(
-                name=name,
-                seed=seed,
-                tick=world.get("tick", 1),
-                duration=need(world, "duration", "world"),
-                radio_range_max=world.get("radio_range_max", 50.0),
-                path_loss=path_loss,
-                nodes=tuple(nodes),
-                matching=matching,
-                attack=attack,
-                injections=tuple(injections),
-            )
-        except ValueError as e:
-            raise ScenarioError(str(e)) from e
-        # surface world-level validation errors (tick/duration alignment etc.) now
-        try:
-            cfg.world_config()
+            world = WorldConfig(nodes=doc["nodes"], seed=doc["seed"], **doc["world"])
         except ValueError as e:
             raise ScenarioError(f"world: {e}") from e
-        return cfg
+        for i, node in enumerate(world.nodes):
+            if node.diagnosed_at is not None:
+                if not node.app:
+                    raise ScenarioError(f"field 'nodes[{i}].diagnosed_at' is set without the app")
+                _on_schedule(world, node.diagnosed_at, f"nodes[{i}].diagnosed_at")
+        injections = doc.get("injections", ())
+        for i, inj in enumerate(injections):
+            _on_schedule(world, inj.t, f"injections[{i}].t")
+            if inj.receiver not in ids:
+                raise ScenarioError(f"field 'injections[{i}].receiver' is no node: {inj.receiver!r}")
+        return cls(name=doc["name"], world=world, attack=doc.get("attack"), injections=injections,
+                   matching=MatchingParams(tick=world.tick, **doc.get("matching", {})),
+                   doc=copy.deepcopy(raw))
 
     def to_dict(self) -> dict:
-        d = {
-            "schema_version": SCHEMA_VERSION,
-            "kind": "scenario",
-            "name": self.name,
-            "seed": self.seed,
-            "world": {
-                "tick": self.tick,
-                "duration": self.duration,
-                "radio_range_max": self.radio_range_max,
-                "path_loss": {
-                    "ref_rssi_at_1m": self.path_loss.ref_rssi_at_1m,
-                    "exponent": self.path_loss.exponent,
-                    "noise_sigma": self.path_loss.noise_sigma,
-                },
-            },
-            "matching": {
-                "tolerance": self.matching.tolerance,
-                "attenuation_threshold": self.matching.attenuation_threshold,
-                "duration_threshold": self.matching.duration_threshold,
-            },
-            "nodes": [
-                {k: v for k, v in {
-                    "id": n.id,
-                    "app": n.app,
-                    "deputy": n.deputy,
-                    "tx_power": n.tx_power,
-                    "trajectory": [list(wp) for wp in n.trajectory],
-                    "infected_at": n.infected_at,
-                    "diagnosed_at": n.diagnosed_at,
-                }.items() if v is not None}
-                for n in self.nodes
-            ],
-            "attack": None,
-            "injections": [
-                {"t": i.t, "receiver": i.receiver, "payload_hex": i.payload_hex,
-                 "mac": i.mac, "rssi": i.rssi}
-                for i in self.injections
-            ],
-        }
-        if self.attack is not None:
-            a = self.attack
-            d["attack"] = {
-                "harvest_zones": [[z.x_min, z.y_min, z.x_max, z.y_max] for z in a.harvest_zones],
-                "target_zones": [[z.x_min, z.y_min, z.x_max, z.y_max] for z in a.target_zones],
-                "tamper_mask_hex": a.tamper_mask.hex() if a.tamper_mask else None,
-                "relay_latency": a.relay_latency,
-                "collect_all": a.collect_all,
-                "relay_window": list(a.relay_window) if a.relay_window else None,
-                "replay_horizon": a.replay_horizon,
-                "max_relays_per_deputy": a.max_relays_per_deputy,
-                "relay_mac": a.relay_mac,
-            }
-        return d
+        return copy.deepcopy(self.doc)
 
-    def world_config(self) -> WorldConfig:
-        specs = tuple(
-            NodeSpec(id=n.id, trajectory=n.trajectory, app=n.app, deputy=n.deputy,
-                     tx_power=n.tx_power)
-            for n in self.nodes
-        )
-        return WorldConfig(
-            nodes=specs,
-            path_loss=self.path_loss,
-            radio_range_max=self.radio_range_max,
-            tick=self.tick,
-            duration=self.duration,
-            seed=self.seed,
-        )
+
+@dataclass(frozen=True)
+class SweepConfig:
+    """A coverage sweep; `params` are the keyword arguments of `coverage.sweep`."""
+
+    name: str
+    params: dict
+
+
+def load_config(raw, seed: Optional[int] = None):
+    """A ScenarioConfig or, for `kind: "sweep"`, a SweepConfig; `seed` overrides the seed."""
+    if isinstance(raw, dict) and seed is not None:
+        raw = dict(raw, seed=seed)
+    if not (isinstance(raw, dict) and raw.get("kind") == "sweep"):
+        return ScenarioConfig.from_dict(raw)
+    params = parse(SWEEP_FIELDS, raw)
+    for key in ("schema_version", "kind", "name"):
+        params.pop(key, None)
+    return SweepConfig(name=raw["name"], params=params)
 
 
 def _node_rng(seed: int, node_id: str) -> Random:
@@ -289,7 +320,7 @@ class RunResult:
 
     @property
     def infected_ids(self):
-        return {n.id for n in self.config.nodes if n.infected_at is not None}
+        return {n.id for n in self.config.world.nodes if n.infected_at is not None}
 
     def visibility(self) -> coverage_mod.VisibilityReport:
         return coverage_mod.visibility_from_run(
@@ -302,13 +333,13 @@ class RunResult:
 
 
 def run_scenario(cfg: ScenarioConfig) -> RunResult:
-    world = World(cfg.world_config())
-    node_by_id = {n.id: n for n in cfg.nodes}
+    world = World(cfg.world)
+    node_by_id = world.nodes
     devices = {
-        n.id: DeviceState(id=n.id, rng=_node_rng(cfg.seed, n.id), tx_power=n.tx_power)
-        for n in cfg.nodes if n.app
+        n.id: DeviceState(id=n.id, rng=_node_rng(cfg.world.seed, n.id), tx_power=n.tx_power)
+        for n in cfg.world.nodes if n.app
     }
-    deputies = sorted(n.id for n in cfg.nodes if n.deputy)
+    deputies = sorted(n.id for n in cfg.world.nodes if n.deputy)
     server = AttackerServer(cfg.attack) if cfg.attack is not None else None
     diag = DiagnosisServer()
 
@@ -319,7 +350,7 @@ def run_scenario(cfg: ScenarioConfig) -> RunResult:
     direct_close: dict[tuple, set] = {}
     harvested_owners: set = set()
 
-    for t in range(0, cfg.duration, cfg.tick):
+    for t in range(0, cfg.world.duration, cfg.world.tick):
         for nid in sorted(devices):
             node = node_by_id[nid]
             if node.diagnosed_at == t:
@@ -360,7 +391,7 @@ def run_scenario(cfg: ScenarioConfig) -> RunResult:
                 if true_att <= cfg.matching.attenuation_threshold:
                     direct_close.setdefault((rid, ev.emitter_id), set()).add(t)
 
-    published = diag.snapshot(cfg.duration)
+    published = diag.snapshot(cfg.world.duration)
     tek_owner = {}
     for nid, dev in devices.items():
         for tek in dev.tek_history:
@@ -376,7 +407,7 @@ def run_scenario(cfg: ScenarioConfig) -> RunResult:
         for note in notes:
             owner = tek_owner.get(note.matched_tek.key)
             direct = direct_close.get((nid, owner), set()) if owner else set()
-            genuine = len(direct) * cfg.tick >= cfg.matching.duration_threshold
+            genuine = len(direct) * cfg.world.tick >= cfg.matching.duration_threshold
             rows.append({
                 "device_id": nid,
                 "tek_hex": note.matched_tek.key.hex(),

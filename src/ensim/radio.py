@@ -180,9 +180,6 @@ class World:
         self.events.append(event)
         return event
 
-    def events_for(self, receiver_id: str) -> list[ScanEvent]:
-        return [e for e in self.events if e.receiver_id == receiver_id]
-
 
 def event_log_lines(events) -> list[str]:
     """JSON lines with stable field order, for golden-log comparison."""

@@ -1,10 +1,32 @@
+import copy
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import reference_gaen as ref
 from ensim import scenarios
 from ensim.cli import main
+from test_engine import small_scenario
+
+SMALL_SWEEP = dict(scenarios.coverage_sweep(), alphas_sc=[0.0, 0.5], alphas_cd=[0.5],
+                   n=2000, n_contacts=5000)
+PAYLOAD_HEX = "02011a03036ffd17166ffdf252a8a76c6012a86337d54f914b53b5ed12161b"
+
+
+def _edited(base, edits):
+    doc = copy.deepcopy(base)
+    for path, value in edits:
+        if not path:
+            doc = value
+            continue
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = value
+    return doc
 
 
 def test_run_bundled_by_name(tmp_path, capsys):
@@ -69,6 +91,117 @@ def test_run_dispatches_sweep_kind(tmp_path, capsys):
     cfg.write_text(json.dumps(raw))
     assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 0
     assert (tmp_path / "o" / "coverage.csv").exists()
+
+
+def _injection(**kw):
+    return [dict({"t": 3, "receiver": "bob", "payload_hex": PAYLOAD_HEX,
+                  "mac": "AB:B1:E9:9E:1B:BA"}, **kw)]
+
+
+# (base config, edits as (path, value), text the error must contain)
+INVALID_CONFIGS = {
+    "bad injection hex": ("scenario", [(("injections",), _injection(payload_hex="zz"))],
+                          "'injections[0].payload_hex'"),
+    "tx_power 300": ("scenario", [(("nodes", 0, "tx_power"), 300)], "'nodes[0].tx_power'"),
+    "2-element waypoint": ("scenario", [(("nodes", 0, "trajectory", 0), [0, 1.0])],
+                           "'nodes[0].trajectory[0]'"),
+    "tick 0.5": ("scenario", [(("world", "tick"), 0.5)], "'world.tick'"),
+    "nodes 5": ("scenario", [(("nodes",), 5)], "'nodes'"),
+    "app 'no'": ("scenario", [(("nodes", 1, "app"), "no")], "'nodes[1].app'"),
+    "misspelt matching": ("scenario", [(("matchng",), {"duration_threshold": 60})],
+                          "'matchng'"),
+    "off-tick diagnosed_at": ("scenario", [(("world", "tick"), 2),
+                                           (("nodes", 0, "diagnosed_at"), 1201)],
+                              "'nodes[0].diagnosed_at'"),
+    "diagnosed_at at duration": ("scenario", [(("nodes", 0, "diagnosed_at"), 1800)],
+                                 "'nodes[0].diagnosed_at'"),
+    "off-schedule injection": ("scenario", [(("world", "tick"), 2),
+                                            (("injections",), _injection(t=3))],
+                               "'injections[0].t'"),
+    "radio_range_max -1": ("scenario", [(("world", "radio_range_max"), -1)],
+                           "'world.radio_range_max'"),
+    "seed true": ("scenario", [(("seed",), True)], "'seed'"),
+    "world []": ("scenario", [(("world",), [])], "'world'"),
+    "tolerance -5": ("scenario", [(("matching", "tolerance"), -5)], "'matching.tolerance'"),
+    "duration 0": ("scenario", [(("world", "duration"), 0)], "'world.duration'"),
+    # every unmatched published key would notify with no minimum attenuation
+    "duration_threshold 0": ("scenario", [(("matching", "duration_threshold"), 0)],
+                             "'matching.duration_threshold'"),
+    "sweep alpha 1.5": ("sweep", [(("alphas_sc",), [1.5])], "'alphas_sc[0]'"),
+    "sweep n 'x'": ("sweep", [(("n",), "x")], "'n'"),
+    "sweep seed -1": ("sweep", [(("seed",), -1)], "'seed'"),
+    "top-level []": ("scenario", [((), [])], "'config' must be a JSON object"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(INVALID_CONFIGS))
+def test_invalid_config_exits_2_naming_field(case, tmp_path, capsys):
+    base, edits, expected = INVALID_CONFIGS[case]
+    raw = scenarios.baseline_no_attack() if base == "scenario" else SMALL_SWEEP
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(_edited(raw, edits)))
+    rc = main(["run", str(cfg), "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert expected in capsys.readouterr().err
+
+
+def _paths(doc, path=()):
+    yield path, doc
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield from _paths(value, path + (key,))
+
+
+FUZZ_BASES = [
+    small_scenario(),
+    small_scenario(
+        nodes=[
+            {"id": "a", "app": True, "tx_power": 0, "trajectory": [[0, 0.0, 0.0], [600, 1.0, 0.0]],
+             "infected_at": 0, "diagnosed_at": 1200},
+            {"id": "b", "app": True, "deputy": False, "trajectory": [[0, 1.0, 0.0]]},
+            {"id": "d", "deputy": True, "trajectory": [[0, 0.5, 1.0]]},
+        ],
+        attack={"harvest_zones": [[-5.0, -5.0, 5.0, 5.0]], "target_zones": [[-5.0, -5.0, 5.0, 5.0]],
+                "tamper_mask_hex": "00f80000", "relay_latency": 5, "collect_all": False,
+                "relay_window": [0, 7200], "replay_horizon": 600, "max_relays_per_deputy": 1,
+                "relay_mac": "f0:0d:00:00:00:01"},
+        injections=[{"t": 3, "receiver": "b", "payload_hex": PAYLOAD_HEX,
+                     "mac": "AB:B1:E9:9E:1B:BA", "rssi": -12.0}],
+    ),
+    SMALL_SWEEP,
+]
+# each mutation drops one key, replaces one value (leaf or container) or adds an unknown key
+FUZZ_MUTATIONS = [
+    (i, op, path)
+    for i, base in enumerate(FUZZ_BASES)
+    for path, value in _paths(base)
+    for op in ("drop", "replace", "add")
+    if (op == "drop" and path and isinstance(path[-1], str))
+    or (op == "replace" and path)
+    or (op == "add" and isinstance(value, dict))
+]
+# no value above 300, so every accepted config stays a short run
+FUZZ_VALUES = [None, True, "x", -1, 0, 0.5, 1.5, 300, [], {}, [0, 1]]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(FUZZ_MUTATIONS), st.sampled_from(FUZZ_VALUES))
+def test_config_fuzz_exits_0_or_2(mutation, value):
+    i, op, path = mutation
+    doc = copy.deepcopy(FUZZ_BASES[i])
+    if op == "add":
+        doc = _edited(doc, [(path + ("unknown_key",), value)])
+    elif op == "replace":
+        doc = _edited(doc, [(path, value)])
+    else:
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        del parent[path[-1]]
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        assert main(["run", str(cfg), "--out", str(Path(tmp) / "o")]) in (0, 2)
 
 
 def test_seed_override_changes_artifacts(tmp_path, capsys):

@@ -1,10 +1,12 @@
+import importlib.util
 import json
+import re
 from collections import Counter
 from pathlib import Path
 
 import pytest
 
-from ensim import beacon, crypto, scenarios
+from ensim import beacon, crypto, engine, scenarios
 from ensim.engine import ScenarioConfig, ScenarioError, run_scenario, write_outputs
 from ensim.radio import event_log_lines
 
@@ -85,6 +87,29 @@ class TestConfigValidation:
                 continue
             cfg = ScenarioConfig.from_dict(raw)
             assert ScenarioConfig.from_dict(cfg.to_dict()) == cfg, name
+
+
+def test_readme_schema_block_matches_field_tables():
+    readme = (REPO / "README.md").read_text()
+    block = readme.split("```jsonc", 1)[1].split("```", 1)[0]
+    tables = (engine.SCENARIO_FIELDS, engine.WORLD_FIELDS, engine.PATH_LOSS_FIELDS,
+              engine.MATCHING_FIELDS, engine.NODE_FIELDS, engine.ATTACK_FIELDS,
+              engine.INJECTION_FIELDS)
+    assert set(re.findall(r'"(\w+)"\s*:', block)) == set().union(*tables)
+
+
+def test_benchmark_and_bundled_configs_parse():
+    # strict validation must never reject a config the benchmark runs
+    spec = importlib.util.spec_from_file_location("workloads", REPO / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    for seed in range(3):
+        for raw in (workloads.crowd(seed), workloads.relay(seed)):
+            assert isinstance(engine.load_config(raw), ScenarioConfig)
+    for name, build in scenarios.BUILDERS.items():
+        cfg = engine.load_config(build())
+        assert cfg.name == name
+        assert isinstance(cfg, engine.SweepConfig) == (name == "coverage_sweep")
 
 
 def test_bundled_files_match_builders():

@@ -154,7 +154,7 @@ class TestInject:
         w = make_world([still("a", 0, 0, app=True)])
         s = Sighting(encode_gaen(bytes(16), bytes(4)), "AB:B1:E9:9E:1B:BA", -12.0, 3, (0.0, 0.0))
         w.inject(3, "a", s)
-        log = w.events_for("a")
+        log = [e for e in w.events if e.receiver_id == "a"]
         assert len(log) == 1
         assert log[0].sighting.mac == "AB:B1:E9:9E:1B:BA"
         assert log[0].emitter_id is None
