@@ -10,9 +10,8 @@ from ensim.cli import main as cli_main
 def main():
     base = sys.argv[1] if len(sys.argv) > 1 else "out"
     for name in sorted(scenarios.BUILDERS):
-        cmd = "sweep" if name == "coverage_sweep" else "run"
         print(f"== {name} ==")
-        rc = cli_main([cmd, name, "--out", f"{base}/{name}"])
+        rc = cli_main(["run", name, "--out", f"{base}/{name}"])
         if rc != 0:
             sys.exit(rc)
 

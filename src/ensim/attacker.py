@@ -20,7 +20,6 @@ around that slot, so re-emission is productive until slot_end + horizon.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Optional
 
@@ -91,6 +90,7 @@ class HarvestRecord:
 class RelayOrder:
     rpi: bytes
     aem: bytes  # already masked when the policy tampers
+    payload: bytes  # the advertising bytes carrying rpi and aem
     deputy_id: str
     source: HarvestRecord
 
@@ -122,6 +122,8 @@ class AttackerServer:
         # decoded frame per distinct (payload, mac): a device repeats one frame
         # for its whole 10-minute interval, so hearings mostly repeat
         self._frames: dict[tuple[bytes, str], beacon.BeaconFrame] = {}
+        # (masked aem, payload) per identifier, made when it is first relayed
+        self._relayed: dict[bytes, tuple[bytes, bytes]] = {}
 
     # -- deputy side ------------------------------------------------------
 
@@ -185,13 +187,19 @@ class AttackerServer:
         if pol.max_relays_per_deputy is not None:
             ranked = ranked[:pol.max_relays_per_deputy]
 
-        orders = []
-        for deputy in targets:
-            for rpi, record in ranked:
+        for rpi, record in ranked:
+            if rpi not in self._relayed:
                 aem = record.frame.kind.aem
                 if pol.tamper_mask is not None:
                     aem = tamper(aem, pol.tamper_mask)
-                orders.append(RelayOrder(rpi=rpi, aem=aem, deputy_id=deputy, source=record))
+                self._relayed[rpi] = (aem, beacon.encode_gaen(rpi, aem))
+
+        orders = []
+        for deputy in targets:
+            for rpi, record in ranked:
+                aem, payload = self._relayed[rpi]
+                orders.append(RelayOrder(rpi=rpi, aem=aem, payload=payload, deputy_id=deputy,
+                                         source=record))
                 self.plan_log.append({
                     "t": t,
                     "deputy": deputy,
@@ -209,10 +217,9 @@ class AttackerServer:
 
     def rebroadcast(self, order: RelayOrder, t: int, tx_power: int) -> Emission:
         """Emission a deputy makes for one plan entry, under the attacker's MAC."""
-        payload = beacon.encode_gaen(order.rpi, order.aem)
         return Emission(
             node_id=order.deputy_id,
-            payload=payload,
+            payload=order.payload,
             mac=self.policy.relay_mac,
             tx_power=tx_power,
             relay=True,
@@ -264,10 +271,3 @@ class AttackerServer:
         rows.sort(key=lambda row: (row["first_seen"], row["mac"], row["rpi_hex"]))
         return rows
 
-
-def plan_log_lines(plan_log) -> list[str]:
-    return [json.dumps(entry) for entry in plan_log]
-
-
-def dossier_json(dossiers) -> str:
-    return json.dumps(dossiers, indent=2)

@@ -139,15 +139,12 @@ def identifier_index(teks) -> dict[bytes, list[tuple[int, int]]]:
     """rpi -> [(position in teks, interval)] over every key's day of identifiers.
 
     The one join between published keys and sighted identifiers, shared by
-    exposure matching and re-identification. Each distinct key is
-    regenerated once; a key listed twice appears under both positions.
+    exposure matching and re-identification. Each listed key is regenerated
+    once; a key listed twice appears under both positions.
     """
     index: dict[bytes, list[tuple[int, int]]] = {}
-    days: dict[TemporaryExposureKey, list[RollingProximityIdentifier]] = {}
     for pos, tek in enumerate(teks):
-        if tek not in days:
-            days[tek] = regenerate_day(tek)
-        for r in days[tek]:
+        for r in regenerate_day(tek):
             index.setdefault(r.rpi, []).append((pos, r.interval))
     return index
 

@@ -1,8 +1,9 @@
 """Honest device state machine: key rotation, broadcast, storage, matching.
 
-Broadcast: the advertised frame is computed once per (identifier, MAC,
-tx power) and reused on every tick of its 10-minute interval; only key
-rotation or a power change re-encrypts.
+A device exists only for a node with the app (`NodeSpec.app`) and
+broadcasts on every tick. The advertised frame is computed once per
+(identifier, MAC, tx power) and reused on every tick of its 10-minute
+interval; only key rotation or a power change re-encrypts.
 
 Matching semantics:
 
@@ -24,8 +25,8 @@ Devices store every sighting unfiltered at receive time; all filtering
 happens here at matching time. Matching is an index join: stored
 sightings are grouped by payload, each distinct payload is decoded once
 and looked up in the published-identifier index (`crypto.identifier_index`,
-built once per run and shared with re-identification), and each distinct
-(key, identifier, metadata ciphertext) is decrypted once.
+built once per run and shared with re-identification); the metadata is
+decrypted once per distinct payload and matching key.
 """
 
 from __future__ import annotations
@@ -61,11 +62,9 @@ class DeviceState:
     id: str
     rng: Random
     tx_power: int = 0
-    app_enabled: bool = True
     current_tek: Optional[crypto.TemporaryExposureKey] = None
     tek_history: list = field(default_factory=list)
     sightings: list = field(default_factory=list)
-    notified: list = field(default_factory=list)
     mac_history: list = field(default_factory=list)  # (interval, mac) ground truth
     # cached per-interval broadcast state
     _interval: int = -1
@@ -102,10 +101,8 @@ def _roll_keys(state: DeviceState, t: int) -> None:
         state.mac_history.append((interval, state._mac))
 
 
-def broadcast_current(state: DeviceState, t: int) -> Optional[beacon.BeaconFrame]:
-    """The frame this device advertises at time t, or None while disabled."""
-    if not state.app_enabled:
-        return None
+def broadcast_current(state: DeviceState, t: int) -> beacon.BeaconFrame:
+    """The frame this device advertises at time t."""
     _roll_keys(state, t)
     key = (state._rpi, state._mac, state.tx_power)
     if state._frame_key != key:
@@ -124,7 +121,7 @@ def on_scan(state: DeviceState, sighting: Sighting) -> None:
 
 def diagnose_and_upload(state: DeviceState, server, t: int) -> list:
     """Publish the retained daily keys; the registry is world-readable."""
-    if state.app_enabled and state.current_tek is None:
+    if state.current_tek is None:
         # diagnosed before the first broadcast (t = 0): draw today's key now,
         # exactly as that broadcast would have, so there is a key to publish
         _roll_keys(state, t)
@@ -138,7 +135,7 @@ def diagnose_and_upload(state: DeviceState, server, t: int) -> list:
 
 def match_exposures(state: DeviceState, published_teks, params: MatchingParams, *,
                      index: Optional[dict] = None) -> list:
-    """Run exposure matching against published keys; appends to state.notified.
+    """The notifications `state`'s stored sightings raise against published keys.
 
     `index` is `crypto.identifier_index(published_teks)`, built here when not
     given; a run builds it once and shares it across devices.
@@ -155,8 +152,6 @@ def match_exposures(state: DeviceState, published_teks, params: MatchingParams, 
 
     matched_ticks: list[set[int]] = [set() for _ in published_teks]
     min_att: list[Optional[float]] = [None] * len(matched_ticks)
-    aemks: dict[bytes, bytes] = {}
-    claims: dict[tuple[bytes, bytes, bytes], int] = {}  # (key, rpi, aem) -> claimed tx power
     for payload, group in by_payload.items():
         kind = beacon.decode(payload, group[0].mac).kind
         if not isinstance(kind, beacon.Gaen):
@@ -169,12 +164,7 @@ def match_exposures(state: DeviceState, published_teks, params: MatchingParams, 
                          if window_start - params.tolerance <= s.time <= window_end + params.tolerance]
             if not in_window:
                 continue
-            claimed = claims.get((tek.key, kind.rpi, kind.aem))
-            if claimed is None:
-                if tek.key not in aemks:
-                    aemks[tek.key] = crypto.derive_aemk(tek)
-                claimed = crypto.decrypt_aem(aemks[tek.key], kind.rpi, kind.aem).tx_power
-                claims[(tek.key, kind.rpi, kind.aem)] = claimed
+            claimed = crypto.decrypt_aem(crypto.derive_aemk(tek), kind.rpi, kind.aem).tx_power
             ticks, best = matched_ticks[pos], min_att[pos]
             for s in in_window:
                 att = attenuation(claimed, s.rssi)
@@ -189,12 +179,10 @@ def match_exposures(state: DeviceState, published_teks, params: MatchingParams, 
             continue
         duration = len(matched_ticks[pos]) * params.tick
         if duration >= params.duration_threshold:
-            note = ExposureNotification(
+            notifications.append(ExposureNotification(
                 matched_tek=tek,
                 day=tek.rolling_start // crypto.INTERVALS_PER_DAY,
                 cumulative_duration=duration,
                 min_attenuation=min_att[pos],
-            )
-            notifications.append(note)
-            state.notified.append(note)
+            ))
     return notifications

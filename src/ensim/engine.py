@@ -36,7 +36,7 @@ from pathlib import Path
 from random import Random
 from typing import Optional
 
-from . import attacker as attacker_mod
+from . import beacon
 from . import coverage as coverage_mod
 from . import crypto
 from . import device as device_mod
@@ -95,13 +95,13 @@ def const(c):
     return _check(lambda v: type(v) is type(c) and v == c, repr(c))
 
 
-def hex_string(size=None):
+def hex_string(lo: int, hi: int):
     def ok(v):
         try:
-            return size in (None, len(bytes.fromhex(v)))
+            return lo <= len(bytes.fromhex(v)) <= hi
         except (TypeError, ValueError):
             return False
-    return _check(ok, f"a hex string of {size} bytes" if size else "a hex string")
+    return _check(ok, f"a hex string of {lo} bytes" if lo == hi else f"a hex string of {lo} to {hi} bytes")
 
 
 def optional(check):
@@ -195,7 +195,7 @@ ZONE = _check(lambda z: z.x_min <= z.x_max and z.y_min <= z.y_max,
 ATTACK_FIELDS = {
     "harvest_zones": list_of(ZONE),
     "target_zones": list_of(ZONE),
-    "tamper_mask_hex": optional(hex_string(4)),
+    "tamper_mask_hex": optional(hex_string(4, 4)),
     "relay_latency": integer(0),
     "collect_all": BOOL,
     "relay_window": optional(_check(lambda w: w[0] <= w[1], "[start, end] with start <= end",
@@ -207,7 +207,7 @@ ATTACK_FIELDS = {
 INJECTION_FIELDS = {
     "t": required(integer(0)),
     "receiver": required(TEXT),
-    "payload_hex": required(hex_string()),
+    "payload_hex": required(hex_string(0, beacon.MAX_PAYLOAD)),
     "mac": required(TEXT),
     "rssi": number(),
 }
@@ -359,11 +359,8 @@ def run_scenario(cfg: ScenarioConfig) -> RunResult:
         emissions = []
         for nid in sorted(devices):
             frame = device_mod.broadcast_current(devices[nid], t)
-            if frame is not None:
-                emissions.append(Emission(
-                    node_id=nid, payload=frame.payload, mac=frame.mac,
-                    tx_power=devices[nid].tx_power, relay=False,
-                ))
+            emissions.append(Emission(node_id=nid, payload=frame.payload, mac=frame.mac,
+                                      tx_power=devices[nid].tx_power, relay=False))
         if server is not None:
             positions = {d: world.position(d, t) for d in deputies}
             for order in server.select_relays(t, positions):
@@ -459,7 +456,9 @@ def write_outputs(result: RunResult, outdir) -> None:
 
     plan = result.attacker.plan_log if result.attacker is not None else []
     with open(out / "attack_plan.jsonl", "w") as fh:
-        for line in attacker_mod.plan_log_lines(plan):
-            fh.write(line + "\n")
+        for entry in plan:
+            fh.write(json.dumps(entry) + "\n")
 
-    (out / "dossiers.json").write_text(attacker_mod.dossier_json(result.dossiers) + "\n")
+    with open(out / "dossiers.json", "w") as fh:
+        json.dump(result.dossiers, fh, indent=2)
+        fh.write("\n")

@@ -181,26 +181,20 @@ class World:
         return event
 
 
-def event_log_lines(events) -> list[str]:
-    """JSON lines with stable field order, for golden-log comparison."""
-    lines = []
-    for e in events:
-        s = e.sighting
-        lines.append(json.dumps({
-            "t": s.time,
-            "receiver": e.receiver_id,
-            "emitter": e.emitter_id,
-            "relay": e.relay,
-            "mac": s.mac,
-            "rssi": s.rssi,
-            "rx_x": s.rx_location[0],
-            "rx_y": s.rx_location[1],
-            "payload_hex": s.payload.hex(),
-        }))
-    return lines
-
-
 def write_event_log(events, path):
+    """Write `events` to `path` as JSON lines in stable field order, one event
+    at a time, so no copy of the log is built before it is written."""
     with open(path, "w") as fh:
-        for line in event_log_lines(events):
-            fh.write(line + "\n")
+        for e in events:
+            s = e.sighting
+            fh.write(json.dumps({
+                "t": s.time,
+                "receiver": e.receiver_id,
+                "emitter": e.emitter_id,
+                "relay": e.relay,
+                "mac": s.mac,
+                "rssi": s.rssi,
+                "rx_x": s.rx_location[0],
+                "rx_y": s.rx_location[1],
+                "payload_hex": s.payload.hex(),
+            }) + "\n")

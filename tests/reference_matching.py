@@ -14,7 +14,7 @@ from ensim.radio import attenuation
 
 
 def match_exposures(state, published_teks, params) -> list:
-    """Notifications for `state` against `published_teks`; does not touch state.notified."""
+    """Notifications for `state` against `published_teks`."""
     own = {tek.key for tek in state.tek_history}
     if state.current_tek is not None:
         own.add(state.current_tek.key)

@@ -102,6 +102,9 @@ def _injection(**kw):
 INVALID_CONFIGS = {
     "bad injection hex": ("scenario", [(("injections",), _injection(payload_hex="zz"))],
                           "'injections[0].payload_hex'"),
+    # beacon.decode rejects it at matching or harvest time, after the run started
+    "32-byte injection payload": ("scenario", [(("injections",), _injection(payload_hex="00" * 32))],
+                                  "'injections[0].payload_hex'"),
     "tx_power 300": ("scenario", [(("nodes", 0, "tx_power"), 300)], "'nodes[0].tx_power'"),
     "2-element waypoint": ("scenario", [(("nodes", 0, "trajectory", 0), [0, 1.0])],
                            "'nodes[0].trajectory[0]'"),

@@ -15,8 +15,8 @@ from ensim.radio import Sighting
 PARAMS = MatchingParams()
 
 
-def make_device(nid="dev", seed=1, tx_power=0, app_enabled=True):
-    return DeviceState(id=nid, rng=random.Random(seed), tx_power=tx_power, app_enabled=app_enabled)
+def make_device(nid="dev", seed=1, tx_power=0):
+    return DeviceState(id=nid, rng=random.Random(seed), tx_power=tx_power)
 
 
 def sighting_of(frame, t, rssi=-41.0):
@@ -43,10 +43,6 @@ class TestBroadcast:
         f2 = broadcast_current(dev, 600)
         assert f1.kind.rpi != f2.kind.rpi
         assert f1.mac != f2.mac
-
-    def test_disabled_app_is_silent(self):
-        dev = make_device(app_enabled=False)
-        assert all(broadcast_current(dev, t) is None for t in range(0, 1200, 60))
 
     def test_frame_decodes_to_own_rpi(self):
         dev = make_device()

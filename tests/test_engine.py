@@ -8,7 +8,6 @@ import pytest
 
 from ensim import beacon, crypto, engine, scenarios
 from ensim.engine import ScenarioConfig, ScenarioError, run_scenario, write_outputs
-from ensim.radio import event_log_lines
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -240,7 +239,7 @@ class TestDeterminism:
     def test_seed_changes_event_log(self):
         r1 = run_scenario(ScenarioConfig.from_dict(small_scenario(seed=1)))
         r2 = run_scenario(ScenarioConfig.from_dict(small_scenario(seed=2)))
-        assert event_log_lines(r1.world.events) != event_log_lines(r2.world.events)
+        assert r1.world.events != r2.world.events
 
 
 class TestDiagnosisAtStart:
@@ -283,3 +282,19 @@ class TestComputeOnce:
         assert calls["decode"] == distinct_payloads == 2 * intervals
         # b decrypts each of a's frames once; a hears only b, whose key is unpublished
         assert calls["decrypt_aem"] == intervals
+
+    def test_relay_encodes_each_identifier_once(self, monkeypatch):
+        calls = Counter()
+        encode_gaen = beacon.encode_gaen
+
+        def counted(*args):
+            calls["encode_gaen"] += 1
+            return encode_gaen(*args)
+
+        monkeypatch.setattr(beacon, "encode_gaen", counted)
+        result = run_scenario(ScenarioConfig.from_dict(scenarios.targeted_replay()))
+        plan = result.attacker.plan_log
+        relayed = {entry["rpi_hex"] for entry in plan}
+        assert len(plan) > len(relayed) > 0
+        device_intervals = sum(len(dev.mac_history) for dev in result.devices.values())
+        assert calls["encode_gaen"] == device_intervals + len(relayed)

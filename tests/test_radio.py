@@ -12,7 +12,6 @@ from ensim.radio import (
     World,
     WorldConfig,
     attenuation,
-    event_log_lines,
     propagate,
 )
 
@@ -124,7 +123,7 @@ class TestStep:
             )
             for t in range(30):
                 w.step(t, [Emission("a", self.payload(), "aa:aa:aa:aa:aa:aa", 0)])
-            return "\n".join(event_log_lines(w.events))
+            return w.events
 
         assert run(7) == run(7)
         assert run(7) != run(8)
