@@ -66,6 +66,17 @@ def cmd_run(args) -> int:
     return 0
 
 
+def _positive_int(text: str) -> int:
+    """argparse type: reports a bad value as `argument --count: ...`, exit 2."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return value
+
+
 def cmd_vectors(args) -> int:
     vectors = crypto.generate_test_vectors(args.count, args.seed)
     outdir = Path(args.out) if args.out else Path("out")
@@ -93,7 +104,7 @@ def main(argv=None) -> int:
         p.set_defaults(func=cmd_run)
 
     p_vec = sub.add_parser("vectors", help="emit crypto pipeline test vectors")
-    p_vec.add_argument("--count", type=int, required=True)
+    p_vec.add_argument("--count", type=_positive_int, required=True)
     p_vec.add_argument("--seed", type=int, required=True)
     p_vec.add_argument("--out", help="output directory (default out/)")
     p_vec.set_defaults(func=cmd_vectors)

@@ -267,10 +267,15 @@ class ScenarioConfig:
                     raise ScenarioError(f"field 'nodes[{i}].diagnosed_at' is set without the app")
                 _on_schedule(world, node.diagnosed_at, f"nodes[{i}].diagnosed_at")
         injections = doc.get("injections", ())
+        nodes = {node.id: node for node in world.nodes}
         for i, inj in enumerate(injections):
             _on_schedule(world, inj.t, f"injections[{i}].t")
-            if inj.receiver not in ids:
+            if inj.receiver not in nodes:
                 raise ScenarioError(f"field 'injections[{i}].receiver' is no node: {inj.receiver!r}")
+            if not (nodes[inj.receiver].app or nodes[inj.receiver].deputy):
+                # scenery hears nothing: the sighting would be logged but never received
+                raise ScenarioError(f"field 'injections[{i}].receiver' must be an app or deputy "
+                                    f"node, got {inj.receiver!r}")
         return cls(name=doc["name"], world=world, attack=doc.get("attack"), injections=injections,
                    matching=MatchingParams(tick=world.tick, **doc.get("matching", {})),
                    doc=copy.deepcopy(raw))
@@ -340,6 +345,7 @@ def run_scenario(cfg: ScenarioConfig) -> RunResult:
         for n in cfg.world.nodes if n.app
     }
     deputies = sorted(n.id for n in cfg.world.nodes if n.deputy)
+    deputy_ids = set(deputies)
     server = AttackerServer(cfg.attack) if cfg.attack is not None else None
     diag = DiagnosisServer()
 
@@ -379,7 +385,7 @@ def run_scenario(cfg: ScenarioConfig) -> RunResult:
             rid = ev.receiver_id
             if rid in devices:
                 device_mod.on_scan(devices[rid], ev.sighting)
-            if rid in deputies and server is not None:
+            if rid in deputy_ids and server is not None:
                 record = server.deputy_on_scan(rid, ev.sighting)
                 if record is not None and ev.emitter_id is not None and not ev.relay:
                     harvested_owners.add(ev.emitter_id)

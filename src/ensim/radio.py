@@ -2,9 +2,12 @@
 
 Geometry is 2-D with piecewise-constant trajectories; distance is the only
 geometric quantity the attacks depend on. One broadcast per tick per
-emitter, delivered once per scanning node in range. Identical
-(config, injections) always produce identical event logs; noise draws come
-from the world's own seeded generator in a fixed iteration order.
+emitter, delivered once per scanning node in range. Path loss is computed
+once per geometry: the world keeps a link table from each emitter (at a
+given tx power) to its in-range scanners and rebuilds it only when some
+node reaches another waypoint. Identical (config, injections) always produce identical event
+logs; noise draws come from the world's own seeded generator, one per
+delivery in a fixed iteration order.
 
 The world is advanced by a single owner; parallelism belongs across
 independent runs, not within one.
@@ -16,7 +19,7 @@ import json
 import math
 from dataclasses import dataclass
 from random import Random
-from typing import Optional
+from typing import NamedTuple, Optional
 
 # emitters closer than this are treated as at this distance; keeps the
 # path-loss model in its rssi <= tx_power regime for co-located nodes
@@ -53,12 +56,17 @@ class NodeSpec:
         if times != sorted(times):
             raise ValueError(f"node {self.id}: trajectory not sorted by time")
 
-    def position(self, t: float) -> tuple[float, float]:
-        x, y = self.trajectory[0][1], self.trajectory[0][2]
-        for wt, wx, wy in self.trajectory:
-            if wt > t:
+    def waypoint(self, t: float):
+        """The waypoint in effect at t: the last one at or before t, else the first."""
+        current = self.trajectory[0]
+        for wp in self.trajectory:
+            if wp[0] > t:
                 break
-            x, y = wx, wy
+            current = wp
+        return current
+
+    def position(self, t: float) -> tuple[float, float]:
+        _, x, y = self.waypoint(t)
         return (x, y)
 
 
@@ -81,8 +89,7 @@ class WorldConfig:
             raise ValueError("duplicate node ids")
 
 
-@dataclass(frozen=True)
-class Sighting:
+class Sighting(NamedTuple):
     """One received beacon, as stored by honest devices and deputies alike."""
 
     payload: bytes
@@ -92,8 +99,7 @@ class Sighting:
     rx_location: tuple[float, float]
 
 
-@dataclass(frozen=True)
-class ScanEvent:
+class ScanEvent(NamedTuple):
     receiver_id: str
     sighting: Sighting
     emitter_id: Optional[str] = None  # ground-truth annotation; None for injected
@@ -140,34 +146,61 @@ class World:
         self._scanner_ids = sorted(n.id for n in config.nodes if n.app or n.deputy)
         self._rng = Random(config.seed)
         self.events: list[ScanEvent] = []
+        # the link table and the waypoints and positions it was built for
+        self._waypoints: Optional[list] = None
+        self._positions: dict = {}
+        self._links: dict = {}  # (emitter id, tx_power) -> [(scanner id, rssi before noise, rx position)]
 
     def position(self, node_id: str, t: float) -> tuple[float, float]:
         return self.nodes[node_id].position(t)
 
+    def _link_row(self, emitter_id: str, tx_power: int) -> list:
+        """The in-range scanners of one emitter at the current positions, in
+        scanner order, each with its noiseless rssi and its position."""
+        pl, range_max, positions = self.config.path_loss, self.config.radio_range_max, self._positions
+        ex, ey = positions[emitter_id]
+        row = []
+        for sid in self._scanner_ids:
+            if sid == emitter_id:
+                continue
+            rx = positions[sid]
+            d = max(math.hypot(rx[0] - ex, rx[1] - ey), MIN_DISTANCE_M)
+            rssi = propagate(tx_power, d, 0.0, pl, range_max)
+            if rssi is not None:
+                row.append((sid, rssi, rx))
+        return row
+
     def step(self, t: int, emissions: list[Emission]) -> list[ScanEvent]:
-        """Deliver each emission once to every in-range scanner; returns new events."""
+        """Deliver each emission once to every in-range scanner; returns new events.
+
+        The path loss of each (emitter, tx_power) to each scanner comes from the
+        link table, rebuilt only when the waypoint in effect for some node
+        differs from the last step's (trajectories are piecewise constant).
+        Noise is drawn per delivery, in emission order and then scanner order,
+        and added to the table's noiseless rssi: the same float arithmetic as
+        `propagate`, so results are bit-identical to computing each delivery
+        from scratch.
+        """
         if t < 0 or t >= self.config.duration or t % self.config.tick != 0:
             raise ValueError(f"t={t} outside simulation schedule")
-        pl = self.config.path_loss
+        waypoints = [node.waypoint(t) for node in self.nodes.values()]
+        if self._waypoints is None or any(a is not b for a, b in zip(waypoints, self._waypoints)):
+            self._waypoints = waypoints
+            self._positions = {nid: (wp[1], wp[2]) for nid, wp in zip(self.nodes, waypoints)}
+            self._links = {}
+        links = self._links
+        sigma = self.config.path_loss.noise_sigma
+        gauss = self._rng.gauss
         new: list[ScanEvent] = []
-        positions = {nid: self.nodes[nid].position(t) for nid in self.nodes}
         for em in emissions:
-            ex, ey = positions[em.node_id]
-            for sid in self._scanner_ids:
-                if sid == em.node_id:
-                    continue
-                sx, sy = positions[sid]
-                d = max(math.hypot(sx - ex, sy - ey), MIN_DISTANCE_M)
-                if d > self.config.radio_range_max:
-                    continue
-                noise = self._rng.gauss(0.0, pl.noise_sigma) if pl.noise_sigma > 0 else 0.0
-                rssi = propagate(em.tx_power, d, noise, pl, self.config.radio_range_max)
-                new.append(ScanEvent(
-                    receiver_id=sid,
-                    sighting=Sighting(em.payload, em.mac, rssi, t, (sx, sy)),
-                    emitter_id=em.node_id,
-                    relay=em.relay,
-                ))
+            key = (em.node_id, em.tx_power)
+            row = links.get(key)
+            if row is None:
+                row = links[key] = self._link_row(em.node_id, em.tx_power)
+            for sid, rssi, rx in row:
+                noise = gauss(0.0, sigma) if sigma > 0 else 0.0
+                new.append(ScanEvent(sid, Sighting(em.payload, em.mac, rssi + noise, t, rx),
+                                     em.node_id, em.relay))
         self.events.extend(new)
         return new
 
@@ -182,19 +215,35 @@ class World:
 
 
 def write_event_log(events, path):
-    """Write `events` to `path` as JSON lines in stable field order, one event
-    at a time, so no copy of the log is built before it is written."""
+    """Write `events` to `path` as JSON lines in stable field order, one line at
+    a time, so no copy of the log is built before it is written.
+
+    The text around `t` and `rssi` is rendered with `json.dumps` once per
+    distinct (receiver, emitter, relay, mac, payload, rx position object) and
+    reused; events share their link's rx position, so this is once per link
+    and geometry. The position is keyed by identity, not value: 0 == 0.0 ==
+    -0.0, but each is written differently. Each line formats only `t` and
+    `rssi`, with `repr`, which writes ints and finite floats exactly as
+    `json.dumps` does; a non-finite rssi (a path-loss exponent or noise sigma
+    large enough to overflow) still goes through `json.dumps`.
+    """
+    fragments = {}  # key -> (text before rssi, text after rssi, the rx position)
+
+    def fragment(key, rx):
+        receiver, emitter, relay, mac, payload, _ = key
+        head = json.dumps({"receiver": receiver, "emitter": emitter, "relay": relay, "mac": mac})
+        tail = json.dumps({"rx_x": rx[0], "rx_y": rx[1], "payload_hex": payload.hex()})
+        # holding rx keeps its id from being reused by another position
+        fragments[key] = frag = (", " + head[1:-1] + ', "rssi": ', ", " + tail[1:] + "\n", rx)
+        return frag
+
+    def lines():
+        inf = math.inf
+        for receiver, (payload, mac, rssi, t, rx), emitter, relay in events:
+            key = (receiver, emitter, relay, mac, payload, id(rx))
+            head, tail, _ = fragments.get(key) or fragment(key, rx)
+            rssi_text = repr(rssi) if -inf < rssi < inf else json.dumps(rssi)
+            yield f'{{"t": {t!r}{head}{rssi_text}{tail}'
+
     with open(path, "w") as fh:
-        for e in events:
-            s = e.sighting
-            fh.write(json.dumps({
-                "t": s.time,
-                "receiver": e.receiver_id,
-                "emitter": e.emitter_id,
-                "relay": e.relay,
-                "mac": s.mac,
-                "rssi": s.rssi,
-                "rx_x": s.rx_location[0],
-                "rx_y": s.rx_location[1],
-                "payload_hex": s.payload.hex(),
-            }) + "\n")
+        fh.writelines(lines())

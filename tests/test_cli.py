@@ -105,6 +105,10 @@ INVALID_CONFIGS = {
     # beacon.decode rejects it at matching or harvest time, after the run started
     "32-byte injection payload": ("scenario", [(("injections",), _injection(payload_hex="00" * 32))],
                                   "'injections[0].payload_hex'"),
+    # scenery hears nothing, so the injected sighting would be logged but never received
+    "injection to scenery": ("scenario", [(("nodes", 2, "app"), False),
+                                          (("injections",), _injection(receiver="carol"))],
+                             "'injections[0].receiver'"),
     "tx_power 300": ("scenario", [(("nodes", 0, "tx_power"), 300)], "'nodes[0].tx_power'"),
     "2-element waypoint": ("scenario", [(("nodes", 0, "trajectory", 0), [0, 1.0])],
                            "'nodes[0].trajectory[0]'"),
@@ -228,6 +232,14 @@ class TestVectors:
         main(["vectors", "--count", "25", "--seed", "9", "--out", str(tmp_path / "b")])
         assert ((tmp_path / "a" / "test_vectors.jsonl").read_bytes()
                 == (tmp_path / "b" / "test_vectors.jsonl").read_bytes())
+
+    @pytest.mark.parametrize("count", ["0", "-3"])
+    def test_non_positive_count_exits_2_naming_option(self, count, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            main(["vectors", "--count", count, "--seed", "3", "--out", str(tmp_path)])
+        assert exit_.value.code == 2
+        assert "--count" in capsys.readouterr().err
+        assert not (tmp_path / "test_vectors.jsonl").exists()
 
     def test_vectors_validate_against_reference(self, tmp_path, capsys):
         main(["vectors", "--count", "50", "--seed", "21", "--out", str(tmp_path)])
