@@ -16,6 +16,13 @@ Relay timing: an identifier heard at time h was broadcast during the
 10-minute slot containing h (slot boundaries are public protocol
 structure), and receivers tolerate `replay_horizon` (2 h) of clock skew
 around that slot, so re-emission is productive until slot_end + horizon.
+
+The harvest is not copied out of the scan log: in a run, the server reads
+its deputies' rows of the world's log (on its own, rows that
+`deputy_on_scan` appends to a log of its own). While the run goes on it
+looks only at each deputy link's first hearing, to keep or drop the link
+and to offer the hearing as a relay candidate; `db`, `reidentify` and
+`correlate_mac_rpi` read the kept links' rows when asked.
 """
 
 from __future__ import annotations
@@ -23,8 +30,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
+import numpy as np
+
 from . import beacon, crypto
-from .radio import Emission, Sighting
+from .radio import Emission, Rows, ScanEvent, ScanLog, Sighting
 
 DEFAULT_RELAY_MAC = "f0:0d:00:00:00:01"
 
@@ -111,9 +120,15 @@ def slot_end(harvest_time: int) -> int:
 
 
 class AttackerServer:
-    def __init__(self, policy: AttackPolicy):
+    def __init__(self, policy: AttackPolicy, log: Optional[ScanLog] = None, deputies=()):
+        """`log` holds the hearings of `deputies`: in a run, the world's scan log
+        and the deputy node ids; by default, a log that only `deputy_on_scan` fills."""
         self.policy = policy
-        self.db: list[HarvestRecord] = []
+        self.log = ScanLog() if log is None else log
+        self._deputies = frozenset(deputies)
+        self._looked = 0  # links of the log that `catch_up` has looked at
+        # link id -> decoded frame, for each deputy link whose hearings are kept
+        self.harvest_links: dict[int, beacon.BeaconFrame] = {}
         self.plan_log: list[dict] = []
         # first in-zone hearing per identifier; selection works off this index.
         # First hearing is what matters: it starts the upload clock, and the
@@ -129,29 +144,59 @@ class AttackerServer:
 
     def deputy_on_scan(self, deputy_id: str, sighting: Sighting) -> Optional[HarvestRecord]:
         """Forward one hearing to the server. One hearing is all it takes."""
-        if sighting.mac == self.policy.relay_mac:
-            return None  # don't harvest our own re-emissions
-        heard = (sighting.payload, sighting.mac)
+        row = self.log.append(ScanEvent(deputy_id, sighting))
+        link_id = self.log.link[row]
+        if self.log.first[link_id] == row:
+            self._take(link_id)
+        return self._record(row) if link_id in self.harvest_links else None
+
+    def catch_up(self) -> None:
+        """Take in each link of the log first heard since the last call whose
+        receiver is a deputy. A run calls this once per tick, so a hearing is
+        a relay candidate from the tick it was heard on."""
+        links = self.log.links
+        for link_id in range(self._looked, len(links)):
+            if links[link_id].receiver in self._deputies:
+                self._take(link_id)
+        self._looked = len(links)
+
+    def _take(self, link_id: int) -> None:
+        """Keep a deputy link's hearings unless they are our own re-emissions or,
+        without `collect_all`, not exposure-notification frames; the link's
+        first hearing, when in a harvest zone, is a relay candidate."""
+        link = self.log.links[link_id]
+        if link.mac == self.policy.relay_mac:
+            return  # don't harvest our own re-emissions
+        heard = (link.payload, link.mac)
         frame = self._frames.get(heard)
         if frame is None:
-            frame = self._frames[heard] = beacon.decode(sighting.payload, sighting.mac)
+            frame = self._frames[heard] = beacon.decode(link.payload, link.mac)
         if not self.policy.collect_all and not isinstance(frame.kind, beacon.Gaen):
-            return None
-        record = HarvestRecord(
-            frame=frame,
-            rssi=sighting.rssi,
-            location=sighting.rx_location,
-            time=sighting.time,
-            deputy_id=deputy_id,
-        )
-        self.db.append(record)
-        if isinstance(frame.kind, beacon.Gaen) and self._in_harvest_zone(record):
-            self._relay_candidates.setdefault(frame.kind.rpi, record)
-        return record
+            return
+        self.harvest_links[link_id] = frame
+        if isinstance(frame.kind, beacon.Gaen) and self._in_harvest_zone(link.rx):
+            self._relay_candidates.setdefault(frame.kind.rpi, self._record(self.log.first[link_id]))
 
-    def _in_harvest_zone(self, record: HarvestRecord) -> bool:
+    def _in_harvest_zone(self, location) -> bool:
         zones = self.policy.harvest_zones
-        return not zones or any(z.contains(*record.location) for z in zones)
+        return not zones or any(z.contains(*location) for z in zones)
+
+    def _record(self, row: int) -> HarvestRecord:
+        link_id = self.log.link[row]
+        link = self.log.links[link_id]
+        return HarvestRecord(frame=self.harvest_links[link_id], rssi=self.log.rssi_at(row),
+                             location=link.rx, time=self.log.t[row], deputy_id=link.receiver)
+
+    def _rows_of(self, link_ids) -> np.ndarray:
+        """The rows of the log on any of `link_ids`, in log order."""
+        wanted = np.zeros(len(self.log.links), dtype=bool)
+        wanted[list(link_ids)] = True
+        return np.flatnonzero(wanted[self.log.columns()[1]])
+
+    @property
+    def db(self) -> Rows:
+        """Every kept hearing, in log order, read as HarvestRecords."""
+        return Rows(self.log, self._rows_of(self.harvest_links), self._record)
 
     # -- server side ------------------------------------------------------
 
@@ -239,14 +284,23 @@ class AttackerServer:
         """
         if index is None:
             index = crypto.identifier_index([e.tek for e in published])
-        hits: list[list[dict]] = [[] for _ in published]
-        for r in self.db:
-            kind = r.frame.kind
-            if r.mac == self.policy.relay_mac or not isinstance(kind, beacon.Gaen):
+        keys: dict[int, list[int]] = {}  # link id -> positions of the keys it was heard under
+        for link_id, frame in self.harvest_links.items():
+            kind = frame.kind
+            if frame.mac == self.policy.relay_mac or not isinstance(kind, beacon.Gaen):
                 continue
-            for pos, _interval in index.get(kind.rpi, ()):
-                hits[pos].append({"t": r.time, "x": r.location[0], "y": r.location[1],
-                                  "rssi": r.rssi, "mac": r.mac})
+            positions = [pos for pos, _interval in index.get(kind.rpi, ())]
+            if positions:
+                keys[link_id] = positions
+        log = self.log
+        hits: list[list[dict]] = [[] for _ in published]
+        for row in self._rows_of(keys).tolist():
+            link_id = log.link[row]
+            link = log.links[link_id]
+            t, rssi = log.t[row], log.rssi_at(row)
+            for pos in keys[link_id]:
+                hits[pos].append({"t": t, "x": link.rx[0], "y": link.rx[1], "rssi": rssi,
+                                  "mac": link.mac})
 
         dossiers = []
         for pos in sorted(range(len(published)), key=lambda i: published[i].tek.key.hex()):
@@ -270,4 +324,3 @@ class AttackerServer:
         ]
         rows.sort(key=lambda row: (row["first_seen"], row["mac"], row["rpi_hex"]))
         return rows
-

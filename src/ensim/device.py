@@ -21,12 +21,16 @@ Matching semantics:
     each tick at most once; a notification is emitted at
     `duration_threshold` (default 15 min).
 
-Devices store every sighting unfiltered at receive time; all filtering
-happens here at matching time. Matching is an index join: stored
-sightings are grouped by payload, each distinct payload is decoded once
-and looked up in the published-identifier index (`crypto.identifier_index`,
-built once per run and shared with re-identification); the metadata is
-decrypted once per distinct payload and matching key.
+Devices keep every sighting unfiltered; all filtering happens here at
+matching time. A device's sightings are its rows of a scan log
+(`radio.Rows`): in a run, its rows of the world's log, handed over when the
+run ends; on its own, rows that `on_scan` appends to a log of its own.
+Matching is an index join over those rows: they are grouped by payload
+through their links, each distinct payload is decoded once and looked up
+in the published-identifier index (`crypto.identifier_index`, built once
+per run and shared with re-identification), the metadata is decrypted once
+per distinct payload and matching key, and the window and attenuation
+tests run as column operations.
 """
 
 from __future__ import annotations
@@ -35,8 +39,10 @@ from dataclasses import dataclass, field
 from random import Random
 from typing import Optional
 
+import numpy as np
+
 from . import beacon, crypto
-from .radio import Sighting, attenuation
+from .radio import Rows, ScanEvent, Sighting, attenuation
 
 TEK_RETENTION_DAYS = 14
 
@@ -64,7 +70,7 @@ class DeviceState:
     tx_power: int = 0
     current_tek: Optional[crypto.TemporaryExposureKey] = None
     tek_history: list = field(default_factory=list)
-    sightings: list = field(default_factory=list)
+    sightings: Rows = field(default_factory=Rows.new)
     mac_history: list = field(default_factory=list)  # (interval, mac) ground truth
     # cached per-interval broadcast state
     _interval: int = -1
@@ -116,7 +122,7 @@ def broadcast_current(state: DeviceState, t: int) -> beacon.BeaconFrame:
 
 
 def on_scan(state: DeviceState, sighting: Sighting) -> None:
-    state.sightings.append(sighting)
+    state.sightings.append(ScanEvent(state.id, sighting))
 
 
 def diagnose_and_upload(state: DeviceState, server, t: int) -> list:
@@ -146,38 +152,52 @@ def match_exposures(state: DeviceState, published_teks, params: MatchingParams, 
     if state.current_tek is not None:
         own.add(state.current_tek.key)
 
-    by_payload: dict[bytes, list[Sighting]] = {}
-    for s in state.sightings:
-        by_payload.setdefault(s.payload, []).append(s)
+    log = state.sightings.log
+    t_col, link_col, rssi_col = log.columns()
+    rows = state.sightings.positions()
+    links, of_row = np.unique(link_col[rows], return_inverse=True)
+    # each link's rows, contiguous in `by_link`; link ids run in order of first hearing,
+    # so the first link of a payload is the one it was first heard on
+    counts = np.bincount(of_row, minlength=len(links))
+    by_link, ends = np.argsort(of_row, kind="stable"), np.cumsum(counts)
+    by_payload: dict[bytes, tuple[str, list[int]]] = {}
+    for k, link_id in enumerate(links.tolist()):
+        link = log.links[link_id]
+        by_payload.setdefault(link.payload, (link.mac, []))[1].append(k)
 
-    matched_ticks: list[set[int]] = [set() for _ in published_teks]
+    matched_ticks: list[list] = [[] for _ in published_teks]
     min_att: list[Optional[float]] = [None] * len(matched_ticks)
-    for payload, group in by_payload.items():
-        kind = beacon.decode(payload, group[0].mac).kind
-        if not isinstance(kind, beacon.Gaen):
+    times = rssis = None
+    for payload, (mac, ks) in by_payload.items():
+        kind = beacon.decode(payload, mac).kind
+        if not isinstance(kind, beacon.Gaen) or kind.rpi not in index:
             continue
-        for pos, interval in index.get(kind.rpi, ()):
-            tek = published_teks[pos]
+        if times is None:
+            times, rssis = t_col[rows], rssi_col[rows]
+        group = np.concatenate([by_link[ends[k] - counts[k]:ends[k]] for k in ks])
+        group_t, group_rssi = times[group], rssis[group]
+        for pos, interval in index[kind.rpi]:
             window_start = interval * crypto.INTERVAL_SECONDS
             window_end = window_start + crypto.INTERVAL_SECONDS
-            in_window = [s for s in group
-                         if window_start - params.tolerance <= s.time <= window_end + params.tolerance]
-            if not in_window:
+            in_window = ((group_t >= window_start - params.tolerance)
+                         & (group_t <= window_end + params.tolerance))
+            if not in_window.any():
                 continue
+            tek = published_teks[pos]
             claimed = crypto.decrypt_aem(crypto.derive_aemk(tek), kind.rpi, kind.aem).tx_power
-            ticks, best = matched_ticks[pos], min_att[pos]
-            for s in in_window:
-                att = attenuation(claimed, s.rssi)
-                if att <= params.attenuation_threshold:
-                    ticks.add(s.time)
-                    best = att if best is None else min(best, att)
-            min_att[pos] = best
+            att = attenuation(claimed, group_rssi[in_window])
+            close = att <= params.attenuation_threshold
+            if close.any():
+                matched_ticks[pos].append(group_t[in_window][close])
+                best = float(att[close].min())
+                min_att[pos] = best if min_att[pos] is None else min(min_att[pos], best)
 
     notifications = []
     for pos, tek in enumerate(published_teks):
         if tek.key in own:
             continue
-        duration = len(matched_ticks[pos]) * params.tick
+        ticks = matched_ticks[pos]
+        duration = (len(np.unique(np.concatenate(ticks))) if ticks else 0) * params.tick
         if duration >= params.duration_threshold:
             notifications.append(ExposureNotification(
                 matched_tek=tek,

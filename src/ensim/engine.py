@@ -2,16 +2,20 @@
 
 Per tick, in fixed order: scheduled diagnoses publish keys; honest app
 devices broadcast; the attacker plans and deputies re-emit; the world
-delivers; receivers store (honest) or upload (deputies). Matching runs
-once at the end of the run against the published-key snapshot; the
-snapshot's identifier index is built once and shared by every device's
-matching and the attacker's re-identification.
+delivers into its scan log and takes the tick's injections; the attacker
+takes in the deputy links first heard this tick, which is all a relay plan
+needs. No event is routed one by one: when the run ends, the log's rows
+are grouped by receiver once and each device is handed its rows. Matching
+then runs against the published-key snapshot; the snapshot's identifier
+index is built once and shared by every device's matching and the
+attacker's re-identification.
 
 Ground truth for false-positive accounting is tracked outside the
 protocol: per (receiver, emitter) pair, the ticks with a direct
 (non-relayed) reception whose true attenuation is within the matching
-threshold. A notification is a genuine contact only if that direct
-exposure alone reaches the duration threshold.
+threshold, found in one pass over the log's columns at the end. A
+notification is a genuine contact only if that direct exposure alone
+reaches the duration threshold.
 
 Configs are checked against one field table per object (`SCENARIO_FIELDS`
 and the tables it nests, `SWEEP_FIELDS`), which maps every key the object
@@ -36,6 +40,8 @@ from pathlib import Path
 from random import Random
 from typing import Optional
 
+import numpy as np
+
 from . import beacon
 from . import coverage as coverage_mod
 from . import crypto
@@ -47,10 +53,10 @@ from .radio import (
     Emission,
     NodeSpec,
     PathLoss,
+    ScanLog,
     Sighting,
     World,
     WorldConfig,
-    attenuation,
     write_event_log,
 )
 
@@ -161,10 +167,12 @@ class InjectionSpec:
     rssi: float = -12.0
 
 
+# exponent and sigma are bounded so that no rssi can overflow to infinity; with them
+# bounded, no finite ref_rssi_at_1m can make it overflow either
 PATH_LOSS_FIELDS = {
     "ref_rssi_at_1m": number(),
-    "exponent": number(above=0),
-    "noise_sigma": number(0),
+    "exponent": number(hi=10, above=0),
+    "noise_sigma": number(0, 100),
 }
 WORLD_FIELDS = {
     "tick": integer(1),
@@ -337,6 +345,33 @@ class RunResult:
         )
 
 
+def direct_close_ticks(log: ScanLog, tx_powers: dict, threshold: float) -> dict:
+    """(receiver, emitter) -> the ticks with a direct (non-relayed) reception whose
+    true attenuation, from the emitter's real tx power, is within `threshold`;
+    one pass over the log's columns."""
+    true_tx = np.array([np.nan if link.emitter is None or link.relay else tx_powers[link.emitter]
+                        for link in log.links], dtype=np.float64)
+    t, links, rssi = log.columns()
+    att = true_tx[links]
+    att -= rssi  # the true attenuation, in place: one temporary the size of a column
+    close = np.flatnonzero(att <= threshold)  # NaN, for injected and relayed rows, never is
+    del att
+    close = close[np.argsort(links[close], kind="stable")]
+    close_links = links[close]
+    starts = np.flatnonzero(np.diff(close_links, prepend=-1))
+    ticks: dict[tuple, set] = {}
+    for link_id, run in zip(close_links[starts].tolist(), np.split(t[close], starts[1:])):
+        link = log.links[link_id]
+        ticks.setdefault((link.receiver, link.emitter), set()).update(run.tolist())
+    return ticks
+
+
+def harvested_owners(server: AttackerServer) -> set:
+    """The nodes a deputy harvested a frame of straight from their own broadcast."""
+    links = [server.log.links[link_id] for link_id in server.harvest_links]
+    return {link.emitter for link in links if link.emitter is not None and not link.relay}
+
+
 def run_scenario(cfg: ScenarioConfig) -> RunResult:
     world = World(cfg.world)
     node_by_id = world.nodes
@@ -345,16 +380,13 @@ def run_scenario(cfg: ScenarioConfig) -> RunResult:
         for n in cfg.world.nodes if n.app
     }
     deputies = sorted(n.id for n in cfg.world.nodes if n.deputy)
-    deputy_ids = set(deputies)
-    server = AttackerServer(cfg.attack) if cfg.attack is not None else None
+    server = (AttackerServer(cfg.attack, log=world.events, deputies=deputies)
+              if cfg.attack is not None else None)
     diag = DiagnosisServer()
 
     injections: dict[int, list] = {}
     for inj in cfg.injections:
         injections.setdefault(inj.t, []).append(inj)
-
-    direct_close: dict[tuple, set] = {}
-    harvested_owners: set = set()
 
     for t in range(0, cfg.world.duration, cfg.world.tick):
         for nid in sorted(devices):
@@ -373,26 +405,20 @@ def run_scenario(cfg: ScenarioConfig) -> RunResult:
                 emissions.append(server.rebroadcast(
                     order, t, tx_power=node_by_id[order.deputy_id].tx_power))
 
-        events = world.step(t, emissions)
+        world.step(t, emissions)
         for inj in injections.get(t, ()):
-            sighting = Sighting(
+            world.inject(t, inj.receiver, Sighting(
                 payload=bytes.fromhex(inj.payload_hex), mac=inj.mac, rssi=inj.rssi,
                 time=t, rx_location=world.position(inj.receiver, t),
-            )
-            events.append(world.inject(t, inj.receiver, sighting))
+            ))
+        if server is not None:
+            server.catch_up()
 
-        for ev in events:
-            rid = ev.receiver_id
-            if rid in devices:
-                device_mod.on_scan(devices[rid], ev.sighting)
-            if rid in deputy_ids and server is not None:
-                record = server.deputy_on_scan(rid, ev.sighting)
-                if record is not None and ev.emitter_id is not None and not ev.relay:
-                    harvested_owners.add(ev.emitter_id)
-            if ev.emitter_id is not None and not ev.relay:
-                true_att = attenuation(node_by_id[ev.emitter_id].tx_power, ev.sighting.rssi)
-                if true_att <= cfg.matching.attenuation_threshold:
-                    direct_close.setdefault((rid, ev.emitter_id), set()).add(t)
+    log = world.events
+    direct_close = direct_close_ticks(log, {nid: n.tx_power for nid, n in node_by_id.items()},
+                                      cfg.matching.attenuation_threshold)
+    for nid, rows in log.by_receiver(devices).items():
+        devices[nid].sightings = rows
 
     published = diag.snapshot(cfg.world.duration)
     tek_owner = {}
@@ -431,7 +457,7 @@ def run_scenario(cfg: ScenarioConfig) -> RunResult:
         notification_rows=rows,
         dossiers=dossiers,
         direct_close_ticks=direct_close,
-        harvested_owners=harvested_owners,
+        harvested_owners=harvested_owners(server) if server is not None else set(),
         tek_owner=tek_owner,
     )
 

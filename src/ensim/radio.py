@@ -1,13 +1,20 @@
-"""Deterministic radio world: positioned nodes, log-distance path loss, scan events.
+"""Deterministic radio world: positioned nodes, log-distance path loss, one scan log.
 
 Geometry is 2-D with piecewise-constant trajectories; distance is the only
 geometric quantity the attacks depend on. One broadcast per tick per
 emitter, delivered once per scanning node in range. Path loss is computed
-once per geometry: the world keeps a link table from each emitter (at a
-given tx power) to its in-range scanners and rebuilds it only when some
-node reaches another waypoint. Identical (config, injections) always produce identical event
-logs; noise draws come from the world's own seeded generator, one per
+once per geometry: the world keeps the in-range scanners of each emitter
+(at a given tx power) and rebuilds them only when some node reaches
+another waypoint. Identical (config, injections) always produce identical
+event logs; noise draws come from the world's own seeded generator, one per
 delivery in a fixed iteration order.
+
+Every delivery, radio-made or injected, is one row of the world's
+`ScanLog`: its time, a link id and its rssi. A link is what all hearings of
+one frame by one receiver at one place share (receiver, emitter, relay
+flag, MAC, payload, rx position), stored once. Devices, the attacker and
+the event-log writer read the rows they need from this one log; nothing
+else is kept per event.
 
 The world is advanced by a single owner; parallelism belongs across
 independent runs, not within one.
@@ -17,15 +24,20 @@ from __future__ import annotations
 
 import json
 import math
+from array import array
+from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import repeat
 from random import Random
 from typing import NamedTuple, Optional
+
+import numpy as np
 
 # emitters closer than this are treated as at this distance; keeps the
 # path-loss model in its rssi <= tx_power regime for co-located nodes
 MIN_DISTANCE_M = 0.01
-
-
+# rows formatted per batch by write_event_log
+WRITE_BATCH_ROWS = 1 << 12
 @dataclass(frozen=True)
 class PathLoss:
     ref_rssi_at_1m: float = -41.0
@@ -115,11 +127,168 @@ class Emission:
     relay: bool = False
 
 
+class Link(NamedTuple):
+    """What every hearing of one frame by one receiver at one place shares.
+
+    `rx` is the receiver's position object itself: links are told apart by
+    its identity, not its value, because 0, 0.0 and -0.0 are equal but are
+    written differently.
+    """
+
+    receiver: str
+    emitter: Optional[str]  # ground-truth annotation; None for injected
+    relay: bool
+    mac: str
+    payload: bytes
+    rx: tuple
+
+
+class ScanLog(Sequence):
+    """Append-only columnar log of scan events, read back as ScanEvents.
+
+    A row is three columns, 20 bytes in all: `t`, `link` (an index into
+    `links`) and `rssi`. Links are interned when first heard; `first` holds
+    each link's first row, so link ids run in the order of first hearings.
+    An rssi that the float column would not give back as it came (an int,
+    a NaN) is also kept as given, so a row reads back and is written
+    exactly as it was appended.
+
+    `columns()` hands out numpy views of the columns without copying; a
+    view pins its column, so none may be held across an append.
+    """
+
+    def __init__(self):
+        self.links: list[Link] = []
+        self.first = array("q")
+        self._ids: dict = {}  # link fields with id(rx) in place of rx -> link id
+        self.t = array("q")
+        self.link = array("i")
+        self.rssi = array("d")
+        self._given: dict = {}  # row -> rssi as appended, where the column differs
+
+    def intern(self, link: Link, row: int) -> int:
+        """The id of `link`; a new link is first heard on `row`."""
+        key = link[:5] + (id(link.rx),)
+        link_id = self._ids.get(key)
+        if link_id is None:
+            link_id = self._ids[key] = len(self.links)
+            self.links.append(link)  # holding rx keeps its id from being reused
+            self.first.append(row)
+        return link_id
+
+    def append(self, event: ScanEvent) -> int:
+        """Add one event as the next row and return the row."""
+        s = event.sighting
+        row = len(self.link)
+        self.t.append(s.time)
+        self.rssi.append(s.rssi)
+        if type(s.rssi) is not float or s.rssi != s.rssi:
+            self._given[row] = s.rssi
+        link = Link(event.receiver_id, event.emitter_id, event.relay, s.mac, s.payload,
+                    s.rx_location)
+        self.link.append(self.intern(link, row))
+        return row
+
+    def columns(self):
+        """(t, link, rssi) as numpy views of the columns."""
+        return (np.frombuffer(self.t, dtype=np.int64), np.frombuffer(self.link, dtype=np.int32),
+                np.frombuffer(self.rssi, dtype=np.float64))
+
+    def rssi_at(self, row: int):
+        return self._given.get(row, self.rssi[row])
+
+    def sighting(self, row: int) -> Sighting:
+        link = self.links[self.link[row]]
+        return Sighting(link.payload, link.mac, self.rssi_at(row), self.t[row], link.rx)
+
+    def event(self, row: int) -> ScanEvent:
+        link = self.links[self.link[row]]
+        return ScanEvent(link.receiver, self.sighting(row), link.emitter, link.relay)
+
+    def by_receiver(self, receivers) -> dict:
+        """Each of `receivers`' rows in log order, as Rows of Sightings, from one
+        stable sort of the log by receiver."""
+        code = {rid: i for i, rid in enumerate(receivers)}
+        none = len(code)
+        # the narrowest dtype: a stable sort of 8- or 16-bit keys is a radix sort
+        of_link = np.array([code.get(link.receiver, none) for link in self.links],
+                           dtype=np.min_scalar_type(none))
+        per_row = of_link[self.columns()[1]]
+        order = np.argsort(per_row, kind="stable")
+        counts = np.bincount(per_row, minlength=none + 1)
+        ends = np.cumsum(counts)
+        return {rid: Rows(self, order[ends[i] - counts[i]:ends[i]]) for rid, i in code.items()}
+
+    def __len__(self) -> int:
+        return len(self.link)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return Rows(self, range(len(self))[i], self.event)
+        return self.event(range(len(self))[i])
+
+    def __iter__(self):
+        return map(self.event, range(len(self)))
+
+    def __eq__(self, other):
+        return isinstance(other, Sequence) and list(self) == list(other)
+
+    __hash__ = None
+
+
+class Rows(Sequence):
+    """Some rows of a ScanLog, in log order, each read back as `read(row)`
+    (Sightings unless another reader is given); nothing is copied.
+
+    `index` holds the row numbers: a range, a numpy array, or an
+    array('q') that `append` extends.
+    """
+
+    def __init__(self, log: ScanLog, index, read=None):
+        self.log = log
+        self.index = index
+        self.read = log.sighting if read is None else read
+
+    @classmethod
+    def new(cls) -> "Rows":
+        """No rows yet, of a log of their own."""
+        return cls(ScanLog(), array("q"))
+
+    def append(self, event: ScanEvent) -> int:
+        """Add `event` to the log and to these rows; returns its row."""
+        row = self.log.append(event)
+        self.index.append(row)
+        return row
+
+    def positions(self) -> np.ndarray:
+        """The row numbers as a numpy array (a view where `index` allows)."""
+        if isinstance(self.index, array):
+            return np.frombuffer(self.index, dtype=np.int64)
+        return np.asarray(self.index, dtype=np.int64)
+
+    def __len__(self) -> int:
+        return len(self.index)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return Rows(self.log, self.index[i], self.read)
+        return self.read(int(self.index[i]))
+
+    def __iter__(self):
+        index = self.index
+        return map(self.read, index if isinstance(index, range) else index.tolist())
+
+    def __eq__(self, other):
+        return isinstance(other, Sequence) and list(self) == list(other)
+
+    __hash__ = None
+
+
 def propagate(tx_power: float, distance: float, noise_draw: float,
               path_loss: PathLoss, radio_range_max: float) -> Optional[float]:
-    """Received power in dBm, or None beyond radio range."""
-    if distance <= 0:
-        raise ValueError(f"distance must be positive, got {distance}")
+    """Received power in dBm, or None beyond radio range. A distance below
+    MIN_DISTANCE_M (co-located nodes) counts as MIN_DISTANCE_M."""
+    distance = max(distance, MIN_DISTANCE_M)
     if distance > radio_range_max:
         return None
     return (
@@ -145,39 +314,45 @@ class World:
         self.nodes = {n.id: n for n in config.nodes}
         self._scanner_ids = sorted(n.id for n in config.nodes if n.app or n.deputy)
         self._rng = Random(config.seed)
-        self.events: list[ScanEvent] = []
-        # the link table and the waypoints and positions it was built for
+        self.events = ScanLog()
+        # the geometry tables, and the waypoints and positions they were built for
         self._waypoints: Optional[list] = None
         self._positions: dict = {}
-        self._links: dict = {}  # (emitter id, tx_power) -> [(scanner id, rssi before noise, rx position)]
+        # (emitter id, tx_power) -> (in-range scanner ids, their rssi before noise, their positions)
+        self._paths: dict = {}
+        # (emitter id, tx_power, payload, mac, relay) -> the link id of each path
+        self._link_ids: dict = {}
 
     def position(self, node_id: str, t: float) -> tuple[float, float]:
         return self.nodes[node_id].position(t)
 
-    def _link_row(self, emitter_id: str, tx_power: int) -> list:
+    def _path_row(self, emitter_id: str, tx_power: int) -> tuple:
         """The in-range scanners of one emitter at the current positions, in
-        scanner order, each with its noiseless rssi and its position."""
+        scanner order, with their noiseless rssi and their positions."""
         pl, range_max, positions = self.config.path_loss, self.config.radio_range_max, self._positions
         ex, ey = positions[emitter_id]
-        row = []
+        ids, rssis, rxs = [], array("d"), []
         for sid in self._scanner_ids:
             if sid == emitter_id:
                 continue
             rx = positions[sid]
-            d = max(math.hypot(rx[0] - ex, rx[1] - ey), MIN_DISTANCE_M)
-            rssi = propagate(tx_power, d, 0.0, pl, range_max)
+            rssi = propagate(tx_power, math.hypot(rx[0] - ex, rx[1] - ey), 0.0, pl, range_max)
             if rssi is not None:
-                row.append((sid, rssi, rx))
-        return row
+                ids.append(sid)
+                rssis.append(rssi)
+                rxs.append(rx)
+        return ids, rssis, rxs
 
-    def step(self, t: int, emissions: list[Emission]) -> list[ScanEvent]:
-        """Deliver each emission once to every in-range scanner; returns new events.
+    def step(self, t: int, emissions: list[Emission]) -> Rows:
+        """Deliver each emission once to every in-range scanner; returns the new
+        rows of the log, read as ScanEvents.
 
         The path loss of each (emitter, tx_power) to each scanner comes from the
-        link table, rebuilt only when the waypoint in effect for some node
+        geometry tables, rebuilt only when the waypoint in effect for some node
         differs from the last step's (trajectories are piecewise constant).
-        Noise is drawn per delivery, in emission order and then scanner order,
-        and added to the table's noiseless rssi: the same float arithmetic as
+        Each emission extends the log's columns at once: its link ids, and its
+        rssi. Noise is drawn per delivery, in emission order and then scanner
+        order, and added to the noiseless rssi: the same float arithmetic as
         `propagate`, so results are bit-identical to computing each delivery
         from scratch.
         """
@@ -187,22 +362,31 @@ class World:
         if self._waypoints is None or any(a is not b for a, b in zip(waypoints, self._waypoints)):
             self._waypoints = waypoints
             self._positions = {nid: (wp[1], wp[2]) for nid, wp in zip(self.nodes, waypoints)}
-            self._links = {}
-        links = self._links
+            self._paths = {}
+            self._link_ids = {}
+        log = self.events
+        links, rssis = log.link, log.rssi
+        start = len(links)
         sigma = self.config.path_loss.noise_sigma
         gauss = self._rng.gauss
-        new: list[ScanEvent] = []
         for em in emissions:
             key = (em.node_id, em.tx_power)
-            row = links.get(key)
-            if row is None:
-                row = links[key] = self._link_row(em.node_id, em.tx_power)
-            for sid, rssi, rx in row:
-                noise = gauss(0.0, sigma) if sigma > 0 else 0.0
-                new.append(ScanEvent(sid, Sighting(em.payload, em.mac, rssi + noise, t, rx),
-                                     em.node_id, em.relay))
-        self.events.extend(new)
-        return new
+            paths = self._paths.get(key)
+            if paths is None:
+                paths = self._paths[key] = self._path_row(em.node_id, em.tx_power)
+            ids = self._link_ids.get(key + (em.payload, em.mac, em.relay))
+            if ids is None:
+                row = len(links)
+                ids = self._link_ids[key + (em.payload, em.mac, em.relay)] = array("i", [
+                    log.intern(Link(sid, em.node_id, em.relay, em.mac, em.payload, rx), row + i)
+                    for i, (sid, rx) in enumerate(zip(paths[0], paths[2]))])
+            links.extend(ids)
+            if sigma > 0:
+                rssis.extend([rssi + gauss(0.0, sigma) for rssi in paths[1]])
+            else:
+                rssis.extend(paths[1])
+        log.t.extend(array("q", [t]) * (len(links) - start))
+        return Rows(log, range(start, len(links)), log.event)
 
     def inject(self, t: int, receiver_id: str, sighting: Sighting) -> ScanEvent:
         """Insert a spurious sighting into a receiver's stream, as an instrumented
@@ -214,36 +398,38 @@ class World:
         return event
 
 
-def write_event_log(events, path):
-    """Write `events` to `path` as JSON lines in stable field order, one line at
-    a time, so no copy of the log is built before it is written.
+def write_event_log(log: ScanLog, path) -> None:
+    """Write every row of `log` to `path` as JSON lines in stable field order.
 
     The text around `t` and `rssi` is rendered with `json.dumps` once per
-    distinct (receiver, emitter, relay, mac, payload, rx position object) and
-    reused; events share their link's rx position, so this is once per link
-    and geometry. The position is keyed by identity, not value: 0 == 0.0 ==
-    -0.0, but each is written differently. Each line formats only `t` and
-    `rssi`, with `repr`, which writes ints and finite floats exactly as
-    `json.dumps` does; a non-finite rssi (a path-loss exponent or noise sigma
-    large enough to overflow) still goes through `json.dumps`.
+    link; each batch of rows then joins its lines from that text and the
+    columns with iteration done in C, so no copy of the whole log is built
+    before it is written. `t` and a finite rssi are written with `repr`,
+    which writes ints and finite floats exactly as `json.dumps` does; a
+    non-finite rssi (a path-loss exponent or noise sigma large enough to
+    overflow, or an injected NaN) and an rssi kept as given (an injected
+    int) go through `json.dumps`.
     """
-    fragments = {}  # key -> (text before rssi, text after rssi, the rx position)
-
-    def fragment(key, rx):
-        receiver, emitter, relay, mac, payload, _ = key
+    heads, tails = [], []
+    for receiver, emitter, relay, mac, payload, rx in log.links:
         head = json.dumps({"receiver": receiver, "emitter": emitter, "relay": relay, "mac": mac})
         tail = json.dumps({"rx_x": rx[0], "rx_y": rx[1], "payload_hex": payload.hex()})
-        # holding rx keeps its id from being reused by another position
-        fragments[key] = frag = (", " + head[1:-1] + ', "rssi": ', ", " + tail[1:] + "\n", rx)
-        return frag
-
-    def lines():
-        inf = math.inf
-        for receiver, (payload, mac, rssi, t, rx), emitter, relay in events:
-            key = (receiver, emitter, relay, mac, payload, id(rx))
-            head, tail, _ = fragments.get(key) or fragment(key, rx)
-            rssi_text = repr(rssi) if -inf < rssi < inf else json.dumps(rssi)
-            yield f'{{"t": {t!r}{head}{rssi_text}{tail}'
-
+        heads.append(", " + head[1:-1] + ', "rssi": ')
+        tails.append(", " + tail[1:] + "\n")
+    heads, tails = np.array(heads, dtype=object), np.array(tails, dtype=object)
+    t_col, link_col, rssi_col = log.columns()
+    given: dict[int, list] = {}  # batch -> (row in batch, rssi as given)
+    for row, value in log._given.items():
+        given.setdefault(row // WRITE_BATCH_ROWS, []).append((row % WRITE_BATCH_ROWS, value))
     with open(path, "w") as fh:
-        fh.writelines(lines())
+        for start in range(0, len(log), WRITE_BATCH_ROWS):
+            stop = start + WRITE_BATCH_ROWS
+            links, rssi = link_col[start:stop], rssi_col[start:stop]
+            rssi_text = list(map(repr, rssi.tolist()))
+            for i in np.flatnonzero(~np.isfinite(rssi)).tolist():
+                rssi_text[i] = json.dumps(float(rssi[i]))
+            for i, value in given.get(start // WRITE_BATCH_ROWS, ()):
+                rssi_text[i] = json.dumps(value)
+            fh.writelines(map("".join, zip(repeat('{"t": '), map(repr, t_col[start:stop].tolist()),
+                                           heads[links].tolist(), rssi_text,
+                                           tails[links].tolist())))

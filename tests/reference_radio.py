@@ -1,15 +1,21 @@
-"""Reference radio: the straightforward scan-delivery loop and event-log writer.
+"""Reference radio: the straightforward scan-delivery loop, event routing and
+event-log writer.
 
 `reference_step` recomputes every emitter-scanner distance and path loss on
 every tick and builds each event field by field; `reference_write_event_log`
-encodes each event with one `json.dumps` of the whole line. The link-table
-`World.step` and the fragment-caching `write_event_log` must give the same
-events and the same bytes; see test_radio_oracle.py.
+encodes each event with one `json.dumps` of the whole line;
+`reference_route` hands every event, one by one, to the structures that
+readers of the scan log derive from it. The link-table `World.step`, the
+columnar `ScanLog` and its readers must give the same events, the same
+bytes and the same derived results; see test_radio_oracle.py.
 """
 
 import json
 import math
+from types import SimpleNamespace
 
+from ensim import beacon
+from ensim.attacker import HarvestRecord
 from ensim.radio import MIN_DISTANCE_M, ScanEvent, Sighting, propagate
 
 
@@ -57,3 +63,33 @@ def reference_write_event_log(events, path):
                 "rx_y": s.rx_location[1],
                 "payload_hex": s.payload.hex(),
             }) + "\n")
+
+
+def reference_route(events, device_ids, deputy_ids, policy, tx_powers, threshold):
+    """Every event delivered in turn, as a per-event routing loop would: each
+    device's sightings, the attacker's harvest (each hearing a deputy keeps),
+    its relay candidates (first in-zone hearing per identifier), the owners
+    of frames harvested straight from their broadcast, and the direct close
+    ticks per (receiver, emitter)."""
+    out = SimpleNamespace(sightings={nid: [] for nid in device_ids}, db=[], candidates={},
+                          owners=set(), direct={})
+    for ev in events:
+        s, rid = ev.sighting, ev.receiver_id
+        direct = ev.emitter_id is not None and not ev.relay
+        if rid in out.sightings:
+            out.sightings[rid].append(s)
+        if rid in deputy_ids and s.mac != policy.relay_mac:
+            frame = beacon.decode(s.payload, s.mac)
+            gaen = isinstance(frame.kind, beacon.Gaen)
+            if gaen or policy.collect_all:
+                record = HarvestRecord(frame, s.rssi, s.rx_location, s.time, rid)
+                out.db.append(record)
+                in_zone = not policy.harvest_zones or any(
+                    z.contains(*s.rx_location) for z in policy.harvest_zones)
+                if gaen and in_zone and frame.kind.rpi not in out.candidates:
+                    out.candidates[frame.kind.rpi] = record
+                if direct:
+                    out.owners.add(ev.emitter_id)
+        if direct and tx_powers[ev.emitter_id] - s.rssi <= threshold:
+            out.direct.setdefault((rid, ev.emitter_id), set()).add(s.time)
+    return out

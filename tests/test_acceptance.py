@@ -267,3 +267,18 @@ def test_criterion_11_codec_fuzz_totality(acceptance_record):
         11, "codec fuzz totality", crashes == 0 and fixtures_ok,
         f"100000 payloads, {crashes} failures; fixtures lossless: {fixtures_ok}",
     )
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_tamper_range_extension_holds_under_noise(seed):
+    # noise_sigma 4 dB (realistic Bluetooth rssi spread): the honest relay fails at 6 and
+    # 10 m on every seed, the -8 dB mask carries to both
+    def notifies(distance, tampered):
+        raw = scenarios.tamper_range_extension(victim_distance=distance, tampered=tampered)
+        raw["seed"] = seed
+        raw["world"]["path_loss"]["noise_sigma"] = 4.0
+        return bool(run_scenario(ScenarioConfig.from_dict(raw)).notification_rows)
+
+    for distance in (6.0, 10.0):
+        assert not notifies(distance, tampered=False)
+        assert notifies(distance, tampered=True)

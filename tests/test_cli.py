@@ -134,6 +134,11 @@ INVALID_CONFIGS = {
     # every unmatched published key would notify with no minimum attenuation
     "duration_threshold 0": ("scenario", [(("matching", "duration_threshold"), 0)],
                              "'matching.duration_threshold'"),
+    # bounded so that no rssi can overflow: -Infinity is not JSON, and events.jsonl held it
+    "path-loss exponent 1e308": ("scenario", [(("world", "path_loss", "exponent"), 1e308)],
+                                 "'world.path_loss.exponent'"),
+    "noise_sigma 1e308": ("scenario", [(("world", "path_loss", "noise_sigma"), 1e308)],
+                          "'world.path_loss.noise_sigma'"),
     "sweep alpha 1.5": ("sweep", [(("alphas_sc",), [1.5])], "'alphas_sc[0]'"),
     "sweep n 'x'": ("sweep", [(("n",), "x")], "'n'"),
     "sweep seed -1": ("sweep", [(("seed",), -1)], "'seed'"),
@@ -150,6 +155,34 @@ def test_invalid_config_exits_2_naming_field(case, tmp_path, capsys):
     rc = main(["run", str(cfg), "--out", str(tmp_path / "o")])
     assert rc == 2
     assert expected in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("path_loss", [
+    {"ref_rssi_at_1m": 1.7976931348623157e308, "exponent": 10, "noise_sigma": 100},
+    {"ref_rssi_at_1m": -1.7976931348623157e308, "exponent": 10, "noise_sigma": 100},
+    {"ref_rssi_at_1m": -41.0, "exponent": 5e-324, "noise_sigma": 0},
+], ids=["max ref", "min ref", "least exponent"])
+def test_accepted_path_loss_extremes_write_finite_rssi(path_loss, tmp_path):
+    # co-located (clamped to MIN_DISTANCE_M), 1 m apart and exactly at the radio range,
+    # at both ends of tx_power
+    raw = small_scenario(nodes=[
+        {"id": "a", "app": True, "tx_power": 127, "trajectory": [[0, 0.0, 0.0]]},
+        {"id": "b", "app": True, "tx_power": -128, "trajectory": [[0, 0.0, 0.0]]},
+        {"id": "c", "app": True, "trajectory": [[0, 1.0, 0.0]]},
+        {"id": "d", "deputy": True, "trajectory": [[0, 50.0, 0.0]]},
+    ])
+    raw["world"].update(duration=60, path_loss=path_loss)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(raw))
+    assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 0
+
+    def not_json(name):
+        raise AssertionError(f"events.jsonl holds {name}")
+
+    lines = (tmp_path / "o" / "events.jsonl").read_text().splitlines()
+    assert len(lines) == 60 * 3 * 3
+    assert all(abs(json.loads(line, parse_constant=not_json)["rssi"]) <= 1.7976931348623157e308
+               for line in lines)
 
 
 def _paths(doc, path=()):

@@ -3,20 +3,26 @@ straightforward joins in reference_matching.py.
 
 Generated inputs mix genuine, replayed and tampered GAEN sightings at the
 edges of the replay tolerance, duplicate ticks, the matching device's own
-frames, non-GAEN and malformed payloads, and published lists that repeat a
-key, include the device's own keys or a key nobody broadcast.
+frames, non-GAEN and malformed payloads, int, float and NaN rssi, int and
+float receiver positions, and published lists that repeat a key, include
+the device's own keys or a key nobody broadcast. The sightings reach the
+production code twice: through a device's (or server's) own scan log, and
+injected into a world's log that hands each receiver its rows. The
+references read the generated sightings as plain lists.
 """
 
 import random
+from types import SimpleNamespace
 
 from hypothesis import given, settings, strategies as st
 
 import reference_matching as ref
+from reference_radio import reference_route
 from ensim import beacon, crypto
 from ensim.attacker import AttackPolicy, AttackerServer, tamper
 from ensim.device import DeviceState, MatchingParams, broadcast_current, match_exposures, on_scan
 from ensim.diagnosis import PublishedTek
-from ensim.radio import Sighting
+from ensim.radio import NodeSpec, ScanEvent, Sighting, World, WorldConfig
 
 # straddles the first day boundary, so every device holds two daily keys
 INTERVALS = (0, 1, 2, 142, 143, 144, 145)
@@ -63,7 +69,7 @@ def worlds(draw):
         offset = draw(st.sampled_from(edges) | st.sampled_from(edges)
                       | st.integers(-tolerance - 5, window + tolerance + 5))
         t = interval * window + offset
-        rssi = draw(st.sampled_from([-20.0, -41.0, -47.0, -55.0, -58.0, -70.5])
+        rssi = draw(st.sampled_from([-20.0, -41.0, -47, -55.0, -58.0, -70.5, float("nan")])
                     | st.floats(-100.0, 0.0, allow_nan=False))
         if source == "decoy":
             payload, mac = DECOY, OTHER_MAC
@@ -78,7 +84,8 @@ def worlds(draw):
             payload = beacon.encode_gaen(frame.kind.rpi, aem)
             mac = draw(st.sampled_from([frame.mac, OTHER_MAC]))
         repeats = draw(st.integers(1, 2))  # the same hearing twice on one tick
-        sightings += [Sighting(payload, mac, rssi, t, (float(offset % 7), 0.0))] * repeats
+        rx = draw(st.sampled_from([(float(offset % 7), 0.0), (offset % 7, 0)]))
+        sightings += [Sighting(payload, mac, rssi, t, rx)] * repeats
     published = [keys[i] for i in draw(st.lists(st.integers(0, len(keys) - 1), max_size=9))]
     return receiver, published, sightings, params
 
@@ -87,23 +94,57 @@ def worlds(draw):
 @given(worlds())
 def test_match_exposures_equals_reference(world):
     receiver, published, sightings, params = world
+    expected = ref.match_exposures(
+        SimpleNamespace(sightings=sightings, tek_history=receiver.tek_history,
+                        current_tek=receiver.current_tek), published, params)
     for s in sightings:
         on_scan(receiver, s)
-    expected = ref.match_exposures(receiver, published, params)
+    assert list(receiver.sightings) == sightings
     assert match_exposures(receiver, published, params) == expected
     index = crypto.identifier_index(published)
     assert match_exposures(receiver, published, params, index=index) == expected
+
+    world = _world_of(sightings, {"rx": "app"})
+    receiver.sightings = world.events.by_receiver(["rx"])["rx"]
+    assert list(receiver.sightings) == sightings
+    assert match_exposures(receiver, published, params, index=index) == expected
+
+
+def _world_of(sightings, roles):
+    """A world whose log holds `sightings`, injected in turn to the nodes of
+    `roles` (node id -> "app" or "deputy") round-robin."""
+    ids = sorted(roles)
+    nodes = tuple(NodeSpec(id=nid, trajectory=((0, 0.0, 0.0),), app=roles[nid] == "app",
+                           deputy=roles[nid] == "deputy") for nid in ids)
+    world = World(WorldConfig(nodes=nodes, tick=1, duration=1))
+    for i, s in enumerate(sightings):
+        world.inject(s.time, ids[i % len(ids)], s)
+    return world
 
 
 @settings(max_examples=80, deadline=None)
 @given(worlds(), st.booleans())
 def test_reidentify_equals_reference(world, collect_all):
     _, published, sightings, _ = world
-    server = AttackerServer(AttackPolicy(collect_all=collect_all))
-    for i, s in enumerate(sightings):
-        server.deputy_on_scan(f"d{i % 3}", s)
+    policy = AttackPolicy(collect_all=collect_all)
+    deputies = ("d0", "d1", "d2")
+    events = [ScanEvent(deputies[i % 3], s) for i, s in enumerate(sightings)]
+    route = reference_route(events, (), deputies, policy, {}, 0.0)
     entries = [PublishedTek(tek, i) for i, tek in enumerate(published)]
-    assert server.reidentify(entries) == ref.reidentify(server, entries)
+    expected = ref.reidentify(SimpleNamespace(db=route.db, policy=policy), entries)
+
+    server = AttackerServer(policy)
+    for event in events:
+        server.deputy_on_scan(event.receiver_id, event.sighting)
+    assert server.db == route.db
+    assert server.reidentify(entries) == expected
+
+    world = _world_of(sightings, dict.fromkeys(deputies, "deputy"))
+    server = AttackerServer(policy, log=world.events, deputies=deputies)
+    server.catch_up()
+    assert server.db == route.db
+    assert server._relay_candidates == route.candidates
+    assert server.reidentify(entries) == expected
 
 
 @settings(max_examples=40, deadline=None)

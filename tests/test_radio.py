@@ -4,6 +4,7 @@ import pytest
 
 from ensim.beacon import encode_gaen
 from ensim.radio import (
+    MIN_DISTANCE_M,
     Emission,
     NodeSpec,
     PathLoss,
@@ -44,11 +45,12 @@ class TestPropagate:
     def test_out_of_range(self):
         assert propagate(0, 50.1, 0.0, PL, 50.0) is None
 
-    def test_zero_distance_rejected(self):
-        with pytest.raises(ValueError):
-            propagate(0, 0.0, 0.0, PL, 50.0)
-        with pytest.raises(ValueError):
-            propagate(0, -1.0, 0.0, PL, 50.0)
+    def test_zero_and_negative_distance_clamped(self):
+        # co-located nodes count as MIN_DISTANCE_M apart: 40 dB above the 1 m reference
+        at_min = propagate(0, MIN_DISTANCE_M, 0.0, PL, 50.0)
+        assert at_min == pytest.approx(-1.0)
+        assert propagate(0, 0.0, 0.0, PL, 50.0) == at_min
+        assert propagate(0, -1.0, 0.0, PL, 50.0) == at_min
 
     def test_monotone_loss_without_noise(self):
         rssis = [propagate(0, d, 0.0, PL, 1000.0) for d in (1, 2, 5, 10, 100, 999)]

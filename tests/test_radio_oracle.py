@@ -1,6 +1,7 @@
-"""Differential test: the link-table World.step and the fragment-caching
-write_event_log against the from-scratch loop and the one-json.dumps-per-line
-writer in reference_radio.py.
+"""Differential tests: the link-table World.step, the columnar ScanLog, its
+readers and write_event_log against the from-scratch loop, the per-event
+routing and the one-json.dumps-per-line writer in reference_radio.py (and
+the straightforward joins in reference_matching.py).
 
 Generated worlds move nodes across several waypoints (some at the same tick),
 mix tx powers per emission, let deputies relay, may make a node both app and
@@ -8,16 +9,25 @@ deputy, place pairs exactly at the radio range and closer than
 MIN_DISTANCE_M, draw noise or not (with odd draw counts per tick, so the
 generator's cached second gaussian carries across ticks), may overflow rssi
 to infinity, inject sightings with an int or NaN rssi, and use ids and MACs
-with quotes or non-ASCII characters and integer coordinates.
+with quotes or non-ASCII characters and integer coordinates. The reference
+worlds keep their events in a plain list, so nothing of the ScanLog is
+used to check it.
 """
 
+import random
 import tempfile
 from pathlib import Path
+from types import SimpleNamespace
 
 from hypothesis import given, settings, strategies as st
 
+import reference_matching
 import reference_radio as ref
+from ensim import beacon, crypto, engine
+from ensim.attacker import DEFAULT_RELAY_MAC, AttackPolicy, AttackerServer, Zone, tamper
 from ensim.beacon import encode_gaen
+from ensim.device import DeviceState, MatchingParams, broadcast_current, match_exposures
+from ensim.diagnosis import PublishedTek
 from ensim.radio import Emission, NodeSpec, PathLoss, Sighting, World, WorldConfig, write_event_log
 
 IDS = ("a", "b", 'q"uote', "ü-node", "back\\slash", "节点")
@@ -80,10 +90,12 @@ def radio_runs(draw):
 def test_step_and_event_log_match_reference(run):
     config, schedule, injections = run
     fast, slow = World(config), World(config)
+    slow.events = []
     for t, emissions in enumerate(schedule):
         events = fast.step(t, emissions)
-        assert isinstance(events, list)
-        assert events == ref.reference_step(slow, t, emissions)
+        expected = ref.reference_step(slow, t, emissions)
+        assert len(events) == len(expected)
+        assert events == expected
         for when, receiver, sighting in injections:
             if when == t:
                 fast.inject(t, receiver, sighting)
@@ -104,6 +116,7 @@ def test_int_to_float_waypoint_is_a_move():
              NodeSpec(id="b", trajectory=((0, 3, 0),), app=True))
     config = WorldConfig(nodes=nodes, tick=1, duration=4)
     fast, slow = World(config), World(config)
+    slow.events = []
     for t in range(4):
         emissions = [Emission("b", PAYLOADS[0], MACS[0], 0)]
         assert fast.step(t, emissions) == ref.reference_step(slow, t, emissions)
@@ -112,3 +125,127 @@ def test_int_to_float_waypoint_is_a_move():
         write_event_log(fast.events, got)
         ref.reference_write_event_log(slow.events, want)
         assert got.read_bytes() == want.read_bytes()
+
+
+E2E_TICK = 300  # two ticks per 10-minute interval: identifiers rotate during a run
+E2E_TICKS = 6
+E2E_IDS = ("a", "b", "c", "d")
+E2E_WAYPOINT_TIMES = (0, 300, 900, 1200)
+OTHER_MAC = "02:00:00:00:00:99"
+DECOY = beacon.encode_decoy(beacon.IBeacon(
+    uuid="01022022-fa0f-0100-00ac-dd1c6502da1c", major=53479, minor=42571, tx=-59))
+MASKS = (None, b"\x00\xf8\x00\x00")
+
+
+@st.composite
+def log_runs(draw):
+    """A world whose app nodes broadcast real frames, whose deputies relay
+    earlier frames (under the relay MAC or not, masked or not), with
+    injections, an attack policy, published key picks and matching params."""
+    ids = draw(st.lists(st.sampled_from(E2E_IDS), min_size=2, max_size=4, unique=True))
+    nodes = []
+    for i, nid in enumerate(ids):
+        times = sorted(draw(st.sets(st.sampled_from(E2E_WAYPOINT_TIMES), min_size=1, max_size=3)))
+        trajectory = tuple((wt, draw(st.sampled_from(COORDS)), draw(st.sampled_from(COORDS)))
+                           for wt in times)
+        # the first node is always both app and deputy
+        nodes.append(NodeSpec(id=nid, trajectory=trajectory, app=i == 0 or draw(st.booleans()),
+                              deputy=i == 0 or draw(st.booleans()),
+                              tx_power=draw(st.sampled_from(TX_POWERS))))
+    config = WorldConfig(nodes=tuple(nodes),
+                         path_loss=PathLoss(noise_sigma=draw(st.sampled_from([0.0, 4.0]))),
+                         radio_range_max=RANGE, tick=E2E_TICK, duration=E2E_TICK * E2E_TICKS,
+                         seed=draw(st.integers(0, 3)))
+    deputies = [n.id for n in nodes if n.deputy]
+    relays = [[(draw(st.sampled_from(deputies)), draw(st.integers(0, 99)),
+                draw(st.sampled_from(MASKS)), draw(st.sampled_from([DEFAULT_RELAY_MAC, OTHER_MAC])),
+                draw(st.sampled_from(TX_POWERS)))
+               for _ in range(draw(st.integers(0, 2)))] for _ in range(E2E_TICKS)]
+    scanners = [n for n in nodes if n.app or n.deputy]
+    injections = [(draw(st.integers(0, E2E_TICKS - 1)), draw(st.sampled_from(scanners)).id,
+                   draw(st.integers(-1, 99)), draw(st.sampled_from([OTHER_MAC, DEFAULT_RELAY_MAC])),
+                   draw(st.sampled_from([-12, 0, -60, -12.5, float("nan")])))
+                  for _ in range(draw(st.integers(0, 3)))]
+    policy = AttackPolicy(harvest_zones=draw(st.sampled_from([(), (Zone(-1, -1, 4, 4),)])),
+                          collect_all=draw(st.booleans()))
+    params = MatchingParams(
+        tolerance=draw(st.sampled_from([0, 60, 7200])),
+        attenuation_threshold=draw(st.sampled_from([41.0, 55.0, 61.0])),
+        duration_threshold=draw(st.sampled_from([0, 1, 2, 3])),
+        tick=1,
+    )
+    published = draw(st.lists(st.integers(0, 99), max_size=6))
+    return config, relays, injections, policy, params, published
+
+
+def _schedule(config, relays, injections):
+    """The devices, and per tick the emissions and the injected (receiver, sighting)."""
+    nodes = {n.id: n for n in config.nodes}
+    devices = {n.id: DeviceState(id=n.id, rng=random.Random(f"{config.seed}:{n.id}"),
+                                 tx_power=n.tx_power) for n in config.nodes if n.app}
+    frames, schedule = [], []
+    for k in range(E2E_TICKS):
+        t = k * E2E_TICK
+        emissions = []
+        for nid in sorted(devices):
+            frame = broadcast_current(devices[nid], t)
+            frames.append(frame)
+            emissions.append(Emission(nid, frame.payload, frame.mac, devices[nid].tx_power))
+        for deputy, pick, mask, mac, tx_power in relays[k]:
+            kind = frames[pick % len(frames)].kind
+            aem = kind.aem if mask is None else tamper(kind.aem, mask)
+            emissions.append(Emission(deputy, encode_gaen(kind.rpi, aem), mac, tx_power, True))
+        injected = [(receiver, Sighting(DECOY if pick < 0 else frames[pick % len(frames)].payload,
+                                        mac, rssi, t, nodes[receiver].position(t)))
+                    for when, receiver, pick, mac, rssi in injections if when == k]
+        schedule.append((t, emissions, injected))
+    return devices, schedule
+
+
+@settings(max_examples=150, deadline=None)
+@given(log_runs())
+def test_scan_log_readers_match_per_event_routing(run):
+    config, relays, injections, policy, params, picks = run
+    devices, schedule = _schedule(config, relays, injections)
+    deputies = sorted(n.id for n in config.nodes if n.deputy)
+    tx_powers = {n.id: n.tx_power for n in config.nodes}
+    fast, slow = World(config), World(config)
+    slow.events = []
+    server = AttackerServer(policy, log=fast.events, deputies=deputies)
+    for t, emissions, injected in schedule:
+        assert fast.step(t, emissions) == ref.reference_step(slow, t, emissions)
+        for receiver, sighting in injected:
+            fast.inject(t, receiver, sighting)
+            slow.inject(t, receiver, sighting)
+        server.catch_up()
+
+    assert fast.events == slow.events
+    assert fast._rng.getstate() == slow._rng.getstate()
+    with tempfile.TemporaryDirectory() as tmp:
+        got, want = Path(tmp) / "got.jsonl", Path(tmp) / "want.jsonl"
+        write_event_log(fast.events, got)
+        ref.reference_write_event_log(slow.events, want)
+        assert got.read_bytes() == want.read_bytes()
+
+    route = ref.reference_route(slow.events, devices, deputies, policy, tx_powers,
+                                params.attenuation_threshold)
+    assert engine.direct_close_ticks(fast.events, tx_powers, params.attenuation_threshold) \
+        == route.direct
+    assert engine.harvested_owners(server) == route.owners
+    assert server._relay_candidates == route.candidates
+    assert server.db == route.db
+
+    keys = [k for dev in devices.values() for k in dev.tek_history + [dev.current_tek]]
+    keys.append(crypto.new_tek(random.Random(config.seed), 0))  # published, never heard
+    published = [keys[i % len(keys)] for i in picks]
+    entries = [PublishedTek(tek, 0) for tek in published]
+    index = crypto.identifier_index(published)
+    assert server.reidentify(entries, index=index) == reference_matching.reidentify(
+        SimpleNamespace(db=route.db, policy=policy), entries)
+    for nid, rows in fast.events.by_receiver(devices).items():
+        dev = devices[nid]
+        dev.sightings = rows
+        expected = reference_matching.match_exposures(
+            SimpleNamespace(sightings=route.sightings[nid], tek_history=dev.tek_history,
+                            current_tek=dev.current_tek), published, params)
+        assert match_exposures(dev, published, params, index=index) == expected
