@@ -155,11 +155,13 @@ def match_exposures(state: DeviceState, published_teks, params: MatchingParams, 
     log = state.sightings.log
     t_col, link_col, rssi_col = log.columns()
     rows = state.sightings.positions()
+    times, rssis = t_col[rows], rssi_col[rows]
     links, of_row = np.unique(link_col[rows], return_inverse=True)
     # each link's rows, contiguous in `by_link`; link ids run in order of first hearing,
     # so the first link of a payload is the one it was first heard on
     counts = np.bincount(of_row, minlength=len(links))
-    by_link, ends = np.argsort(of_row, kind="stable"), np.cumsum(counts)
+    by_link = np.argsort(of_row, kind="stable")
+    ends = np.cumsum(counts)
     by_payload: dict[bytes, tuple[str, list[int]]] = {}
     for k, link_id in enumerate(links.tolist()):
         link = log.links[link_id]
@@ -167,13 +169,10 @@ def match_exposures(state: DeviceState, published_teks, params: MatchingParams, 
 
     matched_ticks: list[list] = [[] for _ in published_teks]
     min_att: list[Optional[float]] = [None] * len(matched_ticks)
-    times = rssis = None
     for payload, (mac, ks) in by_payload.items():
         kind = beacon.decode(payload, mac).kind
         if not isinstance(kind, beacon.Gaen) or kind.rpi not in index:
             continue
-        if times is None:
-            times, rssis = t_col[rows], rssi_col[rows]
         group = np.concatenate([by_link[ends[k] - counts[k]:ends[k]] for k in ks])
         group_t, group_rssi = times[group], rssis[group]
         for pos, interval in index[kind.rpi]:
