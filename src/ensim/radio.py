@@ -374,17 +374,19 @@ class World:
             paths = self._paths.get(key)
             if paths is None:
                 paths = self._paths[key] = self._path_row(em.node_id, em.tx_power)
-            ids = self._link_ids.get(key + (em.payload, em.mac, em.relay))
+            scanner_ids, noiseless, rxs = paths
+            link_key = key + (em.payload, em.mac, em.relay)
+            ids = self._link_ids.get(link_key)
             if ids is None:
                 row = len(links)
-                ids = self._link_ids[key + (em.payload, em.mac, em.relay)] = array("i", [
+                ids = self._link_ids[link_key] = array("i", [
                     log.intern(Link(sid, em.node_id, em.relay, em.mac, em.payload, rx), row + i)
-                    for i, (sid, rx) in enumerate(zip(paths[0], paths[2]))])
+                    for i, (sid, rx) in enumerate(zip(scanner_ids, rxs))])
             links.extend(ids)
             if sigma > 0:
-                rssis.extend([rssi + gauss(0.0, sigma) for rssi in paths[1]])
+                rssis.extend([rssi + gauss(0.0, sigma) for rssi in noiseless])
             else:
-                rssis.extend(paths[1])
+                rssis.extend(noiseless)
         log.t.extend(array("q", [t]) * (len(links) - start))
         return Rows(log, range(start, len(links)), log.event)
 
@@ -406,9 +408,9 @@ def write_event_log(log: ScanLog, path) -> None:
     columns with iteration done in C, so no copy of the whole log is built
     before it is written. `t` and a finite rssi are written with `repr`,
     which writes ints and finite floats exactly as `json.dumps` does; a
-    non-finite rssi (a path-loss exponent or noise sigma large enough to
-    overflow, or an injected NaN) and an rssi kept as given (an injected
-    int) go through `json.dumps`.
+    non-finite rssi (an injected NaN, or an overflow under a `PathLoss`
+    built without the config's bounds) and an rssi kept as given (an
+    injected int) go through `json.dumps`.
     """
     heads, tails = [], []
     for receiver, emitter, relay, mac, payload, rx in log.links:
