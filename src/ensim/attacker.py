@@ -58,7 +58,7 @@ class AttackPolicy:
     harvest_zones empty = accept uploads from anywhere; target_zones empty =
     relaying disabled (harvest-only operation). relay_window, when set,
     restricts emission to ages [start, end] measured from the harvested
-    slot's start.
+    slot's start. Built through `engine.ATTACK_FIELDS`: tamper_mask 4 bytes.
     """
 
     harvest_zones: tuple = ()
@@ -70,12 +70,6 @@ class AttackPolicy:
     replay_horizon: int = 7200
     max_relays_per_deputy: Optional[int] = 1
     relay_mac: str = DEFAULT_RELAY_MAC
-
-    def __post_init__(self):
-        if self.relay_latency < 0:
-            raise ValueError("relay_latency must be non-negative")
-        if self.tamper_mask is not None and len(self.tamper_mask) != 4:
-            raise ValueError("tamper_mask must be 4 bytes")
 
 
 @dataclass(frozen=True)

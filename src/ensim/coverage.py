@@ -28,6 +28,8 @@ import numpy as np
 
 @dataclass(frozen=True)
 class PopulationModel:
+    """Built by `sweep` from `engine.SWEEP_FIELDS`: n >= 2, n_contacts >= 1, fractions in [0, 1]."""
+
     n: int = 10_000
     alpha_sc: float = 0.5
     alpha_cd: float = 0.25
@@ -35,16 +37,6 @@ class PopulationModel:
     infected_fraction: float = 0.0
     seed: int = 0
     one_sided_quality: float = 1.0
-
-    def __post_init__(self):
-        for name in ("alpha_sc", "alpha_cd", "infected_fraction", "one_sided_quality"):
-            v = getattr(self, name)
-            if not 0.0 <= v <= 1.0:
-                raise ValueError(f"{name} must be in [0, 1], got {v}")
-        if self.n < 2:
-            raise ValueError("population must have at least 2 individuals")
-        if self.n_contacts < 1:
-            raise ValueError("n_contacts must be positive")
 
 
 @dataclass(frozen=True)

@@ -19,9 +19,10 @@ reaches the duration threshold.
 
 Configs are checked against one field table per object (`SCENARIO_FIELDS`
 and the tables it nests, `SWEEP_FIELDS`), which maps every key the object
-may hold to its type-and-range check. An absent key takes the default of
-the dataclass or function that owns it; anything invalid raises
-ScenarioError naming the field before the run starts.
+may hold to its type-and-range check, and by `ScenarioConfig.from_dict`'s
+cross-field checks; the dataclasses they build do not check themselves. An
+absent key takes the default of the dataclass or function that owns it;
+anything invalid raises ScenarioError naming the field before the run starts.
 
 Everything is keyed off the config's seed; identical configs produce
 byte-identical artifacts.
@@ -237,8 +238,9 @@ SWEEP_FIELDS = {  # all but schema_version, kind and name are arguments of cover
     "seed": required(integer(0)),
     "alphas_sc": required(list_of(number(0, 1))),
     "alphas_cd": required(list_of(number(0, 1))),
-    "n": integer(2),
-    "n_contacts": integer(1),
+    # bounded so the population and the contact list fit in memory
+    "n": integer(2, 10**7),
+    "n_contacts": integer(1, 10**7),
     "one_sided_quality": number(0, 1),
 }
 
@@ -265,10 +267,10 @@ class ScenarioConfig:
         if len(set(ids)) < len(ids):
             duplicate = next(nid for nid in ids if ids.count(nid) > 1)
             raise ScenarioError(f"field 'nodes' has duplicate node id {duplicate!r}")
-        try:
-            world = WorldConfig(nodes=doc["nodes"], seed=doc["seed"], **doc["world"])
-        except ValueError as e:
-            raise ScenarioError(f"world: {e}") from e
+        world = WorldConfig(nodes=doc["nodes"], seed=doc["seed"], **doc["world"])
+        if world.duration % world.tick:
+            raise ScenarioError(f"field 'world.duration' must be a multiple of world.tick "
+                                f"{world.tick}, got {world.duration}")
         for i, node in enumerate(world.nodes):
             if node.diagnosed_at is not None:
                 if not node.app:

@@ -40,33 +40,22 @@ MIN_DISTANCE_M = 0.01
 WRITE_BATCH_ROWS = 1 << 12
 @dataclass(frozen=True)
 class PathLoss:
+    """Built through `engine.PATH_LOSS_FIELDS`: exponent in (0, 10], noise_sigma in [0, 100]."""
+
     ref_rssi_at_1m: float = -41.0
     exponent: float = 2.0
     noise_sigma: float = 0.0
 
-    def __post_init__(self):
-        if self.exponent <= 0:
-            raise ValueError("path-loss exponent must be positive")
-        if self.noise_sigma < 0:
-            raise ValueError("noise_sigma must be non-negative")
-
 
 @dataclass(frozen=True)
 class NodeSpec:
-    """A positioned participant. trajectory: ((t, x, y), ...) sorted by t."""
+    """A positioned participant; built through `engine.NODE_FIELDS`: trajectory non-empty, sorted by t."""
 
     id: str
     trajectory: tuple
     app: bool = False
     deputy: bool = False
     tx_power: int = 0
-
-    def __post_init__(self):
-        if not self.trajectory:
-            raise ValueError(f"node {self.id}: empty trajectory")
-        times = [wp[0] for wp in self.trajectory]
-        if times != sorted(times):
-            raise ValueError(f"node {self.id}: trajectory not sorted by time")
 
     def waypoint(self, t: float):
         """The waypoint in effect at t: the last one at or before t, else the first."""
@@ -84,21 +73,14 @@ class NodeSpec:
 
 @dataclass(frozen=True)
 class WorldConfig:
+    """Built by `engine.ScenarioConfig.from_dict`: duration a multiple of tick, node ids unique."""
+
     nodes: tuple
     path_loss: PathLoss = PathLoss()
     radio_range_max: float = 50.0
     tick: int = 1
     duration: int = 3600
     seed: int = 0
-
-    def __post_init__(self):
-        if self.tick <= 0:
-            raise ValueError("tick must be positive")
-        if self.duration % self.tick != 0:
-            raise ValueError("duration must be a multiple of tick")
-        ids = [n.id for n in self.nodes]
-        if len(set(ids)) != len(ids):
-            raise ValueError("duplicate node ids")
 
 
 class Sighting(NamedTuple):

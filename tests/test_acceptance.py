@@ -269,16 +269,39 @@ def test_criterion_11_codec_fuzz_totality(acceptance_record):
     )
 
 
+def notified_under_noise(name, seed, **builder_kwargs):
+    """The notification rows of a bundled scenario run at `seed` with noise_sigma 4 dB
+    (realistic Bluetooth rssi spread)."""
+    raw = scenarios.BUILDERS[name](**builder_kwargs)
+    raw["seed"] = seed
+    raw["world"]["path_loss"]["noise_sigma"] = 4.0
+    return run_scenario(ScenarioConfig.from_dict(raw)).notification_rows
+
+
 @pytest.mark.parametrize("seed", range(5))
 def test_tamper_range_extension_holds_under_noise(seed):
-    # noise_sigma 4 dB (realistic Bluetooth rssi spread): the honest relay fails at 6 and
-    # 10 m on every seed, the -8 dB mask carries to both
+    # the honest relay fails at 6 and 10 m on every seed, the -8 dB mask carries to both
     def notifies(distance, tampered):
-        raw = scenarios.tamper_range_extension(victim_distance=distance, tampered=tampered)
-        raw["seed"] = seed
-        raw["world"]["path_loss"]["noise_sigma"] = 4.0
-        return bool(run_scenario(ScenarioConfig.from_dict(raw)).notification_rows)
+        return bool(notified_under_noise("tamper_range_extension", seed,
+                                         victim_distance=distance, tampered=tampered))
 
     for distance in (6.0, 10.0):
         assert not notifies(distance, tampered=False)
         assert notifies(distance, tampered=True)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_hospital_replay_false_positives_hold_under_noise(seed):
+    rows = notified_under_noise("hospital_replay", seed)
+    assert {r["device_id"] for r in rows} == {f"wk{i:02d}" for i in range(10)}
+    assert not any(r["ground_truth_contact"] for r in rows)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_replay_window_boundary_holds_under_noise(seed):
+    def notified(age_s):
+        rows = notified_under_noise("targeted_replay", seed, relay_age_s=age_s)
+        return {r["device_id"] for r in rows}
+
+    assert notified(110 * 60) == {"victim"}
+    assert notified(125 * 60) == set()

@@ -139,6 +139,23 @@ INVALID_CONFIGS = {
                                  "'world.path_loss.exponent'"),
     "noise_sigma 1e308": ("scenario", [(("world", "path_loss", "noise_sigma"), 1e308)],
                           "'world.path_loss.noise_sigma'"),
+    "empty trajectory": ("scenario", [(("nodes", 0, "trajectory"), [])], "'nodes[0].trajectory'"),
+    "unsorted trajectory": ("scenario",
+                            [(("nodes", 0, "trajectory"), [[10, 0.0, 0.0], [0, 1.0, 1.0]])],
+                            "'nodes[0].trajectory'"),
+    "tick 0": ("scenario", [(("world", "tick"), 0)], "'world.tick'"),
+    "duration off the tick": ("scenario", [(("world", "tick"), 7)], "'world.duration'"),
+    "relay_latency -1": ("scenario", [(("attack",), {"relay_latency": -1})],
+                         "'attack.relay_latency'"),
+    "path-loss exponent 0": ("scenario", [(("world", "path_loss", "exponent"), 0)],
+                             "'world.path_loss.exponent'"),
+    "sweep n 1": ("sweep", [(("n",), 1)], "'n'"),
+    "sweep n_contacts 0": ("sweep", [(("n_contacts",), 0)], "'n_contacts'"),
+    # numpy would fail to allocate the population or the contact list, with a traceback
+    "sweep n 1e12": ("sweep", [(("n",), 10**12)], "'n'"),
+    "sweep n_contacts 1e13": ("sweep", [(("n_contacts",), 10**13)], "'n_contacts'"),
+    "sweep one_sided_quality 1.5": ("sweep", [(("one_sided_quality",), 1.5)],
+                                    "'one_sided_quality'"),
     "sweep alpha 1.5": ("sweep", [(("alphas_sc",), [1.5])], "'alphas_sc[0]'"),
     "sweep n 'x'": ("sweep", [(("n",), "x")], "'n'"),
     "sweep seed -1": ("sweep", [(("seed",), -1)], "'seed'"),

@@ -1,7 +1,5 @@
 import math
 
-import pytest
-
 from ensim.coverage import (
     CoverageReport,
     PopulationModel,
@@ -54,14 +52,6 @@ class TestSimulateCoverage:
 
     def test_determinism(self):
         assert simulate_coverage(model()) == simulate_coverage(model())
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            PopulationModel(alpha_sc=1.5)
-        with pytest.raises(ValueError):
-            PopulationModel(n=1)
-        with pytest.raises(ValueError):
-            PopulationModel(n_contacts=0)
 
 
 class TestSweep:

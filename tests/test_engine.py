@@ -1,4 +1,6 @@
+import dataclasses
 import importlib.util
+import inspect
 import json
 import re
 from collections import Counter
@@ -6,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from ensim import beacon, crypto, engine, scenarios
+from ensim import beacon, coverage, crypto, engine, scenarios
 from ensim.engine import ScenarioConfig, ScenarioError, run_scenario, write_outputs
 
 REPO = Path(__file__).resolve().parents[1]
@@ -71,7 +73,7 @@ class TestConfigValidation:
     def test_misaligned_duration(self):
         raw = small_scenario()
         raw["world"]["tick"] = 7
-        with pytest.raises(ScenarioError, match="world"):
+        with pytest.raises(ScenarioError, match="'world.duration'"):
             ScenarioConfig.from_dict(raw)
 
     def test_bad_tamper_mask(self):
@@ -95,6 +97,44 @@ def test_readme_schema_block_matches_field_tables():
               engine.MATCHING_FIELDS, engine.NODE_FIELDS, engine.ATTACK_FIELDS,
               engine.INJECTION_FIELDS)
     assert set(re.findall(r'"(\w+)"\s*:', block)) == set().union(*tables)
+
+
+def _defaults(cls) -> dict:
+    return {f.name: f.default for f in dataclasses.fields(cls)
+            if f.default is not dataclasses.MISSING}
+
+
+def _attack_defaults() -> dict:
+    defaults = _defaults(engine.AttackPolicy)
+    mask = defaults.pop("tamper_mask")
+    return dict(defaults, tamper_mask_hex=mask and mask.hex())
+
+
+# each table with the defaults its absent keys take: the owning dataclass's fields, or
+# coverage.sweep's keyword arguments
+TABLE_DEFAULTS = {
+    "path_loss": (engine.PATH_LOSS_FIELDS, _defaults(engine.PathLoss)),
+    "world": ({k: v for k, v in engine.WORLD_FIELDS.items() if k != "path_loss"},
+              _defaults(engine.WorldConfig)),
+    "matching": (engine.MATCHING_FIELDS, _defaults(engine.MatchingParams)),
+    "node": (engine.NODE_FIELDS, _defaults(engine.NodeConfig)),
+    "attack": (engine.ATTACK_FIELDS, _attack_defaults()),
+    "injection": (engine.INJECTION_FIELDS, _defaults(engine.InjectionSpec)),
+    "sweep": ({k: v for k, v in engine.SWEEP_FIELDS.items()
+               if k not in ("schema_version", "kind", "name")},
+              {name: p.default for name, p in inspect.signature(coverage.sweep).parameters.items()
+               if p.default is not p.empty}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TABLE_DEFAULTS))
+def test_every_default_passes_its_table_row(name):
+    # the tables are the only check, so a default is the one value that never meets its row
+    table, defaults = TABLE_DEFAULTS[name]
+    optional = {key for key, check in table.items() if not isinstance(check, engine.required)}
+    assert optional <= defaults.keys(), "an optional row without a default"
+    for key in table.keys() & defaults.keys():
+        table[key](defaults[key], f"{name}.{key}")
 
 
 def test_benchmark_and_bundled_configs_parse():

@@ -82,14 +82,6 @@ class TestTrajectory:
         assert n.position(10) == (5.0, 5.0)
         assert n.position(99) == (5.0, 5.0)
 
-    def test_unsorted_rejected(self):
-        with pytest.raises(ValueError):
-            NodeSpec(id="a", trajectory=((10, 0, 0), (0, 1, 1)))
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            NodeSpec(id="a", trajectory=())
-
 
 class TestStep:
     def payload(self):
@@ -164,14 +156,3 @@ class TestInject:
         w = make_world([still("a", 0, 0, app=True)])
         with pytest.raises(KeyError):
             w.inject(0, "ghost", Sighting(b"", "00:00:00:00:00:00", -12.0, 0, (0.0, 0.0)))
-
-
-def test_world_config_validation():
-    with pytest.raises(ValueError):
-        WorldConfig(nodes=(still("a", 0, 0), still("a", 1, 1)))
-    with pytest.raises(ValueError):
-        WorldConfig(nodes=(still("a", 0, 0),), tick=0)
-    with pytest.raises(ValueError):
-        WorldConfig(nodes=(still("a", 0, 0),), tick=7, duration=10)
-    with pytest.raises(ValueError):
-        PathLoss(exponent=0)
