@@ -21,8 +21,9 @@ The harvest is not copied out of the scan log: in a run, the server reads
 its deputies' rows of the world's log (on its own, rows that
 `deputy_on_scan` appends to a log of its own). While the run goes on it
 looks only at each deputy link's first hearing, to keep or drop the link
-and to offer the hearing as a relay candidate; `db`, `reidentify` and
-`correlate_mac_rpi` read the kept links' rows when asked.
+and to offer the hearing as a relay candidate; `db` and `reidentify` read
+the kept links' rows when asked. Each dossier sighting keeps the MAC it was
+heard under: that is the MAC linkage a side database of MACs joins on.
 """
 
 from __future__ import annotations
@@ -81,10 +82,6 @@ class HarvestRecord:
     deputy_id: str
 
     @property
-    def payload(self) -> bytes:
-        return self.frame.payload
-
-    @property
     def mac(self) -> str:
         return self.frame.mac
 
@@ -95,7 +92,6 @@ class RelayOrder:
     aem: bytes  # already masked when the policy tampers
     payload: bytes  # the advertising bytes carrying rpi and aem
     deputy_id: str
-    source: HarvestRecord
 
 
 def tamper(aem: bytes, mask: bytes) -> bytes:
@@ -237,8 +233,7 @@ class AttackerServer:
         for deputy in targets:
             for rpi, record in ranked:
                 aem, payload = self._relayed[rpi]
-                orders.append(RelayOrder(rpi=rpi, aem=aem, payload=payload, deputy_id=deputy,
-                                         source=record))
+                orders.append(RelayOrder(rpi=rpi, aem=aem, payload=payload, deputy_id=deputy))
                 self.plan_log.append({
                     "t": t,
                     "deputy": deputy,
@@ -254,7 +249,7 @@ class AttackerServer:
                 })
         return orders
 
-    def rebroadcast(self, order: RelayOrder, t: int, tx_power: int) -> Emission:
+    def rebroadcast(self, order: RelayOrder, tx_power: int) -> Emission:
         """Emission a deputy makes for one plan entry, under the attacker's MAC."""
         return Emission(
             node_id=order.deputy_id,
@@ -272,16 +267,16 @@ class AttackerServer:
         Joins the harvest against the published identifiers by exact
         identifier equality, so nothing is ever attributed to a key whose
         schedule does not contain the sighted identifier. Our own
-        re-emissions are excluded by MAC. `index` is
-        `crypto.identifier_index` over the keys of `published`, built here
-        when not given.
+        re-emissions never reach the harvest (`_take` drops them). `index`
+        is `crypto.identifier_index` over the keys of `published`, built
+        here when not given.
         """
         if index is None:
             index = crypto.identifier_index([e.tek for e in published])
         keys: dict[int, list[int]] = {}  # link id -> positions of the keys it was heard under
         for link_id, frame in self.harvest_links.items():
             kind = frame.kind
-            if frame.mac == self.policy.relay_mac or not isinstance(kind, beacon.Gaen):
+            if not isinstance(kind, beacon.Gaen):
                 continue
             positions = [pos for pos, _interval in index.get(kind.rpi, ())]
             if positions:
@@ -301,20 +296,3 @@ class AttackerServer:
             sightings = sorted(hits[pos], key=lambda h: (h["t"], h["x"], h["y"]))
             dossiers.append({"tek_hex": published[pos].tek.key.hex(), "sightings": sightings})
         return dossiers
-
-    def correlate_mac_rpi(self) -> list[dict]:
-        """(mac, rpi) co-occurrence table: the linkage a side database joins on."""
-        spans: dict[tuple[str, bytes], list[int]] = {}
-        for r in self.db:
-            kind = r.frame.kind
-            if not isinstance(kind, beacon.Gaen):
-                continue
-            span = spans.setdefault((r.mac, kind.rpi), [r.time, r.time])
-            span[0] = min(span[0], r.time)
-            span[1] = max(span[1], r.time)
-        rows = [
-            {"mac": mac, "rpi_hex": rpi.hex(), "first_seen": lo, "last_seen": hi}
-            for (mac, rpi), (lo, hi) in spans.items()
-        ]
-        rows.sort(key=lambda row: (row["first_seen"], row["mac"], row["rpi_hex"]))
-        return rows

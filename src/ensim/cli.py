@@ -5,7 +5,7 @@
     ensim vectors --count N --seed S   emit crypto test vectors
 
 All artifacts land under --out with fixed filenames. Exit 0 on success,
-2 on a config problem (message names the offending field).
+2 on a config problem or an unusable --out (the message names the field).
 """
 
 from __future__ import annotations
@@ -35,6 +35,17 @@ def _load_config(ref: str, seed):
     return load_config(raw, seed)
 
 
+def _make_out(out, default: Path) -> Path:
+    """Create the output directory before any work; exit 2 naming --out if it cannot be."""
+    outdir = Path(out) if out else default
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+    except OSError as e:
+        print(f"ensim: error: argument --out: cannot create {str(outdir)!r}: {e}", file=sys.stderr)
+        raise SystemExit(2) from e
+    return outdir
+
+
 def _summarize(result: RunResult) -> None:
     rows = result.notification_rows
     false_pos = sum(1 for r in rows if not r["ground_truth_contact"])
@@ -52,10 +63,9 @@ def cmd_run(args) -> int:
     cfg = _load_config(args.config, args.seed)
     if args.command == "sweep" and not isinstance(cfg, SweepConfig):
         raise ScenarioError("field 'kind' must be 'sweep' for `ensim sweep`")
-    outdir = Path(args.out) if args.out else Path("out") / cfg.name
+    outdir = _make_out(args.out, Path("out") / cfg.name)
     if isinstance(cfg, SweepConfig):
         reports = coverage_mod.sweep(**cfg.params)
-        outdir.mkdir(parents=True, exist_ok=True)
         coverage_mod.write_sweep_csv(reports, outdir / "coverage.csv")
         print(f"sweep: {len(reports)} grid points -> {outdir / 'coverage.csv'}")
         return 0
@@ -78,9 +88,8 @@ def _positive_int(text: str) -> int:
 
 
 def cmd_vectors(args) -> int:
+    outdir = _make_out(args.out, Path("out"))
     vectors = crypto.generate_test_vectors(args.count, args.seed)
-    outdir = Path(args.out) if args.out else Path("out")
-    outdir.mkdir(parents=True, exist_ok=True)
     path = outdir / "test_vectors.jsonl"
     with open(path, "w") as fh:
         for v in vectors:

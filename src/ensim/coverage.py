@@ -12,10 +12,6 @@ One-sided attacker visibility is weaker in practice (only one vantage
 point); `one_sided_quality` in [0, 1] weights those contacts and makes the
 assumption explicit. At the default weight 1 the closed forms above hold
 exactly in expectation.
-
-Because "attacker view ~ alpha_cd" can also be read per-individual rather
-than per-contact, reports carry both statistics: the weighted per-contact
-coverage and the empirical deputy fraction.
 """
 
 from __future__ import annotations
@@ -47,9 +43,6 @@ class CoverageReport:
     seed: int
     sc_coverage: float
     attacker_coverage: float
-    sc_detected: int
-    attacker_weighted: float
-    deputy_fraction: float
 
 
 @dataclass(frozen=True)
@@ -92,9 +85,6 @@ def simulate_coverage(model: PopulationModel) -> CoverageReport:
         seed=model.seed,
         sc_coverage=float(np.count_nonzero(sc_hits)) / m,
         attacker_coverage=weighted / m,
-        sc_detected=int(np.count_nonzero(sc_hits)),
-        attacker_weighted=weighted,
-        deputy_fraction=float(np.count_nonzero(cd)) / model.n,
     )
 
 

@@ -196,7 +196,7 @@ def match_exposures(state: DeviceState, published_teks, params: MatchingParams, 
         if tek.key in own:
             continue
         ticks = matched_ticks[pos]
-        duration = (len(np.unique(np.concatenate(ticks))) if ticks else 0) * params.tick
+        duration = (len(set(np.concatenate(ticks).tolist())) if ticks else 0) * params.tick
         if duration >= params.duration_threshold:
             notifications.append(ExposureNotification(
                 matched_tek=tek,

@@ -405,11 +405,11 @@ def run_scenario(cfg: ScenarioConfig) -> RunResult:
             positions = {d: world.position(d, t) for d in deputies}
             for order in server.select_relays(t, positions):
                 emissions.append(server.rebroadcast(
-                    order, t, tx_power=node_by_id[order.deputy_id].tx_power))
+                    order, tx_power=node_by_id[order.deputy_id].tx_power))
 
         world.step(t, emissions)
         for inj in injections.get(t, ()):
-            world.inject(t, inj.receiver, Sighting(
+            world.inject(inj.receiver, Sighting(
                 payload=bytes.fromhex(inj.payload_hex), mac=inj.mac, rssi=inj.rssi,
                 time=t, rx_location=world.position(inj.receiver, t),
             ))

@@ -372,14 +372,12 @@ class World:
         log.t.extend(array("q", [t]) * (len(links) - start))
         return Rows(log, range(start, len(links)), log.event)
 
-    def inject(self, t: int, receiver_id: str, sighting: Sighting) -> ScanEvent:
-        """Insert a spurious sighting into a receiver's stream, as an instrumented
-        scanner stack would; indistinguishable from a radio-originated one."""
+    def inject(self, receiver_id: str, sighting: Sighting) -> None:
+        """Insert a spurious sighting into a receiver's stream at `sighting.time`, as
+        an instrumented scanner stack would; indistinguishable from a radio-originated one."""
         if receiver_id not in self.nodes:
             raise KeyError(f"unknown receiver {receiver_id!r}")
-        event = ScanEvent(receiver_id=receiver_id, sighting=sighting, emitter_id=None)
-        self.events.append(event)
-        return event
+        self.events.append(ScanEvent(receiver_id=receiver_id, sighting=sighting))
 
 
 def write_event_log(log: ScanLog, path) -> None:

@@ -13,11 +13,11 @@ from pathlib import Path
 import pytest
 
 import reference_gaen as ref
-from ensim import beacon, crypto, scenarios
+from ensim import beacon, scenarios
 from ensim.cli import main as cli_main
 from ensim.coverage import sweep
 from ensim.crypto import Metadata, decrypt_aem, encrypt_aem, generate_test_vectors
-from ensim.engine import ScenarioConfig, run_scenario
+from ensim.engine import ScenarioConfig, run_scenario, write_outputs
 
 GOLDEN = json.loads((Path(__file__).parent / "data" / "golden_frames.json").read_text())
 
@@ -164,8 +164,9 @@ def test_criterion_07_tamper_range_extension(acceptance_record):
     )
 
 
-def test_criterion_08_reidentification(acceptance_record):
+def test_criterion_08_reidentification(acceptance_record, tmp_path):
     result = run_bundled("reidentification")
+    write_outputs(result, tmp_path)
     published = result.published
     assert len(published) == 1
     victim = result.tek_owner[published[0].tek.key]
@@ -175,7 +176,9 @@ def test_criterion_08_reidentification(acceptance_record):
         for e in result.world.events
         if e.receiver_id in result.deputies and e.emitter_id == victim
     }
-    dossier = result.dossiers[0]["sightings"]
+    dossiers = json.loads((tmp_path / "dossiers.json").read_text())
+    assert [d["tek_hex"] for d in dossiers] == [published[0].tek.key.hex()]
+    dossier = dossiers[0]["sightings"]
     got = {(h["t"], h["x"], h["y"], h["mac"]) for h in dossier}
     complete = truth <= got
     no_false = got <= truth
@@ -184,18 +187,14 @@ def test_criterion_08_reidentification(acceptance_record):
     for nid, dev in result.devices.items():
         for _, mac in dev.mac_history:
             side_db[mac] = f"adid-{nid}"
-    victim_rpis = {r.rpi.hex() for r in crypto.regenerate_day(published[0].tek)}
-    linked = {
-        side_db[row["mac"]]
-        for row in result.attacker.correlate_mac_rpi()
-        if row["rpi_hex"] in victim_rpis and row["mac"] in side_db
-    }
+    # MAC linkage: the dossier's MACs joined against the side database
+    linked = {side_db.get(h["mac"]) for h in dossier}
     identity_ok = linked == {f"adid-{victim}"}
     ok = complete and no_false and identity_ok
     acceptance_record(
         8, "re-identification dossier and linkage", ok,
         f"{len(dossier)}/{len(truth)} sightings, false attributions: {len(got - truth)}, "
-        f"recovered id: {sorted(linked)}",
+        f"recovered id: {sorted(linked, key=str)}",
     )
 
 

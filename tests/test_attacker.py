@@ -62,7 +62,7 @@ class TestHarvest:
         s, _ = gaen_sighting(5)
         rec = server.deputy_on_scan("dep1", s)
         assert rec is not None
-        assert rec.payload == s.payload
+        assert rec.frame.payload == s.payload
         assert rec.deputy_id == "dep1"
         assert server.db == [rec]
 
@@ -78,8 +78,8 @@ class TestHarvest:
         payload = beacon.encode_decoy(beacon.EddystoneUrl(url="https://example.com", tx=-20))
         s = Sighting(payload, "AB:B1:E8:8E:1B:BA", -12.0, 0, (0.0, 0.0))
         rec = server.deputy_on_scan("dep1", s)
-        assert rec.payload == payload
-        assert isinstance(beacon.decode(rec.payload, rec.mac).kind, beacon.EddystoneUrl)
+        assert rec.frame.payload == payload
+        assert isinstance(beacon.decode(rec.frame.payload, rec.mac).kind, beacon.EddystoneUrl)
 
     def test_own_relay_mac_ignored(self):
         server = make_server()
@@ -163,7 +163,7 @@ class TestRebroadcast:
         s, _ = gaen_sighting(0, loc=(0.0, 0.0))
         server.deputy_on_scan("hosp", s)
         orders = server.select_relays(600, {"fac": (1000.0, 0.0)})
-        em = server.rebroadcast(orders[0], 600, tx_power=0)
+        em = server.rebroadcast(orders[0], tx_power=0)
         assert em.node_id == "fac"
         assert em.relay is True
         assert em.mac == server.policy.relay_mac
@@ -212,31 +212,23 @@ class TestReidentify:
         assert [h["t"] for h in dossiers[b.current_tek.key.hex()]] == [20]
 
     def test_dossier_macs_are_the_rotated_ground_truth(self):
-        server = make_server()
-        dev = DeviceState(id="victim", rng=random.Random(3))
-        self._harvest_walk(server, dev, [(10, "d1", (0.0, 0.0)), (700, "d2", (1.0, 0.0))])
-        dossiers = server.reidentify([PublishedTek(dev.current_tek, 2000)])
-        got_macs = [h["mac"] for h in dossiers[0]["sightings"]]
-        truth = dict(dev.mac_history)
-        assert got_macs == [truth[0], truth[1]]
-        assert got_macs[0] != got_macs[1]
+        for stops in (
+            [(10, "d1", (0.0, 0.0)), (700, "d2", (1.0, 0.0))],
+            # the rotation boundary: one MAC for 0/300/599, the next for 600/900
+            [(t, "d1", (0.0, 0.0)) for t in (0, 300, 599, 600, 900)],
+        ):
+            server = make_server()
+            dev = DeviceState(id="victim", rng=random.Random(3))
+            self._harvest_walk(server, dev, stops)
+            dossiers = server.reidentify([PublishedTek(dev.current_tek, 2000)])
+            got_macs = [h["mac"] for h in dossiers[0]["sightings"]]
+            truth = dict(dev.mac_history)
+            assert got_macs == [truth[t // crypto.INTERVAL_SECONDS] for t, _, _ in stops]
+            assert truth[0] != truth[1]
 
 
 class TestCorrelate:
-    def test_rotation_boundary_yields_two_disjoint_pairs(self):
-        server = make_server()
-        dev = DeviceState(id="v", rng=random.Random(5))
-        for t in (0, 300, 599, 600, 900):
-            frame = broadcast_current(dev, t)
-            server.deputy_on_scan("d1", Sighting(frame.payload, frame.mac, -40.0, t, (0.0, 0.0)))
-        rows = server.correlate_mac_rpi()
-        assert len(rows) == 2
-        assert rows[0]["last_seen"] < rows[1]["first_seen"]
-        assert rows[0]["mac"] != rows[1]["mac"]
-        assert rows[0]["rpi_hex"] != rows[1]["rpi_hex"]
-
-    def test_empty_db_empty_table(self):
-        assert make_server().correlate_mac_rpi() == []
+    """MAC linkage, read from the dossiers: each sighting keeps its MAC."""
 
     def test_side_database_join_recovers_persistent_id(self):
         # synthetic ad-ecosystem database: every MAC any device ever used -> its ad id
@@ -251,10 +243,7 @@ class TestCorrelate:
         for dev in (victim, other):
             for _, mac in dev.mac_history:
                 side_db[mac] = f"adid-{dev.id}"
-        victim_rpis = {r.rpi.hex() for r in crypto.regenerate_day(victim.current_tek)}
-        linked = {
-            side_db[row["mac"]]
-            for row in server.correlate_mac_rpi()
-            if row["rpi_hex"] in victim_rpis
-        }
+        dossiers = server.reidentify([PublishedTek(victim.current_tek, 2000)])
+        linked = {side_db[h["mac"]] for h in dossiers[0]["sightings"]}
         assert linked == {"adid-victim"}
+

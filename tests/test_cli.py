@@ -268,6 +268,28 @@ def test_seed_override_changes_artifacts(tmp_path, capsys):
             != (tmp_path / "b" / "events.jsonl").read_bytes())
 
 
+@pytest.mark.parametrize("command, work", [
+    (["run", "baseline_no_attack"], "run_scenario"),
+    (["sweep", "SWEEP"], "coverage_mod.sweep"),
+    (["vectors", "--count", "3", "--seed", "0"], "crypto.generate_test_vectors"),
+])
+def test_out_naming_a_file_exits_2_before_any_work(command, work, tmp_path, capsys, monkeypatch):
+    def must_not_run(*args, **kwargs):
+        raise AssertionError(f"{work} ran although --out cannot be created")
+
+    monkeypatch.setattr(f"ensim.cli.{work}", must_not_run)
+    sweep_cfg = tmp_path / "sweep.json"
+    sweep_cfg.write_text(json.dumps(SMALL_SWEEP))
+    out = tmp_path / "F"
+    out.write_text("")
+    argv = [str(sweep_cfg) if arg == "SWEEP" else arg for arg in command]
+    with pytest.raises(SystemExit) as exit_:
+        main(argv + ["--out", str(out)])
+    assert exit_.value.code == 2
+    assert "--out" in capsys.readouterr().err
+    assert out.read_text() == ""
+
+
 class TestVectors:
     def test_count_and_fields(self, tmp_path, capsys):
         assert main(["vectors", "--count", "10", "--seed", "3", "--out", str(tmp_path)]) == 0

@@ -118,7 +118,7 @@ def _world_of(sightings, roles):
                            deputy=roles[nid] == "deputy") for nid in ids)
     world = World(WorldConfig(nodes=nodes, tick=1, duration=1))
     for i, s in enumerate(sightings):
-        world.inject(s.time, ids[i % len(ids)], s)
+        world.inject(ids[i % len(ids)], s)
     return world
 
 

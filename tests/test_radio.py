@@ -146,7 +146,7 @@ class TestInject:
     def test_injected_sighting_present_once(self):
         w = make_world([still("a", 0, 0, app=True)])
         s = Sighting(encode_gaen(bytes(16), bytes(4)), "AB:B1:E9:9E:1B:BA", -12.0, 3, (0.0, 0.0))
-        w.inject(3, "a", s)
+        w.inject("a", s)
         log = [e for e in w.events if e.receiver_id == "a"]
         assert len(log) == 1
         assert log[0].sighting.mac == "AB:B1:E9:9E:1B:BA"
@@ -155,4 +155,4 @@ class TestInject:
     def test_unknown_receiver(self):
         w = make_world([still("a", 0, 0, app=True)])
         with pytest.raises(KeyError):
-            w.inject(0, "ghost", Sighting(b"", "00:00:00:00:00:00", -12.0, 0, (0.0, 0.0)))
+            w.inject("ghost", Sighting(b"", "00:00:00:00:00:00", -12.0, 0, (0.0, 0.0)))

@@ -98,8 +98,8 @@ def test_step_and_event_log_match_reference(run):
         assert events == expected
         for when, receiver, sighting in injections:
             if when == t:
-                fast.inject(t, receiver, sighting)
-                slow.inject(t, receiver, sighting)
+                fast.inject(receiver, sighting)
+                slow.inject(receiver, sighting)
     assert fast.events == slow.events
     assert fast._rng.getstate() == slow._rng.getstate()
     with tempfile.TemporaryDirectory() as tmp:
@@ -215,8 +215,8 @@ def test_scan_log_readers_match_per_event_routing(run):
     for t, emissions, injected in schedule:
         assert fast.step(t, emissions) == ref.reference_step(slow, t, emissions)
         for receiver, sighting in injected:
-            fast.inject(t, receiver, sighting)
-            slow.inject(t, receiver, sighting)
+            fast.inject(receiver, sighting)
+            slow.inject(receiver, sighting)
         server.catch_up()
 
     assert fast.events == slow.events
