@@ -5,7 +5,8 @@
     ensim vectors --count N --seed S   emit crypto test vectors
 
 All artifacts land under --out with fixed filenames. Exit 0 on success,
-2 on a config problem or an unusable --out (the message names the field).
+2 on a config problem or an unusable --out, found before the run or when
+writing its artifacts (the message names the field).
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 from . import coverage as coverage_mod
@@ -46,6 +48,18 @@ def _make_out(out, default: Path) -> Path:
     return outdir
 
 
+@contextmanager
+def _writing_under(outdir: Path):
+    """Exit 2 naming --out and the path if an artifact cannot be written."""
+    try:
+        yield
+    except OSError as e:
+        path = e.filename if e.filename is not None else outdir
+        print(f"ensim: error: argument --out: cannot write {str(path)!r}: {e.strerror or e}",
+              file=sys.stderr)
+        raise SystemExit(2) from e
+
+
 def _summarize(result: RunResult) -> None:
     rows = result.notification_rows
     false_pos = sum(1 for r in rows if not r["ground_truth_contact"])
@@ -66,11 +80,13 @@ def cmd_run(args) -> int:
     outdir = _make_out(args.out, Path("out") / cfg.name)
     if isinstance(cfg, SweepConfig):
         reports = coverage_mod.sweep(**cfg.params)
-        coverage_mod.write_sweep_csv(reports, outdir / "coverage.csv")
+        with _writing_under(outdir):
+            coverage_mod.write_sweep_csv(reports, outdir / "coverage.csv")
         print(f"sweep: {len(reports)} grid points -> {outdir / 'coverage.csv'}")
         return 0
     result = run_scenario(cfg)
-    write_outputs(result, outdir)
+    with _writing_under(outdir):
+        write_outputs(result, outdir)
     _summarize(result)
     print(f"artifacts -> {outdir}")
     return 0
@@ -91,7 +107,7 @@ def cmd_vectors(args) -> int:
     outdir = _make_out(args.out, Path("out"))
     vectors = crypto.generate_test_vectors(args.count, args.seed)
     path = outdir / "test_vectors.jsonl"
-    with open(path, "w") as fh:
+    with _writing_under(outdir), open(path, "w") as fh:
         for v in vectors:
             fh.write(json.dumps(v) + "\n")
     print(f"{len(vectors)} vectors -> {path}")

@@ -60,22 +60,32 @@ class VisibilityReport:
         return self.attacker_known / self.infected_total if self.infected_total else 0.0
 
 
-def _draw(model: PopulationModel):
+def _draw(model: PopulationModel, draw_infected: bool = True):
+    """Membership, infection and contact pairs, in one draw order. Without
+    `draw_infected`, infection is None and its draw is skipped over, so the
+    contact pairs stay the same."""
     rng = np.random.default_rng(model.seed)
     sc = rng.random(model.n) < model.alpha_sc
     cd = rng.random(model.n) < model.alpha_cd
-    infected = rng.random(model.n) < model.infected_fraction
+    infected = None
+    if draw_infected:
+        infected = rng.random(model.n) < model.infected_fraction
+    else:
+        # PCG64 spends one 64-bit output per double; no buffered uint32 is pending
+        rng.bit_generator.advance(model.n)
     a = rng.integers(0, model.n, model.n_contacts)
-    # offset trick keeps endpoints distinct and uniform
-    b = (a + 1 + rng.integers(0, model.n - 1, model.n_contacts)) % model.n
+    # offset trick keeps endpoints distinct and uniform; a + 1 + r < 2n wraps once
+    b = a + 1 + rng.integers(0, model.n - 1, model.n_contacts)
+    np.subtract(b, model.n, out=b, where=b >= model.n)
     return sc, cd, infected, a, b
 
 
 def simulate_coverage(model: PopulationModel) -> CoverageReport:
-    sc, cd, _, a, b = _draw(model)
+    sc, cd, _, a, b = _draw(model, draw_infected=False)
     sc_hits = sc[a] & sc[b]
-    both_cd = cd[a] & cd[b]
-    one_cd = (cd[a] ^ cd[b])
+    cd_a, cd_b = cd[a], cd[b]
+    both_cd = cd_a & cd_b
+    one_cd = cd_a ^ cd_b
     m = model.n_contacts
     weighted = float(np.count_nonzero(both_cd)) + model.one_sided_quality * float(np.count_nonzero(one_cd))
     return CoverageReport(

@@ -6,8 +6,9 @@ emitter, delivered once per scanning node in range. Path loss is computed
 once per geometry: the world keeps the in-range scanners of each emitter
 (at a given tx power) and rebuilds them only when some node reaches
 another waypoint. Identical (config, injections) always produce identical
-event logs; noise draws come from the world's own seeded generator, one per
-delivery in a fixed iteration order.
+event logs. Noise comes from the world's own seeded generator: the values
+`Random.gauss` would give one delivery at a time, in a fixed iteration
+order, are drawn ahead in bulk (`NoiseAhead`) and added a tick at a time.
 
 Every delivery, radio-made or injected, is one row of the world's
 `ScanLog`: its time, a link id and its rssi. A link is what all hearings of
@@ -36,8 +37,15 @@ import numpy as np
 # emitters closer than this are treated as at this distance; keeps the
 # path-loss model in its rssi <= tx_power regime for co-located nodes
 MIN_DISTANCE_M = 0.01
-# rows formatted per batch by write_event_log
-WRITE_BATCH_ROWS = 1 << 12
+# rows formatted and written at once by write_event_log; 4096 raised the peak
+# memory of writing a dense log by 2-3 MB
+WRITE_BATCH_ROWS = 1 << 10
+# gaussian pairs NoiseAhead draws per refill: drawing only what a tick needs
+# leaves numpy's per-call cost dominant when ticks deliver a few dozen events
+NOISE_CHUNK_PAIRS = 1 << 12
+TWOPI = 2.0 * math.pi
+
+
 @dataclass(frozen=True)
 class PathLoss:
     """Built through `engine.PATH_LOSS_FIELDS`: exponent in (0, 10], noise_sigma in [0, 100]."""
@@ -290,12 +298,59 @@ def attenuation(claimed_tx_power: float, rssi: float) -> float:
     return claimed_tx_power - rssi
 
 
+class NoiseAhead:
+    """The values successive `rng.gauss(0.0, sigma)` calls would return, bit for
+    bit, drawn ahead in bulk from the same generator.
+
+    A refill takes 128 bits per gaussian pair from `rng.getrandbits`: four of
+    the generator's 32-bit outputs, in order, which make two `Random.random()`
+    values as CPython does (27 + 26 bits). From those it applies the
+    arithmetic of `Random.gauss`; log, cos and sin go through `math`, since
+    numpy's versions may differ in the last bit, while numpy's products, sums
+    and sqrt are correctly rounded like Python's. `rng` must have no cached
+    gaussian (`gauss_next`) and no other reader; `ahead()` drawn from
+    `rng.gauss` then leaves both generators in the same state.
+    """
+
+    def __init__(self, rng: Random, sigma: float):
+        self.rng = rng
+        self.sigma = sigma
+        self.values = np.empty(0)
+        self.at = 0  # the next value to hand out
+
+    def ahead(self) -> np.ndarray:
+        """The values drawn from `rng` and not yet taken."""
+        return self.values[self.at:]
+
+    def take(self, n: int) -> np.ndarray:
+        """The next `n` values, as a view that the next refill leaves intact."""
+        ahead = self.ahead()
+        if len(ahead) < n:
+            pairs = max(NOISE_CHUNK_PAIRS, (n - len(ahead) + 1) // 2)
+            ahead = self.values = np.concatenate((ahead, self._draw(pairs)))
+            self.at = 0
+        self.at += n
+        return ahead[:n]
+
+    def _draw(self, pairs: int) -> np.ndarray:
+        words = np.frombuffer(self.rng.getrandbits(128 * pairs).to_bytes(16 * pairs, "little"),
+                              dtype="<u4")
+        u = ((words[0::2] >> 5) * 67108864.0 + (words[1::2] >> 6)) * 2.0 ** -53
+        x2pi = (u[0::2] * TWOPI).tolist()
+        g2rad = np.sqrt(-2.0 * np.fromiter(map(math.log, (1.0 - u[1::2]).tolist()), float, pairs))
+        z = np.empty(2 * pairs)
+        z[0::2] = np.fromiter(map(math.cos, x2pi), float, pairs) * g2rad
+        z[1::2] = np.fromiter(map(math.sin, x2pi), float, pairs) * g2rad
+        return 0.0 + z * self.sigma
+
+
 class World:
     def __init__(self, config: WorldConfig):
         self.config = config
         self.nodes = {n.id: n for n in config.nodes}
         self._scanner_ids = sorted(n.id for n in config.nodes if n.app or n.deputy)
         self._rng = Random(config.seed)
+        self._noise = NoiseAhead(self._rng, config.path_loss.noise_sigma)
         self.events = ScanLog()
         # the geometry tables, and the waypoints and positions they were built for
         self._waypoints: Optional[list] = None
@@ -333,8 +388,9 @@ class World:
         geometry tables, rebuilt only when the waypoint in effect for some node
         differs from the last step's (trajectories are piecewise constant).
         Each emission extends the log's columns at once: its link ids, and its
-        rssi. Noise is drawn per delivery, in emission order and then scanner
-        order, and added to the noiseless rssi: the same float arithmetic as
+        noiseless rssi. The tick's noise, the next values of the world's
+        gaussian sequence in emission order and then scanner order, is then
+        added to its rows in one numpy add: the same float arithmetic as
         `propagate`, so results are bit-identical to computing each delivery
         from scratch.
         """
@@ -349,8 +405,6 @@ class World:
         log = self.events
         links, rssis = log.link, log.rssi
         start = len(links)
-        sigma = self.config.path_loss.noise_sigma
-        gauss = self._rng.gauss
         for em in emissions:
             key = (em.node_id, em.tx_power)
             paths = self._paths.get(key)
@@ -365,10 +419,11 @@ class World:
                     log.intern(Link(sid, em.node_id, em.relay, em.mac, em.payload, rx), row + i)
                     for i, (sid, rx) in enumerate(zip(scanner_ids, rxs))])
             links.extend(ids)
-            if sigma > 0:
-                rssis.extend([rssi + gauss(0.0, sigma) for rssi in noiseless])
-            else:
-                rssis.extend(noiseless)
+            rssis.extend(noiseless)
+        if self.config.path_loss.noise_sigma > 0 and len(links) > start:
+            noisy = np.frombuffer(rssis, dtype=np.float64)[start:]
+            noisy += self._noise.take(len(noisy))
+            del noisy  # a view pins the column; the next append resizes it
         log.t.extend(array("q", [t]) * (len(links) - start))
         return Rows(log, range(start, len(links)), log.event)
 
@@ -384,13 +439,14 @@ def write_event_log(log: ScanLog, path) -> None:
     """Write every row of `log` to `path` as JSON lines in stable field order.
 
     The text around `t` and `rssi` is rendered with `json.dumps` once per
-    link; each batch of rows then joins its lines from that text and the
-    columns with iteration done in C, so no copy of the whole log is built
-    before it is written. `t` and a finite rssi are written with `repr`,
-    which writes ints and finite floats exactly as `json.dumps` does; a
-    non-finite rssi (an injected NaN, or an overflow under a `PathLoss`
-    built without the config's bounds) and an rssi kept as given (an
-    injected int) go through `json.dumps`.
+    link, and the text of each rssi once per distinct bit pattern in a
+    batch of rows (so 0.0 and -0.0 stay apart); each batch is then joined
+    from those texts and the columns with iteration done in C and written
+    at once, so no copy of the whole log is built. `t` and a finite rssi
+    are written with `repr`, which writes ints and finite floats exactly as
+    `json.dumps` does; a non-finite rssi (an injected NaN, or an overflow
+    under a `PathLoss` built without the config's bounds) and an rssi kept
+    as given (an injected int) go through `json.dumps`.
     """
     heads, tails = [], []
     for receiver, emitter, relay, mac, payload, rx in log.links:
@@ -406,12 +462,16 @@ def write_event_log(log: ScanLog, path) -> None:
     with open(path, "w") as fh:
         for start in range(0, len(log), WRITE_BATCH_ROWS):
             stop = start + WRITE_BATCH_ROWS
-            links, rssi = link_col[start:stop], rssi_col[start:stop]
-            rssi_text = list(map(repr, rssi.tolist()))
-            for i in np.flatnonzero(~np.isfinite(rssi)).tolist():
-                rssi_text[i] = json.dumps(float(rssi[i]))
+            links = link_col[start:stop]
+            bits, inverse = np.unique(rssi_col[start:stop].view(np.int64), return_inverse=True)
+            values = bits.view(np.float64)
+            texts = list(map(repr, values.tolist()))
+            for i in np.flatnonzero(~np.isfinite(values)).tolist():
+                texts[i] = json.dumps(float(values[i]))
+            rssi_text = list(map(texts.__getitem__, inverse.tolist()))
             for i, value in given.get(start // WRITE_BATCH_ROWS, ()):
                 rssi_text[i] = json.dumps(value)
-            fh.writelines(map("".join, zip(repeat('{"t": '), map(repr, t_col[start:stop].tolist()),
-                                           heads[links].tolist(), rssi_text,
-                                           tails[links].tolist())))
+            fh.write("".join(map("".join, zip(repeat('{"t": '),
+                                               map(repr, t_col[start:stop].tolist()),
+                                               heads[links].tolist(), rssi_text,
+                                               tails[links].tolist()))))

@@ -290,6 +290,26 @@ def test_out_naming_a_file_exits_2_before_any_work(command, work, tmp_path, caps
     assert out.read_text() == ""
 
 
+@pytest.mark.parametrize("command, artifact", [
+    (["run", "baseline_no_attack"], "events.jsonl"),
+    (["run", "baseline_no_attack"], "dossiers.json"),
+    (["sweep", "SWEEP"], "coverage.csv"),
+    (["vectors", "--count", "3", "--seed", "0"], "test_vectors.jsonl"),
+])
+def test_unwritable_artifact_exits_2_naming_path(command, artifact, tmp_path, capsys):
+    sweep_cfg = tmp_path / "sweep.json"
+    sweep_cfg.write_text(json.dumps(SMALL_SWEEP))
+    out = tmp_path / "D"
+    (out / artifact).mkdir(parents=True)
+    argv = [str(sweep_cfg) if arg == "SWEEP" else arg for arg in command]
+    with pytest.raises(SystemExit) as exit_:
+        main(argv + ["--out", str(out)])
+    assert exit_.value.code == 2
+    err = capsys.readouterr().err
+    assert "--out" in err
+    assert str(out / artifact) in err
+
+
 class TestVectors:
     def test_count_and_fields(self, tmp_path, capsys):
         assert main(["vectors", "--count", "10", "--seed", "3", "--out", str(tmp_path)]) == 0

@@ -1,9 +1,13 @@
 import math
 
+import numpy as np
+import pytest
+
 from ensim.coverage import (
     CoverageReport,
     PopulationModel,
     VisibilityReport,
+    _draw,
     infected_visibility,
     simulate_coverage,
     sweep,
@@ -16,6 +20,17 @@ def model(**kw):
     kw.setdefault("n_contacts", 100_000)
     kw.setdefault("seed", 42)
     return PopulationModel(**kw)
+
+
+@pytest.mark.parametrize("n, n_contacts, seed", [(2, 1, 0), (7, 13, 5), (20_001, 999, 42)])
+def test_skipping_the_infection_draw_leaves_the_other_draws(n, n_contacts, seed):
+    m = model(n=n, n_contacts=n_contacts, seed=seed, alpha_sc=0.5, alpha_cd=0.25)
+    sc, cd, infected, a, b = _draw(m)
+    skipped = _draw(m, draw_infected=False)
+    assert infected is not None and skipped[2] is None
+    for drawn, kept in zip((sc, cd, a, b), skipped[:2] + skipped[3:]):
+        assert np.array_equal(drawn, kept)
+    assert ((0 <= b) & (b < n) & (a != b)).all()
 
 
 class TestSimulateCoverage:

@@ -268,19 +268,25 @@ class TestInjection:
 
 
 def test_run_does_not_import_numpy_ma(tmp_path):
-    """A run that raises a notification and writes its artifacts leaves `numpy.ma`
-    unimported: nothing needs it, and importing it takes 10-20 ms of the run."""
+    """A run that raises a notification and a noisy run, each writing its
+    artifacts, leave `numpy.ma` and `numpy.random` unimported: nothing needs
+    them, importing `numpy.ma` takes 10-20 ms of the run and importing
+    `numpy.random` adds about 2.5 MB to its peak memory."""
     code = ("import sys; from ensim import engine, scenarios; "
             "r = engine.run_scenario(engine.ScenarioConfig.from_dict("
             "scenarios.baseline_no_attack())); "
             "assert r.notification_rows; "
-            f"engine.write_outputs(r, {str(tmp_path)!r}); "
-            "print('numpy.ma' in sys.modules)")
+            f"engine.write_outputs(r, {str(tmp_path / 'plain')!r}); "
+            "raw = scenarios.tamper_range_extension(); "
+            "raw['world']['path_loss']['noise_sigma'] = 4.0; "
+            "r = engine.run_scenario(engine.ScenarioConfig.from_dict(raw)); "
+            f"engine.write_outputs(r, {str(tmp_path / 'noisy')!r}); "
+            "print(sorted({'numpy.ma', 'numpy.random'} & set(sys.modules)))")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(REPO / "src"),
                                                       os.environ.get("PYTHONPATH", "")]))
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, check=True)
-    assert done.stdout.strip() == "False"
+    assert done.stdout.strip() == "[]"
 
 
 class TestDeterminism:

@@ -1,11 +1,15 @@
 import math
+from random import Random
 
+import numpy as np
 import pytest
 
 from ensim.beacon import encode_gaen
 from ensim.radio import (
     MIN_DISTANCE_M,
+    NOISE_CHUNK_PAIRS,
     Emission,
+    NoiseAhead,
     NodeSpec,
     PathLoss,
     ScanEvent,
@@ -140,6 +144,30 @@ class TestStep:
             w.step(10, [])
         with pytest.raises(ValueError):
             w.step(-1, [])
+
+
+class TestNoiseAhead:
+    # odd sizes, so takes split gaussian pairs; sizes that end exactly at, cross
+    # and exceed a refill of 2 * NOISE_CHUNK_PAIRS values
+    SIZES = (1, 3, 2 * NOISE_CHUNK_PAIRS - 4, 5, 1, 2 * NOISE_CHUNK_PAIRS + 7, 9,
+             6 * NOISE_CHUNK_PAIRS + 1)
+
+    @pytest.mark.parametrize("seed", [0, 1, -5, 2**64 + 3])
+    @pytest.mark.parametrize("sigma", [4.0, 0.3])
+    def test_matches_random_gauss_value_for_value(self, seed, sigma):
+        rng, reference = Random(seed), Random(seed)
+        noise = NoiseAhead(rng, sigma)
+        for n in self.SIZES:
+            got = noise.take(n)
+            want = np.array([reference.gauss(0.0, sigma) for _ in range(n)])
+            assert len(got) == n
+            # bit for bit: 0.0 and -0.0 compare equal
+            assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
+        ahead = noise.ahead()
+        assert len(ahead) % 2 == 1  # the reference holds a cached second gaussian
+        drained = np.array([reference.gauss(0.0, sigma) for _ in range(len(ahead))])
+        assert ahead.view(np.int64).tolist() == drained.view(np.int64).tolist()
+        assert rng.getstate() == reference.getstate()
 
 
 class TestInject:

@@ -8,10 +8,11 @@ mix tx powers per emission, let deputies relay, may make a node both app and
 deputy, place pairs exactly at the radio range and closer than
 MIN_DISTANCE_M, draw noise or not (with odd draw counts per tick, so the
 generator's cached second gaussian carries across ticks), may overflow rssi
-to infinity, inject sightings with an int or NaN rssi, and use ids and MACs
-with quotes or non-ASCII characters and integer coordinates. The reference
-worlds keep their events in a plain list, so nothing of the ScanLog is
-used to check it.
+to infinity, inject sightings with an int, NaN, infinite or signed-zero rssi
+(so a batch of the log mixes rssi values that compare equal but are written
+differently), and use ids and MACs with quotes or non-ASCII characters and
+integer coordinates. The reference worlds keep their events in a plain
+list, so nothing of the ScanLog is used to check it.
 """
 
 import random
@@ -19,6 +20,7 @@ import tempfile
 from pathlib import Path
 from types import SimpleNamespace
 
+import numpy as np
 from hypothesis import given, settings, strategies as st
 
 import reference_matching
@@ -40,6 +42,8 @@ RANGE = 10
 COORDS = (0, 0.0, 0.004, 3, 6.0, 10, -10.0)
 DURATION = 8
 WAYPOINT_TIMES = (0, 2, 3, 5)
+# 0, 0.0 and -0.0 compare equal but are written differently
+INJECTED_RSSI = (-12, 0, -60, -12.5, float("nan"), 0.0, -0.0, float("inf"))
 
 
 @st.composite
@@ -80,9 +84,19 @@ def radio_runs(draw):
         receiver = draw(st.sampled_from(nodes))
         injections.append((t, receiver.id, Sighting(
             draw(st.sampled_from(PAYLOADS)), draw(st.sampled_from(MACS)),
-            draw(st.sampled_from([-12, 0, -60, -12.5, float("nan")])), t,
+            draw(st.sampled_from(INJECTED_RSSI)), t,
             receiver.position(t))))
     return config, schedule, injections
+
+
+def assert_same_generator(fast, slow):
+    """The noise `fast` holds drawn ahead is what the reference world's generator
+    gives next, bit for bit; once that is drawn, both generators are in one state."""
+    ahead = fast._noise.ahead()
+    sigma = fast.config.path_loss.noise_sigma
+    drained = np.array([slow._rng.gauss(0.0, sigma) for _ in range(len(ahead))])
+    assert ahead.view(np.int64).tolist() == drained.view(np.int64).tolist()
+    assert fast._rng.getstate() == slow._rng.getstate()
 
 
 @settings(max_examples=300, deadline=None)
@@ -101,7 +115,7 @@ def test_step_and_event_log_match_reference(run):
                 fast.inject(receiver, sighting)
                 slow.inject(receiver, sighting)
     assert fast.events == slow.events
-    assert fast._rng.getstate() == slow._rng.getstate()
+    assert_same_generator(fast, slow)
     with tempfile.TemporaryDirectory() as tmp:
         got, want = Path(tmp) / "got.jsonl", Path(tmp) / "want.jsonl"
         write_event_log(fast.events, got)
@@ -164,7 +178,7 @@ def log_runs(draw):
     scanners = [n for n in nodes if n.app or n.deputy]
     injections = [(draw(st.integers(0, E2E_TICKS - 1)), draw(st.sampled_from(scanners)).id,
                    draw(st.integers(-1, 99)), draw(st.sampled_from([OTHER_MAC, DEFAULT_RELAY_MAC])),
-                   draw(st.sampled_from([-12, 0, -60, -12.5, float("nan")])))
+                   draw(st.sampled_from(INJECTED_RSSI)))
                   for _ in range(draw(st.integers(0, 3)))]
     policy = AttackPolicy(harvest_zones=draw(st.sampled_from([(), (Zone(-1, -1, 4, 4),)])),
                           collect_all=draw(st.booleans()))
@@ -220,7 +234,7 @@ def test_scan_log_readers_match_per_event_routing(run):
         server.catch_up()
 
     assert fast.events == slow.events
-    assert fast._rng.getstate() == slow._rng.getstate()
+    assert_same_generator(fast, slow)
     with tempfile.TemporaryDirectory() as tmp:
         got, want = Path(tmp) / "got.jsonl", Path(tmp) / "want.jsonl"
         write_event_log(fast.events, got)
