@@ -28,6 +28,7 @@ heard under: that is the MAC linkage a side database of MACs joins on.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -140,15 +141,17 @@ class AttackerServer:
             self._take(link_id)
         return self._record(row) if link_id in self.harvest_links else None
 
-    def catch_up(self) -> None:
+    def catch_up(self) -> bool:
         """Take in each link of the log first heard since the last call whose
-        receiver is a deputy. A run calls this once per tick, so a hearing is
-        a relay candidate from the tick it was heard on."""
-        links = self.log.links
+        receiver is a deputy; True when that added a relay candidate. A run
+        calls this after each tick that can hear a new link, so a hearing is a
+        relay candidate from the tick it was heard on."""
+        links, before = self.log.links, len(self._relay_candidates)
         for link_id in range(self._looked, len(links)):
             if links[link_id].receiver in self._deputies:
                 self._take(link_id)
         self._looked = len(links)
+        return len(self._relay_candidates) > before
 
     def _take(self, link_id: int) -> None:
         """Keep a deputy link's hearings unless they are our own re-emissions or,
@@ -207,15 +210,9 @@ class AttackerServer:
 
         candidates: dict[bytes, HarvestRecord] = {}
         for rpi, r in self._relay_candidates.items():
-            if r.time + pol.relay_latency > t:  # not uploaded yet
-                continue
-            if t > self.relay_deadline(r):
-                continue
-            if pol.relay_window is not None:
-                age = t - slot_start(r.time)
-                if not pol.relay_window[0] <= age <= pol.relay_window[1]:
-                    continue
-            candidates[rpi] = r
+            lo, hi = self._eligible(r)
+            if lo <= t <= hi:
+                candidates[rpi] = r
 
         # freshest first hearing first; ties broken by identifier bytes
         ranked = sorted(candidates.items(), key=lambda kv: (-kv[1].time, kv[0]))
@@ -248,6 +245,41 @@ class AttackerServer:
                     "deadline_t": self.relay_deadline(record),
                 })
         return orders
+
+    def _eligible(self, record: HarvestRecord) -> tuple[int, int]:
+        """The first and last time at which `record` may be relayed: once it is
+        uploaded, up to its relay deadline, and inside the relay window."""
+        pol = self.policy
+        lo, hi = record.time + pol.relay_latency, self.relay_deadline(record)
+        if pol.relay_window is not None:
+            start = slot_start(record.time)
+            lo, hi = max(lo, start + pol.relay_window[0]), min(hi, start + pol.relay_window[1])
+        return lo, hi
+
+    def next_plan_change(self, t: int) -> float:
+        """The first time after t at which `select_relays` could choose otherwise
+        for the same candidates and deputy positions (inf when never): the
+        earliest time, over all candidates, at which one becomes or stops
+        being eligible."""
+        if not self.policy.target_zones:
+            return math.inf
+        edges = []
+        for r in self._relay_candidates.values():
+            lo, hi = self._eligible(r)
+            edges += (lo, hi + 1)
+        return min((edge for edge in edges if edge > t), default=math.inf)
+
+    def repeat_plan(self, t: int, times) -> None:
+        """Append the plan entries of the ticks at `times`, whose relay plan is
+        that of tick t, the last planned: tick t's entries with `t` and
+        `age_s` set for each time, in the same key order."""
+        plan = self.plan_log
+        first = len(plan)
+        while first and plan[first - 1]["t"] == t:
+            first -= 1
+        entries = plan[first:]
+        for later in times:
+            plan.extend({**e, "t": later, "age_s": later - e["harvest_t"]} for e in entries)
 
     def rebroadcast(self, order: RelayOrder, tx_power: int) -> Emission:
         """Emission a deputy makes for one plan entry, under the attacker's MAC."""

@@ -1,14 +1,23 @@
 """Scenario orchestration: config schema, end-to-end run loop, artifact output.
 
-Per tick, in fixed order: scheduled diagnoses publish keys; honest app
-devices broadcast; the attacker plans and deputies re-emit; the world
-delivers into its scan log and takes the tick's injections; the attacker
-takes in the deputy links first heard this tick, which is all a relay plan
-needs. No event is routed one by one: when the run ends, the log's rows
-are grouped by receiver once and each device is handed its rows. Matching
-then runs against the published-key snapshot; the snapshot's identifier
-index is built once and shared by every device's matching and the
-attacker's re-identification.
+Each tick the loop runs goes in fixed order: scheduled diagnoses publish
+keys; honest app devices broadcast; the attacker plans and deputies
+re-emit; the world delivers into its scan log and takes the tick's
+injections; the attacker takes in the deputy links first heard this tick,
+which is all a relay plan needs. Then its repeats: every later tick before
+the next change sends the same emissions over the same links, and only `t`
+and the noise differ, so the world delivers them in one step and the
+attacker repeats the tick's plan entries. A change is an identifier
+rotation (every `crypto.INTERVAL_SECONDS`), a waypoint, a diagnosis, an
+injection, the end of the run, or a time at which the relay plan could
+differ (`AttackerServer.next_plan_change`); a tick on which the attacker
+gained a relay candidate is not repeated.
+
+No event is routed one by one: when the run ends, the log's rows are
+grouped by receiver once and each device is handed its rows. Matching then
+runs against the published-key snapshot; the snapshot's identifier index
+is built once and shared by every device's matching and the attacker's
+re-identification.
 
 Ground truth for false-positive accounting is tracked outside the
 protocol: per (receiver, emitter) pair, the ticks with a direct
@@ -36,6 +45,7 @@ import functools
 import hashlib
 import json
 import sys
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from pathlib import Path
 from random import Random
@@ -386,15 +396,20 @@ def run_scenario(cfg: ScenarioConfig) -> RunResult:
               if cfg.attack is not None else None)
     diag = DiagnosisServer()
 
+    diagnoses: dict[int, list] = {}
+    for nid in sorted(devices):
+        if node_by_id[nid].diagnosed_at is not None:
+            diagnoses.setdefault(node_by_id[nid].diagnosed_at, []).append(nid)
     injections: dict[int, list] = {}
     for inj in cfg.injections:
         injections.setdefault(inj.t, []).append(inj)
+    scheduled = sorted({*diagnoses, *injections})
+    tick, duration = cfg.world.tick, cfg.world.duration
 
-    for t in range(0, cfg.world.duration, cfg.world.tick):
-        for nid in sorted(devices):
-            node = node_by_id[nid]
-            if node.diagnosed_at == t:
-                device_mod.diagnose_and_upload(devices[nid], diag, t)
+    t = 0
+    while t < duration:
+        for nid in diagnoses.get(t, ()):
+            device_mod.diagnose_and_upload(devices[nid], diag, t)
 
         emissions = []
         for nid in sorted(devices):
@@ -413,9 +428,30 @@ def run_scenario(cfg: ScenarioConfig) -> RunResult:
                 payload=bytes.fromhex(inj.payload_hex), mac=inj.mac, rssi=inj.rssi,
                 time=t, rx_location=world.position(inj.receiver, t),
             ))
-        if server is not None:
-            server.catch_up()
+        if server is not None and server.catch_up():
+            t += tick  # a new relay candidate may change the next tick's plan
+            continue
 
+        # every tick before the next change repeats this one but for t and the noise
+        i = bisect_right(scheduled, t)
+        change = min(duration, (t // crypto.INTERVAL_SECONDS + 1) * crypto.INTERVAL_SECONDS,
+                     world.next_waypoint_change(t),
+                     scheduled[i] if i < len(scheduled) else duration,
+                     server.next_plan_change(t) if server is not None else duration)
+        end = int(-(-change // tick) * tick)  # the first tick at or after the change
+        if end > t + tick:
+            world.step(t + tick, emissions, ticks=(end - t) // tick - 1)
+            if server is not None:
+                server.repeat_plan(t, range(t + tick, end, tick))
+        t = end
+
+    return _result(cfg, world, devices, deputies, server, diag)
+
+
+def _result(cfg: ScenarioConfig, world: World, devices: dict, deputies: list,
+            server: Optional[AttackerServer], diag: DiagnosisServer) -> RunResult:
+    """Match, account and re-identify once the run's ticks are done."""
+    node_by_id = world.nodes
     log = world.events
     direct_close = direct_close_ticks(log, {nid: n.tx_power for nid, n in node_by_id.items()},
                                       cfg.matching.attenuation_threshold)

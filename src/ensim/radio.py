@@ -5,10 +5,13 @@ geometric quantity the attacks depend on. One broadcast per tick per
 emitter, delivered once per scanning node in range. Path loss is computed
 once per geometry: the world keeps the in-range scanners of each emitter
 (at a given tx power) and rebuilds them only when some node reaches
-another waypoint. Identical (config, injections) always produce identical
-event logs. Noise comes from the world's own seeded generator: the values
-`Random.gauss` would give one delivery at a time, in a fixed iteration
-order, are drawn ahead in bulk (`NoiseAhead`) and added a tick at a time.
+another waypoint. A step delivers a span of ticks that send the same
+emissions between two waypoint changes at once, as the same rows tick
+after tick. Identical (config, injections) always produce identical event
+logs. Noise comes from the world's own seeded generator: the values
+`Random.gauss` would give one delivery at a time, in row order, are drawn
+ahead in bulk (`NoiseAhead`) and added to a step's rows a refill at most
+at a time.
 
 Every delivery, radio-made or injected, is one row of the world's
 `ScanLog`: its time, a link id and its rssi. A link is what all hearings of
@@ -26,6 +29,7 @@ from __future__ import annotations
 import json
 import math
 from array import array
+from bisect import bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import repeat
@@ -359,6 +363,7 @@ class World:
         self._paths: dict = {}
         # (emitter id, tx_power, payload, mac, relay) -> the link id of each path
         self._link_ids: dict = {}
+        self._changes = sorted({wp[0] for n in config.nodes for wp in n.trajectory})
 
     def position(self, node_id: str, t: float) -> tuple[float, float]:
         return self.nodes[node_id].position(t)
@@ -380,22 +385,33 @@ class World:
                 rxs.append(rx)
         return ids, rssis, rxs
 
-    def step(self, t: int, emissions: list[Emission]) -> Rows:
-        """Deliver each emission once to every in-range scanner; returns the new
-        rows of the log, read as ScanEvents.
+    def next_waypoint_change(self, t: float) -> float:
+        """The first waypoint time of any node after t (inf when none is left):
+        the tables a step builds hold for every tick before it."""
+        i = bisect_right(self._changes, t)
+        return self._changes[i] if i < len(self._changes) else math.inf
+
+    def step(self, t: int, emissions: list[Emission], *, ticks: int = 1) -> Rows:
+        """Deliver each emission once to every in-range scanner on each of `ticks`
+        ticks from t; returns the new rows of the log, read as ScanEvents.
 
         The path loss of each (emitter, tx_power) to each scanner comes from the
         geometry tables, rebuilt only when the waypoint in effect for some node
-        differs from the last step's (trajectories are piecewise constant).
-        Each emission extends the log's columns at once: its link ids, and its
-        noiseless rssi. The tick's noise, the next values of the world's
-        gaussian sequence in emission order and then scanner order, is then
-        added to its rows in one numpy add: the same float arithmetic as
-        `propagate`, so results are bit-identical to computing each delivery
-        from scratch.
+        differs from the last step's (trajectories are piecewise constant); no
+        waypoint may change within the span. New links are interned on the
+        first tick; every tick of the span then takes the same link ids and
+        noiseless rssi, in emission order, then scanner order. The noise, the
+        next values of the world's gaussian sequence in row order, is added to
+        the new rows with numpy adds of at most one `NoiseAhead` refill each:
+        the same float arithmetic as `propagate`, so results are bit-identical
+        to computing each delivery of each tick from scratch.
         """
-        if t < 0 or t >= self.config.duration or t % self.config.tick != 0:
-            raise ValueError(f"t={t} outside simulation schedule")
+        tick = self.config.tick
+        last = t + (ticks - 1) * tick
+        if ticks < 1 or t < 0 or last >= self.config.duration or t % tick != 0:
+            raise ValueError(f"t={t}, ticks={ticks} outside simulation schedule")
+        if self.next_waypoint_change(t) <= last:
+            raise ValueError(f"a waypoint changes within ticks {t}..{last}")
         waypoints = [node.waypoint(t) for node in self.nodes.values()]
         if self._waypoints is None or any(a is not b for a, b in zip(waypoints, self._waypoints)):
             self._waypoints = waypoints
@@ -420,12 +436,24 @@ class World:
                     for i, (sid, rx) in enumerate(zip(scanner_ids, rxs))])
             links.extend(ids)
             rssis.extend(noiseless)
+        n = len(links) - start
+        log.t.extend(array("q", [t]) * n)
+        piece = 2 * NOISE_CHUNK_PAIRS
+        if ticks > 1 and n:
+            ids, noiseless = links[start:], rssis[start:]  # the first tick's rows
+            per = max(1, piece // n)  # ticks written at once
+            for done in range(1, ticks, per):
+                m = min(per, ticks - done)
+                links.extend(ids * m)
+                rssis.extend(noiseless * m)
+                times = np.arange(t + done * tick, t + (done + m) * tick, tick, dtype=np.int64)
+                log.t.frombytes(np.repeat(times, n).tobytes())
         if self.config.path_loss.noise_sigma > 0 and len(links) > start:
             noisy = np.frombuffer(rssis, dtype=np.float64)[start:]
-            noisy += self._noise.take(len(noisy))
+            for i in range(0, len(noisy), piece):
+                noisy[i:i + piece] += self._noise.take(min(piece, len(noisy) - i))
             del noisy  # a view pins the column; the next append resizes it
-        log.t.extend(array("q", [t]) * (len(links) - start))
-        return Rows(log, range(start, len(links)), log.event)
+        return Rows(log, range(start, len(log)), log.event)
 
     def inject(self, receiver_id: str, sighting: Sighting) -> None:
         """Insert a spurious sighting into a receiver's stream at `sighting.time`, as

@@ -145,6 +145,30 @@ class TestStep:
         with pytest.raises(ValueError):
             w.step(-1, [])
 
+    def test_span_outside_schedule_rejected(self):
+        ems = [Emission("a", self.payload(), "aa:aa:aa:aa:aa:aa", 0)]
+        w = make_world([still("a", 0, 0, app=True), still("b", 1, 0, app=True)], duration=10)
+        with pytest.raises(ValueError):
+            w.step(6, ems, ticks=5)  # the last tick would be at duration
+        with pytest.raises(ValueError):
+            w.step(5, ems, ticks=0)
+        with pytest.raises(TypeError):
+            w.step(5, ems, 2)  # ticks is keyword-only
+        assert len(w.events) == 0
+        assert len(w.step(5, ems, ticks=5)) == 5  # b hears a on ticks 5 to 9, the last
+
+    def test_span_across_a_waypoint_change_rejected(self):
+        moving = NodeSpec(id="m", trajectory=((0, 0.0, 0.0), (4.5, 2.0, 0.0)), app=True)
+        w = make_world([moving, still("b", 1, 0, app=True)], duration=10)
+        ems = [Emission("m", self.payload(), "cc:cc:cc:cc:cc:cc", 0)]
+        assert w.next_waypoint_change(0) == w.next_waypoint_change(4) == 4.5
+        assert w.next_waypoint_change(4.5) == math.inf
+        with pytest.raises(ValueError):
+            w.step(0, ems, ticks=6)  # ticks 0-5 cross the move at 4.5
+        assert len(w.step(0, ems, ticks=5)) == 5  # ticks 0-4 stop before it
+        assert len(w.step(5, ems, ticks=5)) == 5
+        assert [e.sighting.time for e in w.events] == list(range(10))
+
 
 class TestNoiseAhead:
     # odd sizes, so takes split gaussian pairs; sizes that end exactly at, cross

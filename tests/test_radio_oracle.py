@@ -13,19 +13,27 @@ to infinity, inject sightings with an int, NaN, infinite or signed-zero rssi
 differently), and use ids and MACs with quotes or non-ASCII characters and
 integer coordinates. The reference worlds keep their events in a plain
 list, so nothing of the ScanLog is used to check it.
+
+Runs of ticks that send the same emissions are stepped at once
+(`World.step(t, emissions, ticks=k)`), with injections between spans and
+draw-ahead refills as small as one gaussian pair, so spans cross refills
+and take their noise in several pieces. Each span must give the events of
+k reference steps, and the log the same columns, links and first hearings,
+bit for bit, as a world stepped one tick at a time.
 """
 
 import random
 import tempfile
 from pathlib import Path
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
 import reference_matching
 import reference_radio as ref
-from ensim import beacon, crypto, engine
+from ensim import beacon, crypto, engine, radio
 from ensim.attacker import DEFAULT_RELAY_MAC, AttackPolicy, AttackerServer, Zone, tamper
 from ensim.beacon import encode_gaen
 from ensim.device import DeviceState, MatchingParams, broadcast_current, match_exposures
@@ -44,6 +52,9 @@ DURATION = 8
 WAYPOINT_TIMES = (0, 2, 3, 5)
 # 0, 0.0 and -0.0 compare equal but are written differently
 INJECTED_RSSI = (-12, 0, -60, -12.5, float("nan"), 0.0, -0.0, float("inf"))
+# NoiseAhead refill sizes: at 1 or 3 pairs, most spans cross a refill and take their
+# noise in several pieces
+CHUNK_PAIRS = (1, 3, radio.NOISE_CHUNK_PAIRS)
 
 
 @st.composite
@@ -86,7 +97,22 @@ def radio_runs(draw):
             draw(st.sampled_from(PAYLOADS)), draw(st.sampled_from(MACS)),
             draw(st.sampled_from(INJECTED_RSSI)), t,
             receiver.position(t))))
-    return config, schedule, injections
+    ticks = draw(spans(nodes, DURATION, [t for t, _, _ in injections]))
+    return config, schedule, injections, ticks, draw(st.sampled_from(CHUNK_PAIRS))
+
+
+@st.composite
+def spans(draw, nodes, n_ticks, injected, waypoint_tick=1):
+    """(first tick, ticks) in turn over `n_ticks` ticks: a span may end on a
+    tick with injections, but no waypoint changes and no tick is injected
+    into within it. Times are counted in ticks of `waypoint_tick` seconds."""
+    stops = {wp[0] // waypoint_tick for n in nodes for wp in n.trajectory} | {k + 1 for k in injected}
+    out, k = [], 0
+    while k < n_ticks:
+        stop = min([s for s in stops if s > k] + [n_ticks])
+        out.append((k, draw(st.integers(1, stop - k))))
+        k += out[-1][1]
+    return out
 
 
 def assert_same_generator(fast, slow):
@@ -99,22 +125,45 @@ def assert_same_generator(fast, slow):
     assert fast._rng.getstate() == slow._rng.getstate()
 
 
+def assert_same_log(got, want):
+    """Two worlds' scan logs hold the same columns bit for bit, the same links
+    (told apart by repr, as 0 and 0.0 are) and the same first hearings."""
+    for a, b in zip(got.events.columns(), want.events.columns()):
+        assert a.tobytes() == b.tobytes()
+    assert list(map(repr, got.events.links)) == list(map(repr, want.events.links))
+    assert got.events.first == want.events.first
+    assert {r: repr(v) for r, v in got.events._given.items()} \
+        == {r: repr(v) for r, v in want.events._given.items()}
+
+
+def step_span(fast, slow, single, t, emissions, ticks):
+    """Step `fast` over `ticks` ticks at once, `slow` through the reference and
+    `single` through World.step one tick at a time; the new events must match."""
+    tick = fast.config.tick
+    expected = []
+    for k in range(ticks):
+        expected += ref.reference_step(slow, t + k * tick, emissions)
+        single.step(t + k * tick, emissions)
+    events = fast.step(t, emissions, ticks=ticks)
+    assert len(events) == len(expected)
+    assert events == expected
+
+
 @settings(max_examples=300, deadline=None)
 @given(radio_runs())
 def test_step_and_event_log_match_reference(run):
-    config, schedule, injections = run
-    fast, slow = World(config), World(config)
+    config, schedule, injections, ticks, chunk = run
+    fast, slow, single = World(config), World(config), World(config)
     slow.events = []
-    for t, emissions in enumerate(schedule):
-        events = fast.step(t, emissions)
-        expected = ref.reference_step(slow, t, emissions)
-        assert len(events) == len(expected)
-        assert events == expected
-        for when, receiver, sighting in injections:
-            if when == t:
-                fast.inject(receiver, sighting)
-                slow.inject(receiver, sighting)
+    with mock.patch.object(radio, "NOISE_CHUNK_PAIRS", chunk):
+        for t, k in ticks:
+            step_span(fast, slow, single, t, schedule[t], k)
+            for when, receiver, sighting in injections:
+                if when == t + k - 1:
+                    for world in (fast, slow, single):
+                        world.inject(receiver, sighting)
     assert fast.events == slow.events
+    assert_same_log(fast, single)
     assert_same_generator(fast, slow)
     with tempfile.TemporaryDirectory() as tmp:
         got, want = Path(tmp) / "got.jsonl", Path(tmp) / "want.jsonl"
@@ -189,7 +238,9 @@ def log_runs(draw):
         tick=1,
     )
     published = draw(st.lists(st.integers(0, 99), max_size=6))
-    return config, relays, injections, policy, params, published
+    ticks = draw(spans(nodes, E2E_TICKS, [k for k, *_ in injections], waypoint_tick=E2E_TICK))
+    return (config, relays, injections, policy, params, published, ticks,
+            draw(st.sampled_from(CHUNK_PAIRS)))
 
 
 def _schedule(config, relays, injections):
@@ -219,21 +270,24 @@ def _schedule(config, relays, injections):
 @settings(max_examples=150, deadline=None)
 @given(log_runs())
 def test_scan_log_readers_match_per_event_routing(run):
-    config, relays, injections, policy, params, picks = run
+    config, relays, injections, policy, params, picks, ticks, chunk = run
     devices, schedule = _schedule(config, relays, injections)
     deputies = sorted(n.id for n in config.nodes if n.deputy)
     tx_powers = {n.id: n.tx_power for n in config.nodes}
-    fast, slow = World(config), World(config)
+    fast, slow, single = World(config), World(config), World(config)
     slow.events = []
     server = AttackerServer(policy, log=fast.events, deputies=deputies)
-    for t, emissions, injected in schedule:
-        assert fast.step(t, emissions) == ref.reference_step(slow, t, emissions)
-        for receiver, sighting in injected:
-            fast.inject(receiver, sighting)
-            slow.inject(receiver, sighting)
-        server.catch_up()
+    with mock.patch.object(radio, "NOISE_CHUNK_PAIRS", chunk):
+        for k, n in ticks:
+            t, emissions, _ = schedule[k]
+            step_span(fast, slow, single, t, emissions, n)
+            for receiver, sighting in schedule[k + n - 1][2]:
+                for world in (fast, slow, single):
+                    world.inject(receiver, sighting)
+            server.catch_up()
 
     assert fast.events == slow.events
+    assert_same_log(fast, single)
     assert_same_generator(fast, slow)
     with tempfile.TemporaryDirectory() as tmp:
         got, want = Path(tmp) / "got.jsonl", Path(tmp) / "want.jsonl"
