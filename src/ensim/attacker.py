@@ -22,8 +22,9 @@ its deputies' rows of the world's log (on its own, rows that
 `deputy_on_scan` appends to a log of its own). While the run goes on it
 looks only at each deputy link's first hearing, to keep or drop the link
 and to offer the hearing as a relay candidate; `db` and `reidentify` read
-the kept links' rows when asked. Each dossier sighting keeps the MAC it was
-heard under: that is the MAC linkage a side database of MACs joins on.
+the kept links' rows when asked, through `ScanLog.group`. Each dossier
+sighting keeps the MAC it was heard under: that is the MAC linkage a side
+database of MACs joins on.
 """
 
 from __future__ import annotations
@@ -32,10 +33,8 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-import numpy as np
-
 from . import beacon, crypto
-from .radio import Emission, Rows, ScanEvent, ScanLog, Sighting
+from .radio import NO_ROWS, Emission, Rows, ScanEvent, ScanLog, Sighting
 
 DEFAULT_RELAY_MAC = "f0:0d:00:00:00:01"
 
@@ -180,16 +179,11 @@ class AttackerServer:
         return HarvestRecord(frame=self.harvest_links[link_id], rssi=self.log.rssi_at(row),
                              location=link.rx, time=self.log.t[row], deputy_id=link.receiver)
 
-    def _rows_of(self, link_ids) -> np.ndarray:
-        """The rows of the log on any of `link_ids`, in log order."""
-        wanted = np.zeros(len(self.log.links), dtype=bool)
-        wanted[list(link_ids)] = True
-        return np.flatnonzero(wanted[self.log.columns()[1]])
-
     @property
     def db(self) -> Rows:
         """Every kept hearing, in log order, read as HarvestRecords."""
-        return Rows(self.log, self._rows_of(self.harvest_links), self._record)
+        kept = self.log.group(lambda link_id: True if link_id in self.harvest_links else None)
+        return Rows(self.log, kept.get(True, NO_ROWS), self._record)
 
     # -- server side ------------------------------------------------------
 
@@ -305,26 +299,26 @@ class AttackerServer:
         """
         if index is None:
             index = crypto.identifier_index([e.tek for e in published])
-        keys: dict[int, list[int]] = {}  # link id -> positions of the keys it was heard under
+        keys: dict[int, tuple] = {}  # link id -> positions of the keys it was heard under
         for link_id, frame in self.harvest_links.items():
             kind = frame.kind
             if not isinstance(kind, beacon.Gaen):
                 continue
-            positions = [pos for pos, _interval in index.get(kind.rpi, ())]
+            positions = tuple(pos for pos, _interval in index.get(kind.rpi, ()))
             if positions:
                 keys[link_id] = positions
         log = self.log
-        hits: list[list[dict]] = [[] for _ in published]
-        for row in self._rows_of(keys).tolist():
-            link_id = log.link[row]
-            link = log.links[link_id]
-            t, rssi = log.t[row], log.rssi_at(row)
-            for pos in keys[link_id]:
-                hits[pos].append({"t": t, "x": link.rx[0], "y": link.rx[1], "rssi": rssi,
-                                  "mac": link.mac})
+        hits: list[list[tuple]] = [[] for _ in published]  # (t, x, y, row, mac)
+        for positions, rows in log.group(keys.get).items():
+            for row in rows.tolist():
+                link = log.links[log.link[row]]
+                hit = (log.t[row], link.rx[0], link.rx[1], row, link.mac)
+                for pos in positions:
+                    hits[pos].append(hit)
 
         dossiers = []
         for pos in sorted(range(len(published)), key=lambda i: published[i].tek.key.hex()):
-            sightings = sorted(hits[pos], key=lambda h: (h["t"], h["x"], h["y"]))
+            sightings = [{"t": t, "x": x, "y": y, "rssi": log.rssi_at(row), "mac": mac}
+                         for t, x, y, row, mac in sorted(hits[pos])]  # ties in log order
             dossiers.append({"tek_hex": published[pos].tek.key.hex(), "sightings": sightings})
         return dossiers

@@ -26,8 +26,9 @@ matching time. A device's sightings are its rows of a scan log
 (`radio.Rows`): in a run, its rows of the world's log, handed over when the
 run ends; on its own, rows that `on_scan` appends to a log of its own.
 Matching is an index join over those rows: they are grouped by payload
-through their links, each distinct payload is decoded once and looked up
-in the published-identifier index (`crypto.identifier_index`, built once
+(`radio.ScanLog.group`), each distinct payload is decoded once (without
+its MAC: a frame's kind depends only on its payload) and looked up in the
+published-identifier index (`crypto.identifier_index`, built once
 per run and shared with re-identification), the metadata is decrypted once
 per distinct payload and matching key, and the window and attenuation
 tests run as column operations.
@@ -153,28 +154,15 @@ def match_exposures(state: DeviceState, published_teks, params: MatchingParams, 
         own.add(state.current_tek.key)
 
     log = state.sightings.log
-    t_col, link_col, rssi_col = log.columns()
-    rows = state.sightings.positions()
-    times, rssis = t_col[rows], rssi_col[rows]
-    links, of_row = np.unique(link_col[rows], return_inverse=True)
-    # each link's rows, contiguous in `by_link`; link ids run in order of first hearing,
-    # so the first link of a payload is the one it was first heard on
-    counts = np.bincount(of_row, minlength=len(links))
-    by_link = np.argsort(of_row, kind="stable")
-    ends = np.cumsum(counts)
-    by_payload: dict[bytes, tuple[str, list[int]]] = {}
-    for k, link_id in enumerate(links.tolist()):
-        link = log.links[link_id]
-        by_payload.setdefault(link.payload, (link.mac, []))[1].append(k)
-
+    t_col, _, rssi_col = log.columns()
     matched_ticks: list[list] = [[] for _ in published_teks]
     min_att: list[Optional[float]] = [None] * len(matched_ticks)
-    for payload, (mac, ks) in by_payload.items():
-        kind = beacon.decode(payload, mac).kind
+    for payload, rows in log.group(lambda link_id: log.links[link_id].payload,
+                                   state.sightings.positions()).items():
+        kind = beacon.decode(payload, "").kind  # the kind depends only on the payload
         if not isinstance(kind, beacon.Gaen) or kind.rpi not in index:
             continue
-        group = np.concatenate([by_link[ends[k] - counts[k]:ends[k]] for k in ks])
-        group_t, group_rssi = times[group], rssis[group]
+        group_t, group_rssi = t_col[rows], rssi_col[rows]
         for pos, interval in index[kind.rpi]:
             window_start = interval * crypto.INTERVAL_SECONDS
             window_end = window_start + crypto.INTERVAL_SECONDS

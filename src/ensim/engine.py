@@ -14,17 +14,17 @@ differ (`AttackerServer.next_plan_change`); a tick on which the attacker
 gained a relay candidate is not repeated.
 
 No event is routed one by one: when the run ends, the log's rows are
-grouped by receiver once and each device is handed its rows. Matching then
-runs against the published-key snapshot; the snapshot's identifier index
-is built once and shared by every device's matching and the attacker's
-re-identification.
+grouped by receiver once (`ScanLog.group`, the one grouping of the log's
+rows) and each device is handed its rows. Matching then runs against the
+published-key snapshot; the snapshot's identifier index is built once and
+shared by every device's matching and the attacker's re-identification.
 
 Ground truth for false-positive accounting is tracked outside the
 protocol: per (receiver, emitter) pair, the ticks with a direct
 (non-relayed) reception whose true attenuation is within the matching
-threshold, found in one pass over the log's columns at the end. A
-notification is a genuine contact only if that direct exposure alone
-reaches the duration threshold.
+threshold, found at the end as the log's close direct rows grouped by
+(receiver, emitter). A notification is a genuine contact only if that
+direct exposure alone reaches the duration threshold.
 
 Configs are checked against one field table per object (`SCENARIO_FIELDS`
 and the tables it nests, `SWEEP_FIELDS`), which maps every key the object
@@ -241,13 +241,15 @@ SCENARIO_FIELDS = {
     "attack": optional(_attack),
     "injections": list_of(obj(INJECTION_FIELDS, InjectionSpec)),
 }
+# a sweep with an empty axis has no grid point
+ALPHAS = _check(bool, "a non-empty list of numbers in [0, 1]", list_of(number(0, 1)))
 SWEEP_FIELDS = {  # all but schema_version, kind and name are arguments of coverage.sweep
     "schema_version": const(SCHEMA_VERSION),
     "kind": required(const("sweep")),
     "name": required(TEXT),
     "seed": required(integer(0)),
-    "alphas_sc": required(list_of(number(0, 1))),
-    "alphas_cd": required(list_of(number(0, 1))),
+    "alphas_sc": required(ALPHAS),
+    "alphas_cd": required(ALPHAS),
     # bounded so the population and the contact list fit in memory
     "n": integer(2, 10**7),
     "n_contacts": integer(1, 10**7),
@@ -359,8 +361,7 @@ class RunResult:
 
 def direct_close_ticks(log: ScanLog, tx_powers: dict, threshold: float) -> dict:
     """(receiver, emitter) -> the ticks with a direct (non-relayed) reception whose
-    true attenuation, from the emitter's real tx power, is within `threshold`;
-    one pass over the log's columns."""
+    true attenuation, from the emitter's real tx power, is within `threshold`."""
     true_tx = np.array([np.nan if link.emitter is None or link.relay else tx_powers[link.emitter]
                         for link in log.links], dtype=np.float64)
     t, links, rssi = log.columns()
@@ -368,14 +369,8 @@ def direct_close_ticks(log: ScanLog, tx_powers: dict, threshold: float) -> dict:
     att -= rssi  # the true attenuation, in place: one temporary the size of a column
     close = np.flatnonzero(att <= threshold)  # NaN, for injected and relayed rows, never is
     del att
-    close = close[np.argsort(links[close], kind="stable")]
-    close_links = links[close]
-    starts = np.flatnonzero(np.diff(close_links, prepend=-1))
-    ticks: dict[tuple, set] = {}
-    for link_id, run in zip(close_links[starts].tolist(), np.split(t[close], starts[1:])):
-        link = log.links[link_id]
-        ticks.setdefault((link.receiver, link.emitter), set()).update(run.tolist())
-    return ticks
+    pairs = log.group(lambda link_id: log.links[link_id][:2], close)  # (receiver, emitter)
+    return {pair: set(t[rows].tolist()) for pair, rows in pairs.items()}
 
 
 def harvested_owners(server: AttackerServer) -> set:

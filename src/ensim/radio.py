@@ -3,11 +3,12 @@
 Geometry is 2-D with piecewise-constant trajectories; distance is the only
 geometric quantity the attacks depend on. One broadcast per tick per
 emitter, delivered once per scanning node in range. Path loss is computed
-once per geometry: the world keeps the in-range scanners of each emitter
-(at a given tx power) and rebuilds them only when some node reaches
-another waypoint. A step delivers a span of ticks that send the same
-emissions between two waypoint changes at once, as the same rows tick
-after tick. Identical (config, injections) always produce identical event
+once per geometry: the world keeps each emission's deliveries (link ids
+and noiseless rssi) and drops them only when some node reaches another
+waypoint. A step delivers a span of ticks that send the same emissions
+between two waypoint changes at once: one loop writes one tick's rows,
+built from those deliveries, for every tick of the span. Identical
+(config, injections) always produce identical event
 logs. Noise comes from the world's own seeded generator: the values
 `Random.gauss` would give one delivery at a time, in row order, are drawn
 ahead in bulk (`NoiseAhead`) and added to a step's rows a refill at most
@@ -18,7 +19,8 @@ Every delivery, radio-made or injected, is one row of the world's
 one frame by one receiver at one place share (receiver, emitter, relay
 flag, MAC, payload, rx position), stored once. Devices, the attacker and
 the event-log writer read the rows they need from this one log; nothing
-else is kept per event.
+else is kept per event. Every reader that splits rows by receiver,
+payload, link or (receiver, emitter) does so with `ScanLog.group`.
 
 The world is advanced by a single owner; parallelism belongs across
 independent runs, not within one.
@@ -33,6 +35,7 @@ from bisect import bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import repeat
+from operator import itemgetter
 from random import Random
 from typing import NamedTuple, Optional
 
@@ -48,6 +51,7 @@ WRITE_BATCH_ROWS = 1 << 10
 # leaves numpy's per-call cost dominant when ticks deliver a few dozen events
 NOISE_CHUNK_PAIRS = 1 << 12
 TWOPI = 2.0 * math.pi
+NO_ROWS = np.empty(0, dtype=np.int64)
 
 
 @dataclass(frozen=True)
@@ -71,12 +75,7 @@ class NodeSpec:
 
     def waypoint(self, t: float):
         """The waypoint in effect at t: the last one at or before t, else the first."""
-        current = self.trajectory[0]
-        for wp in self.trajectory:
-            if wp[0] > t:
-                break
-            current = wp
-        return current
+        return self.trajectory[max(bisect_right(self.trajectory, t, key=itemgetter(0)) - 1, 0)]
 
     def position(self, t: float) -> tuple[float, float]:
         _, x, y = self.waypoint(t)
@@ -148,7 +147,8 @@ class ScanLog(Sequence):
     exactly as it was appended.
 
     `columns()` hands out numpy views of the columns without copying; a
-    view pins its column, so none may be held across an append.
+    view pins its column, so none may be held across an append. `group`
+    splits rows by a key of their links; it is the only grouping of rows.
     """
 
     def __init__(self):
@@ -199,19 +199,43 @@ class ScanLog(Sequence):
         link = self.links[self.link[row]]
         return ScanEvent(link.receiver, self.sighting(row), link.emitter, link.relay)
 
+    def group(self, key, rows=None) -> dict:
+        """`rows` (row numbers in log order; every row when None) split by
+        `key(link_id)` of each row's link: {key: row numbers in log order}, in
+        the order in which the keys first come up among the rows' link ids.
+        Rows whose key is None are left out.
+
+        `key` is called once per link the rows contain; the split is one stable
+        sort of a per-row code, the narrowest unsigned dtype that holds one code
+        per key and a last one for None (a stable sort of 8- or 16-bit codes is
+        a radix sort).
+        """
+        link_col = self.columns()[1]
+        of_row = link_col if rows is None else link_col[rows]
+        if rows is None:  # every link has a row: its first hearing
+            present = np.arange(len(self.links))
+        else:
+            heard = np.zeros(len(self.links), dtype=bool)
+            heard[of_row] = True
+            present = np.flatnonzero(heard)
+        keys = list(map(key, present.tolist()))
+        distinct = dict.fromkeys(keys)
+        distinct.pop(None, None)
+        codes = dict(zip(distinct, range(len(distinct))))
+        none = codes[None] = len(distinct)  # the last code
+        of_link = np.full(len(self.links), none, dtype=np.min_scalar_type(none))
+        of_link[present] = list(map(codes.__getitem__, keys))
+        of_row = of_link[of_row]
+        bounds = [0, *np.cumsum(np.bincount(of_row, minlength=none + 1)).tolist()]
+        order = np.argsort(of_row, kind="stable")
+        if rows is not None:
+            order = np.asarray(rows, dtype=np.int64)[order]
+        return {k: order[bounds[i]:bounds[i + 1]] for i, k in enumerate(distinct)}
+
     def by_receiver(self, receivers) -> dict:
-        """Each of `receivers`' rows in log order, as Rows of Sightings, from one
-        stable sort of the log by receiver."""
-        code = {rid: i for i, rid in enumerate(receivers)}
-        none = len(code)
-        # the narrowest dtype: a stable sort of 8- or 16-bit keys is a radix sort
-        of_link = np.array([code.get(link.receiver, none) for link in self.links],
-                           dtype=np.min_scalar_type(none))
-        per_row = of_link[self.columns()[1]]
-        order = np.argsort(per_row, kind="stable")
-        counts = np.bincount(per_row, minlength=none + 1)
-        ends = np.cumsum(counts)
-        return {rid: Rows(self, order[ends[i] - counts[i]:ends[i]]) for rid, i in code.items()}
+        """Each of `receivers`' rows in log order, as Rows of Sightings."""
+        parts = self.group([link.receiver for link in self.links].__getitem__)
+        return {rid: Rows(self, parts.get(rid, NO_ROWS)) for rid in receivers}
 
     def __len__(self) -> int:
         return len(self.link)
@@ -359,31 +383,32 @@ class World:
         # the geometry tables, and the waypoints and positions they were built for
         self._waypoints: Optional[list] = None
         self._positions: dict = {}
-        # (emitter id, tx_power) -> (in-range scanner ids, their rssi before noise, their positions)
-        self._paths: dict = {}
-        # (emitter id, tx_power, payload, mac, relay) -> the link id of each path
-        self._link_ids: dict = {}
+        # emission -> (the link id of each delivery, its rssi before noise)
+        self._deliveries: dict = {}
         self._changes = sorted({wp[0] for n in config.nodes for wp in n.trajectory})
 
     def position(self, node_id: str, t: float) -> tuple[float, float]:
         return self.nodes[node_id].position(t)
 
-    def _path_row(self, emitter_id: str, tx_power: int) -> tuple:
-        """The in-range scanners of one emitter at the current positions, in
-        scanner order, with their noiseless rssi and their positions."""
+    def _deliver(self, em: Emission, row: int) -> tuple:
+        """One emission's deliveries at the current positions, in scanner order:
+        their link ids (a new link first heard on `row` and on), and their
+        noiseless rssi."""
         pl, range_max, positions = self.config.path_loss, self.config.radio_range_max, self._positions
-        ex, ey = positions[emitter_id]
-        ids, rssis, rxs = [], array("d"), []
+        emitter = em.node_id
+        ex, ey = positions[emitter]
+        heard, rssis = [], array("d")
         for sid in self._scanner_ids:
-            if sid == emitter_id:
+            if sid == emitter:
                 continue
             rx = positions[sid]
-            rssi = propagate(tx_power, math.hypot(rx[0] - ex, rx[1] - ey), 0.0, pl, range_max)
+            rssi = propagate(em.tx_power, math.hypot(rx[0] - ex, rx[1] - ey), 0.0, pl, range_max)
             if rssi is not None:
-                ids.append(sid)
+                heard.append((sid, rx))
                 rssis.append(rssi)
-                rxs.append(rx)
-        return ids, rssis, rxs
+        intern = self.events.intern
+        return array("i", [intern(Link(sid, emitter, em.relay, em.mac, em.payload, rx), row + i)
+                           for i, (sid, rx) in enumerate(heard)]), rssis
 
     def next_waypoint_change(self, t: float) -> float:
         """The first waypoint time of any node after t (inf when none is left):
@@ -395,16 +420,18 @@ class World:
         """Deliver each emission once to every in-range scanner on each of `ticks`
         ticks from t; returns the new rows of the log, read as ScanEvents.
 
-        The path loss of each (emitter, tx_power) to each scanner comes from the
-        geometry tables, rebuilt only when the waypoint in effect for some node
-        differs from the last step's (trajectories are piecewise constant); no
-        waypoint may change within the span. New links are interned on the
-        first tick; every tick of the span then takes the same link ids and
-        noiseless rssi, in emission order, then scanner order. The noise, the
-        next values of the world's gaussian sequence in row order, is added to
-        the new rows with numpy adds of at most one `NoiseAhead` refill each:
-        the same float arithmetic as `propagate`, so results are bit-identical
-        to computing each delivery of each tick from scratch.
+        Each emission's deliveries, the link ids and noiseless rssi of its
+        in-range scanners, are worked out once per geometry and kept; the
+        geometry is rebuilt only when the waypoint in effect for some node
+        differs from the last step's (trajectories are piecewise constant), and
+        no waypoint may change within the span. One tick's rows are the
+        deliveries in emission order, then scanner order; one loop writes them
+        for each tick of the span, and a new link is interned on the row of
+        its first tick. The noise, the next values of the world's gaussian
+        sequence in row order, is added to the new rows with numpy adds of at
+        most one `NoiseAhead` refill each: the same float arithmetic as
+        `propagate`, so results are bit-identical to computing each delivery
+        of each tick from scratch.
         """
         tick = self.config.tick
         last = t + (ticks - 1) * tick
@@ -416,38 +443,25 @@ class World:
         if self._waypoints is None or any(a is not b for a, b in zip(waypoints, self._waypoints)):
             self._waypoints = waypoints
             self._positions = {nid: (wp[1], wp[2]) for nid, wp in zip(self.nodes, waypoints)}
-            self._paths = {}
-            self._link_ids = {}
+            self._deliveries = {}
         log = self.events
         links, rssis = log.link, log.rssi
         start = len(links)
+        ids, noiseless = array("i"), array("d")  # one tick's rows
         for em in emissions:
-            key = (em.node_id, em.tx_power)
-            paths = self._paths.get(key)
-            if paths is None:
-                paths = self._paths[key] = self._path_row(em.node_id, em.tx_power)
-            scanner_ids, noiseless, rxs = paths
-            link_key = key + (em.payload, em.mac, em.relay)
-            ids = self._link_ids.get(link_key)
-            if ids is None:
-                row = len(links)
-                ids = self._link_ids[link_key] = array("i", [
-                    log.intern(Link(sid, em.node_id, em.relay, em.mac, em.payload, rx), row + i)
-                    for i, (sid, rx) in enumerate(zip(scanner_ids, rxs))])
-            links.extend(ids)
-            rssis.extend(noiseless)
-        n = len(links) - start
-        log.t.extend(array("q", [t]) * n)
-        piece = 2 * NOISE_CHUNK_PAIRS
-        if ticks > 1 and n:
-            ids, noiseless = links[start:], rssis[start:]  # the first tick's rows
-            per = max(1, piece // n)  # ticks written at once
-            for done in range(1, ticks, per):
-                m = min(per, ticks - done)
-                links.extend(ids * m)
-                rssis.extend(noiseless * m)
-                times = np.arange(t + done * tick, t + (done + m) * tick, tick, dtype=np.int64)
-                log.t.frombytes(np.repeat(times, n).tobytes())
+            delivered = self._deliveries.get(em)
+            if delivered is None:
+                delivered = self._deliveries[em] = self._deliver(em, start + len(ids))
+            ids.extend(delivered[0])
+            noiseless.extend(delivered[1])
+        n, piece = len(ids), 2 * NOISE_CHUNK_PAIRS
+        per = max(1, piece // n) if n else ticks  # ticks written at once
+        for done in range(0, ticks, per):
+            m = min(per, ticks - done)
+            links.extend(ids * m)
+            rssis.extend(noiseless * m)
+            times = np.arange(t + done * tick, t + (done + m) * tick, tick, dtype=np.int64)
+            log.t.frombytes(np.repeat(times, n).tobytes())
         if self.config.path_loss.noise_sigma > 0 and len(links) > start:
             noisy = np.frombuffer(rssis, dtype=np.float64)[start:]
             for i in range(0, len(noisy), piece):

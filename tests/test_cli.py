@@ -157,6 +157,9 @@ INVALID_CONFIGS = {
     "sweep one_sided_quality 1.5": ("sweep", [(("one_sided_quality",), 1.5)],
                                     "'one_sided_quality'"),
     "sweep alpha 1.5": ("sweep", [(("alphas_sc",), [1.5])], "'alphas_sc[0]'"),
+    # no grid point: exited 0 with a header-only coverage.csv
+    "sweep alphas_sc []": ("sweep", [(("alphas_sc",), [])], "'alphas_sc'"),
+    "sweep alphas_cd []": ("sweep", [(("alphas_cd",), [])], "'alphas_cd'"),
     "sweep n 'x'": ("sweep", [(("n",), "x")], "'n'"),
     "sweep seed -1": ("sweep", [(("seed",), -1)], "'seed'"),
     "top-level []": ("scenario", [((), [])], "'config' must be a JSON object"),

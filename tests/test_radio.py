@@ -13,6 +13,7 @@ from ensim.radio import (
     NodeSpec,
     PathLoss,
     ScanEvent,
+    ScanLog,
     Sighting,
     World,
     WorldConfig,
@@ -85,6 +86,26 @@ class TestTrajectory:
         assert n.position(9) == (0.0, 0.0)
         assert n.position(10) == (5.0, 5.0)
         assert n.position(99) == (5.0, 5.0)
+
+    @pytest.mark.parametrize("trajectory", [
+        ((0, 0.0, 0.0),),
+        ((3, 0.0, 0.0), (10, 5.0, 5.0)),
+        ((0, 0.0, 0.0), (5, 1.0, 1.0), (5, 2.0, 2.0), (5, 3.0, 3.0), (10, 4.0, 4.0)),
+        ((2, 0.0, 0.0), (2, 1.0, 1.0), (7.5, 2.0, 2.0)),
+    ])
+    def test_waypoint_is_the_linear_rule(self, trajectory):
+        def linear(t):  # the last waypoint at or before t, else the first
+            current = trajectory[0]
+            for wp in trajectory:
+                if wp[0] > t:
+                    break
+                current = wp
+            return current
+
+        n = NodeSpec(id="a", trajectory=trajectory)
+        times = {wp[0] + d for wp in trajectory for d in (-1, -0.5, 0, 0.5, 1)} | {-10, 99}
+        for t in sorted(times):  # before the first time, on each time, between and after the last
+            assert n.waypoint(t) is linear(t), t
 
 
 class TestStep:
@@ -192,6 +213,79 @@ class TestNoiseAhead:
         drained = np.array([reference.gauss(0.0, sigma) for _ in range(len(ahead))])
         assert ahead.view(np.int64).tolist() == drained.view(np.int64).tolist()
         assert rng.getstate() == reference.getstate()
+
+
+def logged(*rows):
+    """A log of (receiver, payload) rows at t = 0, 1, ...; a link per distinct pair."""
+    log = ScanLog()
+    rx = (0.0, 0.0)
+    for t, (receiver, payload) in enumerate(rows):
+        log.append(ScanEvent(receiver, Sighting(payload, "00:00:00:00:00:01", -50.0, t, rx)))
+    return log
+
+
+def parts(groups):
+    return {k: rows.tolist() for k, rows in groups.items()}
+
+
+class TestGroup:
+    def receiver(self, log):
+        return lambda link_id: log.links[link_id].receiver
+
+    def test_parts_in_log_order(self):
+        log = logged(("a", b"1"), ("b", b"1"), ("a", b"1"), ("b", b"1"), ("b", b"1"), ("a", b"1"))
+        assert parts(log.group(self.receiver(log))) == {"a": [0, 2, 5], "b": [1, 3, 4]}
+
+    def test_none_keys_dropped(self):
+        log = logged(("a", b"1"), ("b", b"1"), ("c", b"1"), ("a", b"1"))
+        groups = log.group(lambda link_id: None if log.links[link_id].receiver == "b" else
+                           log.links[link_id].receiver)
+        assert parts(groups) == {"a": [0, 3], "c": [2]}
+        assert log.group(lambda link_id: None) == {}
+
+    def test_shared_key_merges_links_in_log_order(self):
+        # links 0 and 2 are a's, with different payloads; keys come in order of first link id
+        log = logged(("a", b"1"), ("b", b"1"), ("a", b"2"), ("a", b"1"), ("b", b"1"), ("a", b"2"))
+        groups = log.group(self.receiver(log))
+        assert list(groups) == ["a", "b"]
+        assert parts(groups) == {"a": [0, 2, 3, 5], "b": [1, 4]}
+        by_payload = log.group(lambda link_id: log.links[link_id].payload)
+        assert parts(by_payload) == {b"1": [0, 1, 3, 4], b"2": [2, 5]}
+
+    def test_rows_subset(self):
+        log = logged(("a", b"1"), ("b", b"1"), ("c", b"1"), ("a", b"1"), ("b", b"1"), ("a", b"2"))
+        calls = []
+
+        def key(link_id):
+            calls.append(link_id)
+            return log.links[link_id].receiver
+
+        groups = log.group(key, np.array([1, 3, 4, 5]))
+        assert parts(groups) == {"b": [1, 4], "a": [3, 5]}
+        assert sorted(calls) == [0, 1, 3]  # once per link the rows hold
+        assert log.group(key, np.array([], dtype=np.int64)) == {}
+
+    def test_empty_log(self):
+        assert ScanLog().group(lambda link_id: link_id) == {}
+        assert ScanLog().by_receiver(["a"])["a"] == []
+
+    @pytest.mark.parametrize("n_keys, dtype", [
+        (255, np.uint8), (256, np.uint16), (65535, np.uint16), (65536, np.uint32)])
+    def test_code_width(self, n_keys, dtype, monkeypatch):
+        # one link and row per key, then a row whose key is None
+        log = logged(*[(f"r{i}", b"") for i in range(n_keys)], ("none", b""))
+        sorted_dtypes = []
+        argsort = np.argsort
+
+        def spy(a, *args, **kwargs):
+            sorted_dtypes.append(a.dtype)
+            return argsort(a, *args, **kwargs)
+
+        monkeypatch.setattr(np, "argsort", spy)
+        groups = log.group(lambda link_id: None if link_id == n_keys else link_id)
+        assert sorted_dtypes == [dtype]
+        assert len(groups) == n_keys
+        assert all(rows.tolist() == [k] for k, rows in groups.items())
 
 
 class TestInject:
