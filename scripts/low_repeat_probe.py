@@ -14,9 +14,9 @@ duration constants in its own copy of perfbench's workload module (no file
 changes) and runs seed 0 untraced: one `engine.run_scenario` and its
 `engine.write_outputs` into a temporary directory that is deleted
 afterwards, then 4 more `run_scenario` calls. One row is printed per case:
-the scan events, the best of the 5 run times, the write time, and the
-sha256 of the artifacts (each file's name and bytes, in name order), which
-must not change with a refactor.
+the scan events, the links of the scan log (`radio.Link`), the best of the
+5 run times, the write time, and the sha256 of the artifacts (each file's
+name and bytes, in name order), which must not change with a refactor.
 """
 
 from __future__ import annotations
@@ -70,24 +70,24 @@ def probe(case: str) -> dict:
         write_s = time.perf_counter() - start
         for path in sorted(Path(out).iterdir()):
             digest.update(path.name.encode() + b"\0" + path.read_bytes())
-    events = len(result.world.events)
+    events, links = len(result.world.events), len(result.world.events.links)
     del result
     for _ in range(RUNS - 1):
         start = time.perf_counter()
         engine.run_scenario(cfg)
         run_s.append(time.perf_counter() - start)
-    return {"case": case, "events": events, "run_best_s": round(min(run_s), 4),
+    return {"case": case, "events": events, "links": links, "run_best_s": round(min(run_s), 4),
             "write_s": round(write_s, 4), "sha256": digest.hexdigest()}
 
 
 def main() -> None:
     argparse.ArgumentParser(description=__doc__.split("\n\n")[0]).parse_args()
-    print("case        events  run_best_s  write_s  sha256")
+    print("case        events   links  run_best_s  write_s  sha256")
     for case in CASES:
         with ProcessPoolExecutor(1, mp_context=multiprocessing.get_context("spawn")) as child:
             row = child.submit(probe, case).result()
-        print(f"{row['case']:10s}  {row['events']:6d}  {row['run_best_s']:10.4f}  "
-              f"{row['write_s']:7.4f}  {row['sha256']}", flush=True)
+        print(f"{row['case']:10s}  {row['events']:6d}  {row['links']:6d}  "
+              f"{row['run_best_s']:10.4f}  {row['write_s']:7.4f}  {row['sha256']}", flush=True)
 
 
 if __name__ == "__main__":

@@ -20,6 +20,11 @@ Matching semantics:
   * Close matched sightings accumulate duration per (key, day), counting
     each tick at most once; a notification is emitted at
     `duration_threshold` (default 15 min).
+  * Each notification also counts its close matched ticks whose link is
+    direct, neither relayed nor injected (`direct_duration`): ground truth
+    from the scan log's links, which no device could see. A direct hearing
+    carries its owner's untampered metadata, so its claimed attenuation is
+    its true one.
 
 Devices keep every sighting unfiltered; all filtering happens here at
 matching time. A device's sightings are its rows of a scan log
@@ -31,7 +36,8 @@ its MAC: a frame's kind depends only on its payload) and looked up in the
 published-identifier index (`crypto.identifier_index`, built once
 per run and shared with re-identification), the metadata is decrypted once
 per distinct payload and matching key, and the window and attenuation
-tests run as column operations.
+tests run as column operations. A notification's close matched rows are
+split into direct and not direct with `ScanLog.group` too.
 """
 
 from __future__ import annotations
@@ -43,7 +49,7 @@ from typing import Optional
 import numpy as np
 
 from . import beacon, crypto
-from .radio import Rows, ScanEvent, Sighting, attenuation
+from .radio import NO_ROWS, Rows, ScanEvent, Sighting, attenuation
 
 TEK_RETENTION_DAYS = 14
 
@@ -58,10 +64,14 @@ class MatchingParams:
 
 @dataclass(frozen=True)
 class ExposureNotification:
+    """Durations in seconds: every close matched tick (`cumulative_duration`),
+    and those heard straight from the key's owner (`direct_duration`)."""
+
     matched_tek: crypto.TemporaryExposureKey
     day: int
     cumulative_duration: int
     min_attenuation: float
+    direct_duration: int
 
 
 @dataclass
@@ -126,16 +136,21 @@ def on_scan(state: DeviceState, sighting: Sighting) -> None:
     state.sightings.append(ScanEvent(state.id, sighting))
 
 
+def retained_keys(state: DeviceState) -> list:
+    """Its key history, then its current key: at most TEK_RETENTION_DAYS keys."""
+    teks = list(state.tek_history)
+    if state.current_tek is not None:
+        teks.append(state.current_tek)
+    return teks
+
+
 def diagnose_and_upload(state: DeviceState, server, t: int) -> list:
     """Publish the retained daily keys; the registry is world-readable."""
     if state.current_tek is None:
         # diagnosed before the first broadcast (t = 0): draw today's key now,
         # exactly as that broadcast would have, so there is a key to publish
         _roll_keys(state, t)
-    teks = list(state.tek_history)
-    if state.current_tek is not None:
-        teks.append(state.current_tek)
-    teks = teks[-TEK_RETENTION_DAYS:]
+    teks = retained_keys(state)
     server.publish(teks, t)
     return teks
 
@@ -149,14 +164,12 @@ def match_exposures(state: DeviceState, published_teks, params: MatchingParams, 
     """
     if index is None:
         index = crypto.identifier_index(published_teks)
-    own = {tek.key for tek in state.tek_history}
-    if state.current_tek is not None:
-        own.add(state.current_tek.key)
+    own = {tek.key for tek in retained_keys(state)}
 
     log = state.sightings.log
     t_col, _, rssi_col = log.columns()
-    matched_ticks: list[list] = [[] for _ in published_teks]
-    min_att: list[Optional[float]] = [None] * len(matched_ticks)
+    matched_rows: list[list] = [[] for _ in published_teks]
+    min_att: list[Optional[float]] = [None] * len(matched_rows)
     for payload, rows in log.group(lambda link_id: log.links[link_id].payload,
                                    state.sightings.positions()).items():
         kind = beacon.decode(payload, "").kind  # the kind depends only on the payload
@@ -175,21 +188,29 @@ def match_exposures(state: DeviceState, published_teks, params: MatchingParams, 
             att = attenuation(claimed, group_rssi[in_window])
             close = att <= params.attenuation_threshold
             if close.any():
-                matched_ticks[pos].append(group_t[in_window][close])
+                matched_rows[pos].append(rows[in_window][close])
                 best = float(att[close].min())
                 min_att[pos] = best if min_att[pos] is None else min(min_att[pos], best)
+
+    def duration(rows) -> int:
+        return len(set(t_col[rows].tolist())) * params.tick
+
+    def direct(link_id) -> bool:
+        link = log.links[link_id]
+        return not link.relay and link.emitter is not None
 
     notifications = []
     for pos, tek in enumerate(published_teks):
         if tek.key in own:
             continue
-        ticks = matched_ticks[pos]
-        duration = (len(set(np.concatenate(ticks).tolist())) if ticks else 0) * params.tick
-        if duration >= params.duration_threshold:
+        rows = np.concatenate(matched_rows[pos]) if matched_rows[pos] else NO_ROWS
+        cumulative = duration(rows)
+        if cumulative >= params.duration_threshold:
             notifications.append(ExposureNotification(
                 matched_tek=tek,
                 day=tek.rolling_start // crypto.INTERVALS_PER_DAY,
-                cumulative_duration=duration,
+                cumulative_duration=cumulative,
                 min_attenuation=min_att[pos],
+                direct_duration=duration(log.group(direct, rows).get(True, NO_ROWS)),
             ))
     return notifications

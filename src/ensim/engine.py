@@ -20,11 +20,12 @@ published-key snapshot; the snapshot's identifier index is built once and
 shared by every device's matching and the attacker's re-identification.
 
 Ground truth for false-positive accounting is tracked outside the
-protocol: per (receiver, emitter) pair, the ticks with a direct
-(non-relayed) reception whose true attenuation is within the matching
-threshold, found at the end as the log's close direct rows grouped by
-(receiver, emitter). A notification is a genuine contact only if that
-direct exposure alone reaches the duration threshold.
+protocol: each notification carries how long its receiver heard the key
+straight from its owner (`ExposureNotification.direct_duration`, the close
+matched ticks whose link is neither relayed nor injected). A notification
+is a genuine contact only if that direct exposure alone reaches the
+duration threshold. It counts only hearings of the matched key, so contact
+with the owner on another day does not make a notification genuine.
 
 Configs are checked against one field table per object (`SCENARIO_FIELDS`
 and the tables it nests, `SWEEP_FIELDS`), which maps every key the object
@@ -51,8 +52,6 @@ from pathlib import Path
 from random import Random
 from typing import Optional
 
-import numpy as np
-
 from . import beacon
 from . import coverage as coverage_mod
 from . import crypto
@@ -64,7 +63,6 @@ from .radio import (
     Emission,
     NodeSpec,
     PathLoss,
-    ScanLog,
     Sighting,
     World,
     WorldConfig,
@@ -341,7 +339,6 @@ class RunResult:
     published: tuple
     notification_rows: list
     dossiers: list
-    direct_close_ticks: dict  # (receiver_id, emitter_id) -> set of ticks
     harvested_owners: set
     tek_owner: dict  # tek key bytes -> node id
 
@@ -357,20 +354,6 @@ class RunResult:
                                  if e.tek.key in self.tek_owner},
             harvested_owner_ids=self.harvested_owners,
         )
-
-
-def direct_close_ticks(log: ScanLog, tx_powers: dict, threshold: float) -> dict:
-    """(receiver, emitter) -> the ticks with a direct (non-relayed) reception whose
-    true attenuation, from the emitter's real tx power, is within `threshold`."""
-    true_tx = np.array([np.nan if link.emitter is None or link.relay else tx_powers[link.emitter]
-                        for link in log.links], dtype=np.float64)
-    t, links, rssi = log.columns()
-    att = true_tx[links]
-    att -= rssi  # the true attenuation, in place: one temporary the size of a column
-    close = np.flatnonzero(att <= threshold)  # NaN, for injected and relayed rows, never is
-    del att
-    pairs = log.group(lambda link_id: log.links[link_id][:2], close)  # (receiver, emitter)
-    return {pair: set(t[rows].tolist()) for pair, rows in pairs.items()}
 
 
 def harvested_owners(server: AttackerServer) -> set:
@@ -446,20 +429,12 @@ def run_scenario(cfg: ScenarioConfig) -> RunResult:
 def _result(cfg: ScenarioConfig, world: World, devices: dict, deputies: list,
             server: Optional[AttackerServer], diag: DiagnosisServer) -> RunResult:
     """Match, account and re-identify once the run's ticks are done."""
-    node_by_id = world.nodes
-    log = world.events
-    direct_close = direct_close_ticks(log, {nid: n.tx_power for nid, n in node_by_id.items()},
-                                      cfg.matching.attenuation_threshold)
-    for nid, rows in log.by_receiver(devices).items():
+    for nid, rows in world.events.by_receiver(devices).items():
         devices[nid].sightings = rows
 
     published = diag.snapshot(cfg.world.duration)
-    tek_owner = {}
-    for nid, dev in devices.items():
-        for tek in dev.tek_history:
-            tek_owner[tek.key] = nid
-        if dev.current_tek is not None:
-            tek_owner[dev.current_tek.key] = nid
+    tek_owner = {tek.key: nid for nid, dev in devices.items()
+                 for tek in device_mod.retained_keys(dev)}
 
     rows = []
     published_teks = [e.tek for e in published]
@@ -467,16 +442,14 @@ def _result(cfg: ScenarioConfig, world: World, devices: dict, deputies: list,
     for nid in sorted(devices):
         notes = device_mod.match_exposures(devices[nid], published_teks, cfg.matching, index=index)
         for note in notes:
-            owner = tek_owner.get(note.matched_tek.key)
-            direct = direct_close.get((nid, owner), set()) if owner else set()
-            genuine = len(direct) * cfg.world.tick >= cfg.matching.duration_threshold
             rows.append({
                 "device_id": nid,
                 "tek_hex": note.matched_tek.key.hex(),
                 "day": note.day,
                 "duration_s": note.cumulative_duration,
                 "min_attenuation_db": note.min_attenuation,
-                "ground_truth_contact": genuine,
+                "direct_duration_s": note.direct_duration,  # not written to notifications.csv
+                "ground_truth_contact": note.direct_duration >= cfg.matching.duration_threshold,
             })
 
     dossiers = server.reidentify(published, index=index) if server is not None else []
@@ -489,7 +462,6 @@ def _result(cfg: ScenarioConfig, world: World, devices: dict, deputies: list,
         published=published,
         notification_rows=rows,
         dossiers=dossiers,
-        direct_close_ticks=direct_close,
         harvested_owners=harvested_owners(server) if server is not None else set(),
         tek_owner=tek_owner,
     )

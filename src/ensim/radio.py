@@ -20,7 +20,7 @@ one frame by one receiver at one place share (receiver, emitter, relay
 flag, MAC, payload, rx position), stored once. Devices, the attacker and
 the event-log writer read the rows they need from this one log; nothing
 else is kept per event. Every reader that splits rows by receiver,
-payload, link or (receiver, emitter) does so with `ScanLog.group`.
+payload, kept link, or direct or not does so with `ScanLog.group`.
 
 The world is advanced by a single owner; parallelism belongs across
 independent runs, not within one.
@@ -123,9 +123,9 @@ class Emission:
 class Link(NamedTuple):
     """What every hearing of one frame by one receiver at one place shares.
 
-    `rx` is the receiver's position object itself: links are told apart by
-    its identity, not its value, because 0, 0.0 and -0.0 are equal but are
-    written differently.
+    A log tells links apart by `rx`'s text (`repr`), not its value: 0, 0.0
+    and -0.0 compare equal but are written differently, and a place reached
+    again is the same link however its position tuple was built.
     """
 
     receiver: str
@@ -154,7 +154,7 @@ class ScanLog(Sequence):
     def __init__(self):
         self.links: list[Link] = []
         self.first = array("q")
-        self._ids: dict = {}  # link fields with id(rx) in place of rx -> link id
+        self._ids: dict = {}  # link fields with repr(rx) in place of rx -> link id
         self.t = array("q")
         self.link = array("i")
         self.rssi = array("d")
@@ -162,11 +162,11 @@ class ScanLog(Sequence):
 
     def intern(self, link: Link, row: int) -> int:
         """The id of `link`; a new link is first heard on `row`."""
-        key = link[:5] + (id(link.rx),)
+        key = link[:5] + (repr(link.rx),)
         link_id = self._ids.get(key)
         if link_id is None:
             link_id = self._ids[key] = len(self.links)
-            self.links.append(link)  # holding rx keeps its id from being reused
+            self.links.append(link)
             self.first.append(row)
         return link_id
 
@@ -200,10 +200,10 @@ class ScanLog(Sequence):
         return ScanEvent(link.receiver, self.sighting(row), link.emitter, link.relay)
 
     def group(self, key, rows=None) -> dict:
-        """`rows` (row numbers in log order; every row when None) split by
-        `key(link_id)` of each row's link: {key: row numbers in log order}, in
-        the order in which the keys first come up among the rows' link ids.
-        Rows whose key is None are left out.
+        """`rows` (row numbers; every row, in log order, when None) split by
+        `key(link_id)` of each row's link: {key: row numbers in the order of
+        `rows`}, in the order in which the keys first come up among the rows'
+        link ids. Rows whose key is None are left out.
 
         `key` is called once per link the rows contain; the split is one stable
         sort of a per-row code, the narrowest unsigned dtype that holds one code

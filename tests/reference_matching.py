@@ -13,17 +13,20 @@ from ensim.device import ExposureNotification
 from ensim.radio import attenuation
 
 
-def match_exposures(state, published_teks, params) -> list:
-    """Notifications for `state` against `published_teks`."""
+def match_exposures(state, published_teks, params, direct=None) -> list:
+    """Notifications for `state` against `published_teks`. `direct` says for
+    each sighting whether it was heard straight from its emitter's broadcast
+    (a Sighting cannot tell); none was when it is not given."""
     own = {tek.key for tek in state.tek_history}
     if state.current_tek is not None:
         own.add(state.current_tek.key)
 
     parsed = []
-    for s in state.sightings:
+    for s, heard_direct in zip(state.sightings, direct or [False] * len(state.sightings),
+                               strict=True):
         kind = beacon.decode(s.payload, s.mac).kind
         if isinstance(kind, beacon.Gaen):
-            parsed.append((s.time, s.rssi, kind.rpi, kind.aem))
+            parsed.append((s.time, s.rssi, kind.rpi, kind.aem, heard_direct))
 
     notifications = []
     for tek in published_teks:
@@ -31,9 +34,9 @@ def match_exposures(state, published_teks, params) -> list:
             continue
         aemk = crypto.derive_aemk(tek)
         rpi_interval = {r.rpi: r.interval for r in crypto.regenerate_day(tek)}
-        matched_ticks = set()
+        matched_ticks, direct_ticks = set(), set()
         min_att = None
-        for s_time, s_rssi, rpi, aem in parsed:
+        for s_time, s_rssi, rpi, aem, heard_direct in parsed:
             interval = rpi_interval.get(rpi)
             if interval is None:
                 continue
@@ -45,6 +48,8 @@ def match_exposures(state, published_teks, params) -> list:
             att = attenuation(meta.tx_power, s_rssi)
             if att <= params.attenuation_threshold:
                 matched_ticks.add(s_time)
+                if heard_direct:
+                    direct_ticks.add(s_time)
                 min_att = att if min_att is None else min(min_att, att)
         duration = len(matched_ticks) * params.tick
         if duration >= params.duration_threshold:
@@ -53,6 +58,7 @@ def match_exposures(state, published_teks, params) -> list:
                 day=tek.rolling_start // crypto.INTERVALS_PER_DAY,
                 cumulative_duration=duration,
                 min_attenuation=min_att,
+                direct_duration=len(direct_ticks) * params.tick,
             ))
     return notifications
 

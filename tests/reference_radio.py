@@ -65,19 +65,22 @@ def reference_write_event_log(events, path):
             }) + "\n")
 
 
-def reference_route(events, device_ids, deputy_ids, policy, tx_powers, threshold):
+def reference_route(events, device_ids, deputy_ids, policy):
     """Every event delivered in turn, as a per-event routing loop would: each
-    device's sightings, the attacker's harvest (each hearing a deputy keeps),
-    its relay candidates (first in-zone hearing per identifier), the owners
-    of frames harvested straight from their broadcast, and the direct close
-    ticks per (receiver, emitter)."""
-    out = SimpleNamespace(sightings={nid: [] for nid in device_ids}, db=[], candidates={},
-                          owners=set(), direct={})
+    device's sightings, and for each of them whether it was heard straight
+    from its emitter's broadcast (neither relayed nor injected), the
+    attacker's harvest (each hearing a deputy keeps), its relay candidates
+    (first in-zone hearing per identifier) and the owners of frames
+    harvested straight from their broadcast."""
+    out = SimpleNamespace(sightings={nid: [] for nid in device_ids},
+                          direct={nid: [] for nid in device_ids}, db=[], candidates={},
+                          owners=set())
     for ev in events:
         s, rid = ev.sighting, ev.receiver_id
         direct = ev.emitter_id is not None and not ev.relay
         if rid in out.sightings:
             out.sightings[rid].append(s)
+            out.direct[rid].append(direct)
         if rid in deputy_ids and s.mac != policy.relay_mac:
             frame = beacon.decode(s.payload, s.mac)
             gaen = isinstance(frame.kind, beacon.Gaen)
@@ -90,6 +93,4 @@ def reference_route(events, device_ids, deputy_ids, policy, tx_powers, threshold
                     out.candidates[frame.kind.rpi] = record
                 if direct:
                     out.owners.add(ev.emitter_id)
-        if direct and tx_powers[ev.emitter_id] - s.rssi <= threshold:
-            out.direct.setdefault((rid, ev.emitter_id), set()).add(s.time)
     return out

@@ -190,9 +190,38 @@ class TestLazyStudent:
 
     def test_direct_exposure_alone_too_short(self):
         result = run_scenario(ScenarioConfig.from_dict(scenarios.lazy_student()))
+        direct = {r["device_id"]: r["direct_duration_s"] for r in result.notification_rows}
         for sid in ("s01", "s02", "s03", "s04"):
-            direct = result.direct_close_ticks.get((sid, "carrier"), set())
-            assert 0 < len(direct) < 900
+            assert 0 < direct[sid] < 900
+
+
+class TestGroundTruthPerKey:
+    def test_contact_on_another_day_does_not_count(self):
+        # alice sits 1 m from bob for 1,200 s on day 0, then leaves; on day 1 she
+        # spends 120 s beside the hospital deputy, and her harvested identifiers
+        # are relayed 1.5 m from bob, 1 km away, for about 2 h
+        day = crypto.INTERVALS_PER_DAY * crypto.INTERVAL_SECONDS
+        away = [5000.0, 5000.0]
+        raw = small_scenario(name="two_days", nodes=[
+            {"id": "alice", "app": True, "infected_at": day, "diagnosed_at": day + 600,
+             "trajectory": [[0, 1001.0, 0.0], [1200, *away], [day, 0.0, 2.0],
+                            [day + 120, *away]]},
+            {"id": "bob", "app": True, "trajectory": [[0, 1000.0, 0.0]]},
+            {"id": "dep_hospital", "deputy": True, "trajectory": [[0, 0.0, 0.0]]},
+            {"id": "dep_target", "deputy": True, "trajectory": [[0, 1000.0, 1.5]]},
+        ], attack={
+            "harvest_zones": [[-5.0, -5.0, 5.0, 5.0]],
+            "target_zones": [[995.0, -5.0, 1005.0, 5.0]],
+            "relay_latency": 5,
+        })
+        raw["world"]["duration"] = day + 3 * 3600
+        result = run_scenario(ScenarioConfig.from_dict(raw))
+        rows = {r["day"]: r for r in result.notification_rows}
+        assert [r["device_id"] for r in result.notification_rows] == ["bob", "bob"]
+        assert rows[0]["ground_truth_contact"] is True
+        assert rows[1]["ground_truth_contact"] is False  # every matched tick was relayed
+        assert rows[0]["direct_duration_s"] == rows[0]["duration_s"] == 1200
+        assert rows[1]["direct_duration_s"] == 0 and rows[1]["duration_s"] >= 900
 
 
 class TestAttackStructure:

@@ -129,7 +129,7 @@ def test_reidentify_equals_reference(world, collect_all):
     policy = AttackPolicy(collect_all=collect_all)
     deputies = ("d0", "d1", "d2")
     events = [ScanEvent(deputies[i % 3], s) for i, s in enumerate(sightings)]
-    route = reference_route(events, (), deputies, policy, {}, 0.0)
+    route = reference_route(events, (), deputies, policy)
     entries = [PublishedTek(tek, i) for i, tek in enumerate(published)]
     expected = ref.reidentify(SimpleNamespace(db=route.db, policy=policy), entries)
 

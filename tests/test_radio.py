@@ -19,6 +19,7 @@ from ensim.radio import (
     WorldConfig,
     attenuation,
     propagate,
+    write_event_log,
 )
 
 PL = PathLoss(ref_rssi_at_1m=-41.0, exponent=2.0, noise_sigma=0.0)
@@ -189,6 +190,24 @@ class TestStep:
         assert len(w.step(0, ems, ticks=5)) == 5  # ticks 0-4 stop before it
         assert len(w.step(5, ems, ticks=5)) == 5
         assert [e.sighting.time for e in w.events] == list(range(10))
+
+    def test_links_keyed_by_written_position(self, tmp_path):
+        # one 10-minute interval: the receiver is back at (0, 0) after a geometry
+        # rebuild, and (0.0, 0.0) and (-0.0, 0) compare equal to it but are written
+        # differently
+        r = NodeSpec(id="r", app=True,
+                     trajectory=((0, 0, 0), (1, 0.0, 0.0), (2, 0, 0), (3, -0.0, 0)))
+        w = make_world([r, still("e", 1, 0)], duration=4)
+        em = Emission("e", self.payload(), "ee:ee:ee:ee:ee:ee", 0)
+        for t in range(4):
+            w.step(t, [em])
+        assert len(w.events.links) == 3
+        assert w.events.link.tolist() == [0, 1, 0, 2]
+        write_event_log(w.events, tmp_path / "events.jsonl")
+        lines = (tmp_path / "events.jsonl").read_text().splitlines()
+        assert [line[line.index('"rx_x"'):line.index(', "payload_hex"')] for line in lines] == [
+            '"rx_x": 0, "rx_y": 0', '"rx_x": 0.0, "rx_y": 0.0', '"rx_x": 0, "rx_y": 0',
+            '"rx_x": -0.0, "rx_y": 0']
 
 
 class TestNoiseAhead:

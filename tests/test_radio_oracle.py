@@ -273,7 +273,6 @@ def test_scan_log_readers_match_per_event_routing(run):
     config, relays, injections, policy, params, picks, ticks, chunk = run
     devices, schedule = _schedule(config, relays, injections)
     deputies = sorted(n.id for n in config.nodes if n.deputy)
-    tx_powers = {n.id: n.tx_power for n in config.nodes}
     fast, slow, single = World(config), World(config), World(config)
     slow.events = []
     server = AttackerServer(policy, log=fast.events, deputies=deputies)
@@ -295,10 +294,7 @@ def test_scan_log_readers_match_per_event_routing(run):
         ref.reference_write_event_log(slow.events, want)
         assert got.read_bytes() == want.read_bytes()
 
-    route = ref.reference_route(slow.events, devices, deputies, policy, tx_powers,
-                                params.attenuation_threshold)
-    assert engine.direct_close_ticks(fast.events, tx_powers, params.attenuation_threshold) \
-        == route.direct
+    route = ref.reference_route(slow.events, devices, deputies, policy)
     assert engine.harvested_owners(server) == route.owners
     assert server._relay_candidates == route.candidates
     assert server.db == route.db
@@ -315,5 +311,5 @@ def test_scan_log_readers_match_per_event_routing(run):
         dev.sightings = rows
         expected = reference_matching.match_exposures(
             SimpleNamespace(sightings=route.sightings[nid], tek_history=dev.tek_history,
-                            current_tek=dev.current_tek), published, params)
+                            current_tek=dev.current_tek), published, params, route.direct[nid])
         assert match_exposures(dev, published, params, index=index) == expected
