@@ -20,7 +20,10 @@ one frame by one receiver at one place share (receiver, emitter, relay
 flag, MAC, payload, rx position), stored once. Devices, the attacker and
 the event-log writer read the rows they need from this one log; nothing
 else is kept per event. Every reader that splits rows by receiver,
-payload, kept link, or direct or not does so with `ScanLog.group`.
+payload, kept link, or direct or not does so with `ScanLog.group`. The
+event-log writer renders the times and rssi of a batch of rows with one
+`orjson` call per column, byte for byte as `json.dumps` would write each
+row, and hands the few numbers orjson lays out differently to `json.dumps`.
 
 The world is advanced by a single owner; parallelism belongs across
 independent runs, not within one.
@@ -40,6 +43,7 @@ from random import Random
 from typing import NamedTuple, Optional
 
 import numpy as np
+import orjson
 
 # emitters closer than this are treated as at this distance; keeps the
 # path-loss model in its rssi <= tx_power regime for co-located nodes
@@ -481,14 +485,18 @@ def write_event_log(log: ScanLog, path) -> None:
     """Write every row of `log` to `path` as JSON lines in stable field order.
 
     The text around `t` and `rssi` is rendered with `json.dumps` once per
-    link, and the text of each rssi once per distinct bit pattern in a
-    batch of rows (so 0.0 and -0.0 stay apart); each batch is then joined
-    from those texts and the columns with iteration done in C and written
-    at once, so no copy of the whole log is built. `t` and a finite rssi
-    are written with `repr`, which writes ints and finite floats exactly as
-    `json.dumps` does; a non-finite rssi (an injected NaN, or an overflow
-    under a `PathLoss` built without the config's bounds) and an rssi kept
-    as given (an injected int) go through `json.dumps`.
+    link. Rows are written a batch at a time, each batch joined from one
+    flat list, so no copy of the whole log is built. A batch's `t` and
+    `rssi` columns are each rendered by one `orjson.dumps` call. orjson
+    writes an int, and a float with 1e-4 <= |x| < 1e16 or a zero of either
+    sign, exactly as `json.dumps` does: the shortest digits that round-trip,
+    as `repr` picks them. That window is where `repr` writes no exponent
+    (the double 1e-4 lies above 10**-4, and no double below 1e16 has the
+    shortest digits of 1e16). Outside it orjson lays out the exponent
+    differently (`1e16`, `1e-5` for `1e+16`, `1e-05`) and writes a
+    non-finite value (an injected NaN, or an overflow under a `PathLoss`
+    built without the config's bounds) as `null`; those rows, and an rssi
+    kept as given (an injected int), go through `json.dumps`.
     """
     heads, tails = [], []
     for receiver, emitter, relay, mac, payload, rx in log.links:
@@ -503,17 +511,24 @@ def write_event_log(log: ScanLog, path) -> None:
         given.setdefault(row // WRITE_BATCH_ROWS, []).append((row % WRITE_BATCH_ROWS, value))
     with open(path, "w") as fh:
         for start in range(0, len(log), WRITE_BATCH_ROWS):
-            stop = start + WRITE_BATCH_ROWS
-            links = link_col[start:stop]
-            bits, inverse = np.unique(rssi_col[start:stop].view(np.int64), return_inverse=True)
-            values = bits.view(np.float64)
-            texts = list(map(repr, values.tolist()))
-            for i in np.flatnonzero(~np.isfinite(values)).tolist():
-                texts[i] = json.dumps(float(values[i]))
-            rssi_text = list(map(texts.__getitem__, inverse.tolist()))
+            rows = slice(start, start + WRITE_BATCH_ROWS)
+            links, rssi = link_col[rows], rssi_col[rows]
+            n = len(links)
+            rssi_text = _texts(rssi)
+            size = np.abs(rssi)
+            for i in np.flatnonzero(~(((size >= 1e-4) & (size < 1e16)) | (rssi == 0))).tolist():
+                rssi_text[i] = json.dumps(rssi[i].item())
             for i, value in given.get(start // WRITE_BATCH_ROWS, ()):
                 rssi_text[i] = json.dumps(value)
-            fh.write("".join(map("".join, zip(repeat('{"t": '),
-                                               map(repr, t_col[start:stop].tolist()),
-                                               heads[links].tolist(), rssi_text,
-                                               tails[links].tolist()))))
+            flat = [None] * (5 * n)
+            flat[0::5] = repeat('{"t": ', n)
+            flat[1::5] = _texts(t_col[rows])
+            flat[2::5] = heads[links].tolist()
+            flat[3::5] = rssi_text
+            flat[4::5] = tails[links].tolist()
+            fh.write("".join(flat))
+
+
+def _texts(column: np.ndarray) -> list:
+    """Each number of a non-empty numpy column as orjson writes it."""
+    return orjson.dumps(column, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].decode().split(",")

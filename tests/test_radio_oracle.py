@@ -20,16 +20,24 @@ draw-ahead refills as small as one gaussian pair, so spans cross refills
 and take their noise in several pieces. Each span must give the events of
 k reference steps, and the log the same columns, links and first hearings,
 bit for bit, as a world stepped one tick at a time.
+
+Numbers the radio never makes are written through logs built with
+`ScanLog.append`: any float, NaN and infinities included, the ends of the
+window in which write_event_log takes orjson's text, a tie between two
+shortest decimals, and injected ints, after enough rows that they land in
+a later batch.
 """
 
+import math
 import random
+import sys
 import tempfile
 from pathlib import Path
 from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import reference_matching
 import reference_radio as ref
@@ -38,7 +46,8 @@ from ensim.attacker import DEFAULT_RELAY_MAC, AttackPolicy, AttackerServer, Zone
 from ensim.beacon import encode_gaen
 from ensim.device import DeviceState, MatchingParams, broadcast_current, match_exposures
 from ensim.diagnosis import PublishedTek
-from ensim.radio import Emission, NodeSpec, PathLoss, Sighting, World, WorldConfig, write_event_log
+from ensim.radio import (Emission, NodeSpec, PathLoss, ScanEvent, ScanLog, Sighting, World,
+                         WorldConfig, write_event_log)
 
 IDS = ("a", "b", 'q"uote', "ü-node", "back\\slash", "节点")
 MACS = ("aa:aa:aa:aa:aa:aa", 'ma"c', "ñ:01", "f0:0d:00:00:00:01")
@@ -52,6 +61,12 @@ DURATION = 8
 WAYPOINT_TIMES = (0, 2, 3, 5)
 # 0, 0.0 and -0.0 compare equal but are written differently
 INJECTED_RSSI = (-12, 0, -60, -12.5, float("nan"), 0.0, -0.0, float("inf"))
+# rssi of either sign at the ends of write_event_log's orjson window
+# (1e-4 <= |x| < 1e16), zero, the smallest and largest floats, and 2**50 + 0.25,
+# which lies halfway between the 17-digit decimals ...624.2 and ...624.3
+NUMBER_EDGES = tuple(sign * v for v in (1e-4, math.nextafter(1e-4, 0), math.nextafter(1e16, 0),
+                                        1e16, 0.0, 5e-324, sys.float_info.max, 2.0 ** 50 + 0.25)
+                     for sign in (1, -1))
 # NoiseAhead refill sizes: at 1 or 3 pairs, most spans cross a refill and take their
 # noise in several pieces
 CHUNK_PAIRS = (1, 3, radio.NOISE_CHUNK_PAIRS)
@@ -169,6 +184,28 @@ def test_step_and_event_log_match_reference(run):
         got, want = Path(tmp) / "got.jsonl", Path(tmp) / "want.jsonl"
         write_event_log(fast.events, got)
         ref.reference_write_event_log(slow.events, want)
+        assert got.read_bytes() == want.read_bytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.one_of(st.floats(), st.sampled_from(NUMBER_EDGES),
+                          st.integers(-2 ** 70, 2 ** 70)), max_size=40),
+       st.integers(0, 2 * radio.WRITE_BATCH_ROWS + 1), st.integers(-2 ** 62, 2 ** 62))
+@example([*NUMBER_EDGES, -12, 0], radio.WRITE_BATCH_ROWS + 3, 0)
+def test_event_log_numbers_match_reference(values, filler, t0):
+    """`values` as the rssi of rows appended after `filler` rows of noisy rssi,
+    from time t0 on, are written as the one-json.dumps-per-line writer does."""
+    noise = random.Random(filler)
+    rssis = [-60.0 + noise.gauss(0.0, 4.0) for _ in range(filler)] + values
+    events = [ScanEvent(IDS[i % 2], Sighting(PAYLOADS[0], MACS[i % 3], rssi, t0 + i, (0, 0.0)), "b")
+              for i, rssi in enumerate(rssis)]
+    log = ScanLog()
+    for event in events:
+        log.append(event)
+    with tempfile.TemporaryDirectory() as tmp:
+        got, want = Path(tmp) / "got.jsonl", Path(tmp) / "want.jsonl"
+        write_event_log(log, got)
+        ref.reference_write_event_log(events, want)
         assert got.read_bytes() == want.read_bytes()
 
 
