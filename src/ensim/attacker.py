@@ -21,10 +21,11 @@ The harvest is not copied out of the scan log: in a run, the server reads
 its deputies' rows of the world's log (on its own, rows that
 `deputy_on_scan` appends to a log of its own). While the run goes on it
 looks only at each deputy link's first hearing, to keep or drop the link
-and to offer the hearing as a relay candidate; `db` and `reidentify` read
-the kept links' rows when asked, through `ScanLog.group`. Each dossier
-sighting keeps the MAC it was heard under: that is the MAC linkage a side
-database of MACs joins on.
+and to offer the hearing as a relay candidate; `db` (the kept rows' row
+numbers) and `reidentify` read the kept links' rows when asked, through
+`ScanLog.group`, and `record` reads one row as a HarvestRecord. Each
+dossier sighting keeps the MAC it was heard under: that is the MAC linkage
+a side database of MACs joins on.
 """
 
 from __future__ import annotations
@@ -33,8 +34,10 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
+import numpy as np
+
 from . import beacon, crypto
-from .radio import NO_ROWS, Emission, Rows, ScanEvent, ScanLog, Sighting
+from .radio import NO_ROWS, Emission, ScanEvent, ScanLog, Sighting
 
 DEFAULT_RELAY_MAC = "f0:0d:00:00:00:01"
 
@@ -115,7 +118,7 @@ class AttackerServer:
         and the deputy node ids; by default, a log that only `deputy_on_scan` fills."""
         self.policy = policy
         self.log = ScanLog() if log is None else log
-        self._deputies = frozenset(deputies)
+        self._deputies = set(deputies)
         self._looked = 0  # links of the log that `catch_up` has looked at
         # link id -> decoded frame, for each deputy link whose hearings are kept
         self.harvest_links: dict[int, beacon.BeaconFrame] = {}
@@ -135,10 +138,9 @@ class AttackerServer:
     def deputy_on_scan(self, deputy_id: str, sighting: Sighting) -> Optional[HarvestRecord]:
         """Forward one hearing to the server. One hearing is all it takes."""
         row = self.log.append(ScanEvent(deputy_id, sighting))
-        link_id = self.log.link[row]
-        if self.log.first[link_id] == row:
-            self._take(link_id)
-        return self._record(row) if link_id in self.harvest_links else None
+        self._deputies.add(deputy_id)
+        self.catch_up()
+        return self.record(row) if self.log.link[row] in self.harvest_links else None
 
     def catch_up(self) -> bool:
         """Take in each link of the log first heard since the last call whose
@@ -167,23 +169,24 @@ class AttackerServer:
             return
         self.harvest_links[link_id] = frame
         if isinstance(frame.kind, beacon.Gaen) and self._in_harvest_zone(link.rx):
-            self._relay_candidates.setdefault(frame.kind.rpi, self._record(self.log.first[link_id]))
+            self._relay_candidates.setdefault(frame.kind.rpi, self.record(self.log.first[link_id]))
 
     def _in_harvest_zone(self, location) -> bool:
         zones = self.policy.harvest_zones
         return not zones or any(z.contains(*location) for z in zones)
 
-    def _record(self, row: int) -> HarvestRecord:
+    def record(self, row: int) -> HarvestRecord:
+        """A kept hearing, `row` of the log, as the deputy uploaded it."""
         link_id = self.log.link[row]
         link = self.log.links[link_id]
         return HarvestRecord(frame=self.harvest_links[link_id], rssi=self.log.rssi_at(row),
                              location=link.rx, time=self.log.t[row], deputy_id=link.receiver)
 
     @property
-    def db(self) -> Rows:
-        """Every kept hearing, in log order, read as HarvestRecords."""
+    def db(self) -> np.ndarray:
+        """The row numbers of every kept hearing, in log order (see `record`)."""
         kept = self.log.group(lambda link_id: True if link_id in self.harvest_links else None)
-        return Rows(self.log, kept.get(True, NO_ROWS), self._record)
+        return kept.get(True, NO_ROWS)
 
     # -- server side ------------------------------------------------------
 

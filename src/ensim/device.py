@@ -27,21 +27,22 @@ Matching semantics:
     its true one.
 
 Devices keep every sighting unfiltered; all filtering happens here at
-matching time. A device's sightings are its rows of a scan log
-(`radio.Rows`): in a run, its rows of the world's log, handed over when the
-run ends; on its own, rows that `on_scan` appends to a log of its own.
-Matching is an index join over those rows: they are grouped by payload
+matching time. A device's sightings are row numbers of a scan log
+(`DeviceState.log`): in a run, its rows of the world's log, handed over
+when the run ends; on its own, rows that `on_scan` appends to a log of its
+own. Matching is an index join over those rows: they are grouped by payload
 (`radio.ScanLog.group`), each distinct payload is decoded once (without
 its MAC: a frame's kind depends only on its payload) and looked up in the
 published-identifier index (`crypto.identifier_index`, built once
 per run and shared with re-identification), the metadata is decrypted once
 per distinct payload and matching key, and the window and attenuation
-tests run as column operations. A notification's close matched rows are
-split into direct and not direct with `ScanLog.group` too.
+tests run as column operations. Whether a close matched row is direct
+(`radio.Link.direct`) is read once per distinct link those rows hold.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
 from random import Random
 from typing import Optional
@@ -49,7 +50,7 @@ from typing import Optional
 import numpy as np
 
 from . import beacon, crypto
-from .radio import NO_ROWS, Rows, ScanEvent, Sighting, attenuation
+from .radio import ScanEvent, ScanLog, Sighting, attenuation
 
 TEK_RETENTION_DAYS = 14
 
@@ -81,7 +82,10 @@ class DeviceState:
     tx_power: int = 0
     current_tek: Optional[crypto.TemporaryExposureKey] = None
     tek_history: list = field(default_factory=list)
-    sightings: Rows = field(default_factory=Rows.new)
+    log: ScanLog = field(default_factory=ScanLog)
+    # row numbers of `log`: an array("q") that `on_scan` extends, or in a run
+    # the int64 array of this device's rows
+    sightings: array = field(default_factory=lambda: array("q"))
     mac_history: list = field(default_factory=list)  # (interval, mac) ground truth
     # cached per-interval broadcast state
     _interval: int = -1
@@ -133,7 +137,7 @@ def broadcast_current(state: DeviceState, t: int) -> beacon.BeaconFrame:
 
 
 def on_scan(state: DeviceState, sighting: Sighting) -> None:
-    state.sightings.append(ScanEvent(state.id, sighting))
+    state.sightings.append(state.log.append(ScanEvent(state.id, sighting)))
 
 
 def retained_keys(state: DeviceState) -> list:
@@ -166,16 +170,21 @@ def match_exposures(state: DeviceState, published_teks, params: MatchingParams, 
         index = crypto.identifier_index(published_teks)
     own = {tek.key for tek in retained_keys(state)}
 
-    log = state.sightings.log
-    t_col, _, rssi_col = log.columns()
-    matched_rows: list[list] = [[] for _ in published_teks]
+    log = state.log
+    t_col, link_col, rssi_col = log.columns()
+    matched_rows: list[list] = [[] for _ in published_teks]  # close matched rows per key
+    direct_rows: list[list] = [[] for _ in published_teks]  # those of them heard direct
     min_att: list[Optional[float]] = [None] * len(matched_rows)
+    # a view of an array("q") stops `on_scan` from growing it while it lives;
+    # everything kept below is a copy, so none outlives the call
+    sightings = np.asarray(state.sightings, dtype=np.int64)
     for payload, rows in log.group(lambda link_id: log.links[link_id].payload,
-                                   state.sightings.positions()).items():
+                                   sightings).items():
         kind = beacon.decode(payload, "").kind  # the kind depends only on the payload
         if not isinstance(kind, beacon.Gaen) or kind.rpi not in index:
             continue
         group_t, group_rssi = t_col[rows], rssi_col[rows]
+        direct = None  # per row; links hold one payload, so each is looked at once
         for pos, interval in index[kind.rpi]:
             window_start = interval * crypto.INTERVAL_SECONDS
             window_end = window_start + crypto.INTERVAL_SECONDS
@@ -185,32 +194,31 @@ def match_exposures(state: DeviceState, published_teks, params: MatchingParams, 
                 continue
             tek = published_teks[pos]
             claimed = crypto.decrypt_aem(crypto.derive_aemk(tek), kind.rpi, kind.aem).tx_power
-            att = attenuation(claimed, group_rssi[in_window])
-            close = att <= params.attenuation_threshold
+            att = attenuation(claimed, group_rssi)
+            close = in_window & (att <= params.attenuation_threshold)
             if close.any():
-                matched_rows[pos].append(rows[in_window][close])
+                if direct is None:
+                    links, of_row = np.unique(link_col[rows], return_inverse=True)
+                    direct = np.array([log.links[i].direct for i in links.tolist()])[of_row]
+                matched_rows[pos].append(rows[close])
+                direct_rows[pos].append(rows[close & direct])
                 best = float(att[close].min())
                 min_att[pos] = best if min_att[pos] is None else min(min_att[pos], best)
 
-    def duration(rows) -> int:
-        return len(set(t_col[rows].tolist())) * params.tick
-
-    def direct(link_id) -> bool:
-        link = log.links[link_id]
-        return not link.relay and link.emitter is not None
+    def duration(parts) -> int:
+        return len(set().union(*(t_col[rows].tolist() for rows in parts))) * params.tick
 
     notifications = []
     for pos, tek in enumerate(published_teks):
         if tek.key in own:
             continue
-        rows = np.concatenate(matched_rows[pos]) if matched_rows[pos] else NO_ROWS
-        cumulative = duration(rows)
+        cumulative = duration(matched_rows[pos])
         if cumulative >= params.duration_threshold:
             notifications.append(ExposureNotification(
                 matched_tek=tek,
                 day=tek.rolling_start // crypto.INTERVALS_PER_DAY,
                 cumulative_duration=cumulative,
                 min_attenuation=min_att[pos],
-                direct_duration=duration(log.group(direct, rows).get(True, NO_ROWS)),
+                direct_duration=duration(direct_rows[pos]),
             ))
     return notifications

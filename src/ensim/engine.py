@@ -15,9 +15,10 @@ gained a relay candidate is not repeated.
 
 No event is routed one by one: when the run ends, the log's rows are
 grouped by receiver once (`ScanLog.group`, the one grouping of the log's
-rows) and each device is handed its rows. Matching then runs against the
-published-key snapshot; the snapshot's identifier index is built once and
-shared by every device's matching and the attacker's re-identification.
+rows) and each device is handed the log and its row numbers. Matching
+then runs against the published-key snapshot; the snapshot's identifier
+index is built once and shared by every device's matching and the
+attacker's re-identification.
 
 Ground truth for false-positive accounting is tracked outside the
 protocol: each notification carries how long its receiver heard the key
@@ -60,6 +61,7 @@ from .attacker import AttackPolicy, AttackerServer, Zone
 from .device import DeviceState, MatchingParams
 from .diagnosis import DiagnosisServer
 from .radio import (
+    NO_ROWS,
     Emission,
     NodeSpec,
     PathLoss,
@@ -359,7 +361,7 @@ class RunResult:
 def harvested_owners(server: AttackerServer) -> set:
     """The nodes a deputy harvested a frame of straight from their own broadcast."""
     links = [server.log.links[link_id] for link_id in server.harvest_links]
-    return {link.emitter for link in links if link.emitter is not None and not link.relay}
+    return {link.emitter for link in links if link.direct}
 
 
 def run_scenario(cfg: ScenarioConfig) -> RunResult:
@@ -429,8 +431,11 @@ def run_scenario(cfg: ScenarioConfig) -> RunResult:
 def _result(cfg: ScenarioConfig, world: World, devices: dict, deputies: list,
             server: Optional[AttackerServer], diag: DiagnosisServer) -> RunResult:
     """Match, account and re-identify once the run's ticks are done."""
-    for nid, rows in world.events.by_receiver(devices).items():
-        devices[nid].sightings = rows
+    log = world.events
+    receiver = [link.receiver for link in log.links]
+    parts = log.group(receiver.__getitem__)
+    for nid, dev in devices.items():
+        dev.log, dev.sightings = log, parts.get(nid, NO_ROWS)
 
     published = diag.snapshot(cfg.world.duration)
     tek_owner = {tek.key: nid for nid, dev in devices.items()

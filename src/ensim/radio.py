@@ -18,9 +18,9 @@ Every delivery, radio-made or injected, is one row of the world's
 `ScanLog`: its time, a link id and its rssi. A link is what all hearings of
 one frame by one receiver at one place share (receiver, emitter, relay
 flag, MAC, payload, rx position), stored once. Devices, the attacker and
-the event-log writer read the rows they need from this one log; nothing
-else is kept per event. Every reader that splits rows by receiver,
-payload, kept link, or direct or not does so with `ScanLog.group`. The
+the event-log writer read the rows they need from this one log, by row
+number; nothing else is kept per event. Every reader that splits rows by
+receiver, payload or kept link does so with `ScanLog.group`. The
 event-log writer renders the times and rssi of a batch of rows with one
 `orjson` call per column, byte for byte as `json.dumps` would write each
 row, and hands the few numbers orjson lays out differently to `json.dumps`.
@@ -35,7 +35,6 @@ import json
 import math
 from array import array
 from bisect import bisect_right
-from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import repeat
 from operator import itemgetter
@@ -139,20 +138,26 @@ class Link(NamedTuple):
     payload: bytes
     rx: tuple
 
+    @property
+    def direct(self) -> bool:
+        """Heard straight from its emitter's broadcast: neither relayed nor injected."""
+        return self.emitter is not None and not self.relay
 
-class ScanLog(Sequence):
-    """Append-only columnar log of scan events, read back as ScanEvents.
+
+class ScanLog:
+    """Append-only columnar log of scan events, read by row number.
 
     A row is three columns, 20 bytes in all: `t`, `link` (an index into
     `links`) and `rssi`. Links are interned when first heard; `first` holds
     each link's first row, so link ids run in the order of first hearings.
     An rssi that the float column would not give back as it came (an int,
-    a NaN) is also kept as given, so a row reads back and is written
-    exactly as it was appended.
+    a NaN) is also kept as given, so `rssi_at` gives it back, and the
+    event-log writer writes it, exactly as it was appended.
 
-    `columns()` hands out numpy views of the columns without copying; a
-    view pins its column, so none may be held across an append. `group`
-    splits rows by a key of their links; it is the only grouping of rows.
+    Readers hold row numbers, not rows: `group` splits rows by a key of their
+    links (it is the only grouping of rows), and `columns()` hands out numpy
+    views of the columns without copying, to gather a group's times and rssi
+    from. A view pins its column, so none may be held across an append.
     """
 
     def __init__(self):
@@ -195,14 +200,6 @@ class ScanLog(Sequence):
     def rssi_at(self, row: int):
         return self._given.get(row, self.rssi[row])
 
-    def sighting(self, row: int) -> Sighting:
-        link = self.links[self.link[row]]
-        return Sighting(link.payload, link.mac, self.rssi_at(row), self.t[row], link.rx)
-
-    def event(self, row: int) -> ScanEvent:
-        link = self.links[self.link[row]]
-        return ScanEvent(link.receiver, self.sighting(row), link.emitter, link.relay)
-
     def group(self, key, rows=None) -> dict:
         """`rows` (row numbers; every row, in log order, when None) split by
         `key(link_id)` of each row's link: {key: row numbers in the order of
@@ -236,74 +233,8 @@ class ScanLog(Sequence):
             order = np.asarray(rows, dtype=np.int64)[order]
         return {k: order[bounds[i]:bounds[i + 1]] for i, k in enumerate(distinct)}
 
-    def by_receiver(self, receivers) -> dict:
-        """Each of `receivers`' rows in log order, as Rows of Sightings."""
-        parts = self.group([link.receiver for link in self.links].__getitem__)
-        return {rid: Rows(self, parts.get(rid, NO_ROWS)) for rid in receivers}
-
     def __len__(self) -> int:
         return len(self.link)
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return Rows(self, range(len(self))[i], self.event)
-        return self.event(range(len(self))[i])
-
-    def __iter__(self):
-        return map(self.event, range(len(self)))
-
-    def __eq__(self, other):
-        return isinstance(other, Sequence) and list(self) == list(other)
-
-    __hash__ = None
-
-
-class Rows(Sequence):
-    """Some rows of a ScanLog, in log order, each read back as `read(row)`
-    (Sightings unless another reader is given); nothing is copied.
-
-    `index` holds the row numbers: a range, a numpy array, or an
-    array('q') that `append` extends.
-    """
-
-    def __init__(self, log: ScanLog, index, read=None):
-        self.log = log
-        self.index = index
-        self.read = log.sighting if read is None else read
-
-    @classmethod
-    def new(cls) -> "Rows":
-        """No rows yet, of a log of their own."""
-        return cls(ScanLog(), array("q"))
-
-    def append(self, event: ScanEvent) -> int:
-        """Add `event` to the log and to these rows; returns its row."""
-        row = self.log.append(event)
-        self.index.append(row)
-        return row
-
-    def positions(self) -> np.ndarray:
-        """The row numbers as a numpy array (a view where `index` allows)."""
-        if isinstance(self.index, array):
-            return np.frombuffer(self.index, dtype=np.int64)
-        return np.asarray(self.index, dtype=np.int64)
-
-    def __len__(self) -> int:
-        return len(self.index)
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return Rows(self.log, self.index[i], self.read)
-        return self.read(int(self.index[i]))
-
-    def __iter__(self):
-        index = self.index
-        return map(self.read, index if isinstance(index, range) else index.tolist())
-
-    def __eq__(self, other):
-        return isinstance(other, Sequence) and list(self) == list(other)
-
-    __hash__ = None
 
 
 def propagate(tx_power: float, distance: float, noise_draw: float,
@@ -420,9 +351,9 @@ class World:
         i = bisect_right(self._changes, t)
         return self._changes[i] if i < len(self._changes) else math.inf
 
-    def step(self, t: int, emissions: list[Emission], *, ticks: int = 1) -> Rows:
+    def step(self, t: int, emissions: list[Emission], *, ticks: int = 1) -> range:
         """Deliver each emission once to every in-range scanner on each of `ticks`
-        ticks from t; returns the new rows of the log, read as ScanEvents.
+        ticks from t; returns the row numbers of the new rows of the log.
 
         Each emission's deliveries, the link ids and noiseless rssi of its
         in-range scanners, are worked out once per geometry and kept; the
@@ -471,7 +402,7 @@ class World:
             for i in range(0, len(noisy), piece):
                 noisy[i:i + piece] += self._noise.take(min(piece, len(noisy) - i))
             del noisy  # a view pins the column; the next append resizes it
-        return Rows(log, range(start, len(log)), log.event)
+        return range(start, len(log))
 
     def inject(self, receiver_id: str, sighting: Sighting) -> None:
         """Insert a spurious sighting into a receiver's stream at `sighting.time`, as

@@ -7,7 +7,9 @@ encodes each event with one `json.dumps` of the whole line;
 `reference_route` hands every event, one by one, to the structures that
 readers of the scan log derive from it. The link-table `World.step`, the
 columnar `ScanLog` and its readers must give the same events, the same
-bytes and the same derived results; see test_radio_oracle.py.
+bytes and the same derived results; see test_radio_oracle.py. `events`
+and `sightings` rebuild rows of a `ScanLog` for comparing with the plain
+lists these keep.
 """
 
 import json
@@ -46,6 +48,21 @@ def reference_step(world, t, emissions):
             ))
     world.events.extend(new)
     return new
+
+
+def events(log, rows=None):
+    """`rows` of `log` (every row when None), in the order given, as ScanEvents."""
+    out = []
+    for row in range(len(log)) if rows is None else map(int, rows):
+        link = log.links[log.link[row]]
+        sighting = Sighting(link.payload, link.mac, log.rssi_at(row), log.t[row], link.rx)
+        out.append(ScanEvent(link.receiver, sighting, link.emitter, link.relay))
+    return out
+
+
+def sightings(log, rows=None):
+    """`rows` of `log` (every row when None), in the order given, as Sightings."""
+    return [event.sighting for event in events(log, rows)]
 
 
 def reference_write_event_log(events, path):

@@ -104,8 +104,9 @@ def test_criterion_05_remote_attacker_refutation(acceptance_record, hospital_run
     plan = result.attacker.plan_log
     sources_ok = bool(plan) and all(
         e["source_deputy"] in deputies and e["deputy"] in deputies for e in plan)
-    relay_events = [e for e in result.world.events if e.relay]
-    emissions_ok = bool(relay_events) and {e.emitter_id for e in relay_events} <= deputies
+    # every row has a link, and every link a row: its first hearing
+    relay_links = [link for link in result.world.events.links if link.relay]
+    emissions_ok = bool(relay_links) and {link.emitter for link in relay_links} <= deputies
     server_placeless = not any(
         hasattr(result.attacker, attr) for attr in ("location", "position", "x", "y", "trajectory"))
     ok = sources_ok and emissions_ok and server_placeless
@@ -134,7 +135,8 @@ def test_criterion_06_single_hearing_harvest(acceptance_record):
         "injections": [],
     }
     result = run_scenario(ScenarioConfig.from_dict(raw))
-    hearings = [r for r in result.attacker.db if r.deputy_id == "dep_h"]
+    server = result.attacker
+    hearings = [row for row in server.db.tolist() if server.record(row).deputy_id == "dep_h"]
     notified = [r["device_id"] for r in result.notification_rows]
     ok = len(hearings) == 1 and notified == ["victim"]
     acceptance_record(6, "single hearing harvest", ok,
@@ -171,11 +173,14 @@ def test_criterion_08_reidentification(acceptance_record, tmp_path):
     assert len(published) == 1
     victim = result.tek_owner[published[0].tek.key]
 
-    truth = {
-        (e.sighting.time, e.sighting.rx_location[0], e.sighting.rx_location[1], e.sighting.mac)
-        for e in result.world.events
-        if e.receiver_id in result.deputies and e.emitter_id == victim
-    }
+    log = result.world.events
+    t_col = log.columns()[0]
+    truth = set()
+    for link_id, rows in log.group(lambda link_id: link_id if (
+            log.links[link_id].receiver in result.deputies
+            and log.links[link_id].emitter == victim) else None).items():
+        link = log.links[link_id]
+        truth |= {(t, link.rx[0], link.rx[1], link.mac) for t in t_col[rows].tolist()}
     dossiers = json.loads((tmp_path / "dossiers.json").read_text())
     assert [d["tek_hex"] for d in dossiers] == [published[0].tek.key.hex()]
     dossier = dossiers[0]["sightings"]

@@ -64,7 +64,7 @@ class TestHarvest:
         assert rec is not None
         assert rec.frame.payload == s.payload
         assert rec.deputy_id == "dep1"
-        assert server.db == [rec]
+        assert [server.record(row) for row in server.db.tolist()] == [rec]
 
     def test_non_gaen_skipped_by_default(self):
         server = make_server()

@@ -85,8 +85,8 @@ class TestStorage:
         for t in range(100_000):
             on_scan(dev, sighting_of(frame, t))
         assert len(dev.sightings) == 100_000
-        assert [s.time for s in dev.sightings[:5]] == [0, 1, 2, 3, 4]
-        assert dev.sightings[-1].time == 99_999
+        assert [dev.log.t[row] for row in dev.sightings[:5]] == [0, 1, 2, 3, 4]
+        assert dev.log.t[dev.sightings[-1]] == 99_999
 
     def test_duplicates_kept_separately(self):
         dev = make_device()
@@ -94,6 +94,16 @@ class TestStorage:
         on_scan(dev, sighting_of(frame, 5))
         on_scan(dev, sighting_of(frame, 9))
         assert len(dev.sightings) == 2
+
+    def test_scans_go_on_after_matching(self):
+        # matching reads the rows without keeping a view that would pin them
+        carrier, victim = make_device("c", 1), make_device("v", 2)
+        for t in range(0, 1200):
+            on_scan(victim, sighting_of(broadcast_current(carrier, t), t))
+            if t in (0, 899):
+                match_exposures(victim, [carrier.current_tek], PARAMS)
+        assert len(victim.sightings) == 1200
+        assert len(match_exposures(victim, [carrier.current_tek], PARAMS)) == 1
 
 
 class TestUpload:

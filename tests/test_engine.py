@@ -235,9 +235,10 @@ class TestAttackStructure:
 
     def test_every_relay_emission_originates_from_deputy(self):
         result = run_scenario(ScenarioConfig.from_dict(scenarios.hospital_replay()))
-        relay_events = [e for e in result.world.events if e.relay]
-        assert relay_events
-        assert {e.emitter_id for e in relay_events} <= set(result.deputies)
+        # every row has a link, and every link a row: its first hearing
+        relay_links = [link for link in result.world.events.links if link.relay]
+        assert relay_links
+        assert {link.emitter for link in relay_links} <= set(result.deputies)
 
     def test_window_respected_in_plan(self):
         result = run_scenario(ScenarioConfig.from_dict(scenarios.hospital_replay()))
@@ -255,7 +256,7 @@ class TestAttackStructure:
         for node in raw["nodes"]:
             node.pop("diagnosed_at", None)
         result = run_scenario(ScenarioConfig.from_dict(raw))
-        assert any(e.relay for e in result.world.events)
+        assert any(link.relay for link in result.world.events.links)
         assert result.notification_rows == []
 
 
@@ -275,7 +276,9 @@ class TestSingleHearing:
         })
         raw["world"]["duration"] = 1800
         result = run_scenario(ScenarioConfig.from_dict(raw))
-        carrier_hearings = [r for r in result.attacker.db if r.deputy_id == "dep_h"]
+        server = result.attacker
+        carrier_hearings = [row for row in server.db.tolist()
+                            if server.record(row).deputy_id == "dep_h"]
         assert len(carrier_hearings) == 1
         assert [r["device_id"] for r in result.notification_rows] == ["victim"]
         assert result.notification_rows[0]["ground_truth_contact"] is False
@@ -289,11 +292,13 @@ class TestInjection:
             "mac": "AB:B1:E9:9E:1B:BA", "rssi": -12.0,
         }])
         result = run_scenario(ScenarioConfig.from_dict(raw))
-        macs = {s.mac for s in result.devices["b"].sightings}
+        dev = result.devices["b"]
+        log, rows = dev.log, dev.sightings.tolist()
+        macs = {log.links[log.link[row]].mac for row in rows}
         assert "AB:B1:E9:9E:1B:BA" in macs
-        hits = [s for s in result.devices["b"].sightings if s.mac == "AB:B1:E9:9E:1B:BA"]
+        hits = [row for row in rows if log.links[log.link[row]].mac == "AB:B1:E9:9E:1B:BA"]
         assert len(hits) == 1
-        assert hits[0].rssi == -12.0
+        assert log.rssi_at(hits[0]) == -12.0
 
 
 def test_run_does_not_import_numpy_ma(tmp_path):
@@ -333,7 +338,10 @@ class TestDeterminism:
     def test_seed_changes_event_log(self):
         r1 = run_scenario(ScenarioConfig.from_dict(small_scenario(seed=1)))
         r2 = run_scenario(ScenarioConfig.from_dict(small_scenario(seed=2)))
-        assert r1.world.events != r2.world.events
+        def contents(log):
+            return [column.tobytes() for column in log.columns()], log.links
+
+        assert contents(r1.world.events) != contents(r2.world.events)
 
 
 class TestDiagnosisAtStart:
@@ -371,7 +379,8 @@ class TestComputeOnce:
         intervals = 3  # 0-599, 600-1199, 1200-1499
         assert calls["encrypt_aem"] == len(result.devices) * intervals
         assert calls["regenerate_day"] == len(result.published) == 1
-        distinct_payloads = sum(len({s.payload for s in dev.sightings})
+        distinct_payloads = sum(len({dev.log.links[dev.log.link[row]].payload
+                                     for row in dev.sightings.tolist()})
                                 for dev in result.devices.values())
         assert calls["decode"] == distinct_payloads == 2 * intervals
         # b decrypts each of a's frames once; a hears only b, whose key is unpublished

@@ -17,12 +17,12 @@ from types import SimpleNamespace
 from hypothesis import given, settings, strategies as st
 
 import reference_matching as ref
-from reference_radio import reference_route
+import reference_radio
 from ensim import beacon, crypto
 from ensim.attacker import AttackPolicy, AttackerServer, tamper
 from ensim.device import DeviceState, MatchingParams, broadcast_current, match_exposures, on_scan
 from ensim.diagnosis import PublishedTek
-from ensim.radio import NodeSpec, ScanEvent, Sighting, World, WorldConfig
+from ensim.radio import NO_ROWS, NodeSpec, ScanEvent, Sighting, World, WorldConfig
 
 # straddles the first day boundary, so every device holds two daily keys
 INTERVALS = (0, 1, 2, 142, 143, 144, 145)
@@ -99,14 +99,15 @@ def test_match_exposures_equals_reference(world):
                         current_tek=receiver.current_tek), published, params)
     for s in sightings:
         on_scan(receiver, s)
-    assert list(receiver.sightings) == sightings
+    assert reference_radio.sightings(receiver.log, receiver.sightings) == sightings
     assert match_exposures(receiver, published, params) == expected
     index = crypto.identifier_index(published)
     assert match_exposures(receiver, published, params, index=index) == expected
 
-    world = _world_of(sightings, {"rx": "app"})
-    receiver.sightings = world.events.by_receiver(["rx"])["rx"]
-    assert list(receiver.sightings) == sightings
+    log = _world_of(sightings, {"rx": "app"}).events
+    receiver.log = log
+    receiver.sightings = log.group(lambda link_id: log.links[link_id].receiver).get("rx", NO_ROWS)
+    assert reference_radio.sightings(receiver.log, receiver.sightings) == sightings
     assert match_exposures(receiver, published, params, index=index) == expected
 
 
@@ -129,20 +130,20 @@ def test_reidentify_equals_reference(world, collect_all):
     policy = AttackPolicy(collect_all=collect_all)
     deputies = ("d0", "d1", "d2")
     events = [ScanEvent(deputies[i % 3], s) for i, s in enumerate(sightings)]
-    route = reference_route(events, (), deputies, policy)
+    route = reference_radio.reference_route(events, (), deputies, policy)
     entries = [PublishedTek(tek, i) for i, tek in enumerate(published)]
     expected = ref.reidentify(SimpleNamespace(db=route.db, policy=policy), entries)
 
     server = AttackerServer(policy)
     for event in events:
         server.deputy_on_scan(event.receiver_id, event.sighting)
-    assert server.db == route.db
+    assert list(map(server.record, server.db.tolist())) == route.db
     assert server.reidentify(entries) == expected
 
     world = _world_of(sightings, dict.fromkeys(deputies, "deputy"))
     server = AttackerServer(policy, log=world.events, deputies=deputies)
     server.catch_up()
-    assert server.db == route.db
+    assert list(map(server.record, server.db.tolist())) == route.db
     assert server._relay_candidates == route.candidates
     assert server.reidentify(entries) == expected
 
