@@ -19,9 +19,10 @@ around that slot, so re-emission is productive until slot_end + horizon.
 
 The harvest is not copied out of the scan log: in a run, the server reads
 its deputies' rows of the world's log (on its own, rows that
-`deputy_on_scan` appends to a log of its own). While the run goes on it
-looks only at each deputy link's first hearing, to keep or drop the link
-and to offer the hearing as a relay candidate; `db` (the kept rows' row
+`deputy_on_scan` logs in a log of its own with `ScanLog.append`). While the
+run goes on it looks only at each deputy link's first hearing, once: it
+decodes the link's frame, keeps or drops the link and offers the hearing
+as a relay candidate; `db` (the kept rows' row
 numbers) and `reidentify` read the kept links' rows when asked, through
 `ScanLog.group`, and `record` reads one row as a HarvestRecord. Each
 dossier sighting keeps the MAC it was heard under: that is the MAC linkage
@@ -37,7 +38,7 @@ from typing import Optional
 import numpy as np
 
 from . import beacon, crypto
-from .radio import NO_ROWS, Emission, ScanEvent, ScanLog, Sighting
+from .radio import NO_ROWS, Emission, ScanLog, Sighting
 
 DEFAULT_RELAY_MAC = "f0:0d:00:00:00:01"
 
@@ -127,9 +128,6 @@ class AttackerServer:
         # First hearing is what matters: it starts the upload clock, and the
         # relay deadline depends only on the slot, which repeats hearings share.
         self._relay_candidates: dict[bytes, HarvestRecord] = {}
-        # decoded frame per distinct (payload, mac): a device repeats one frame
-        # for its whole 10-minute interval, so hearings mostly repeat
-        self._frames: dict[tuple[bytes, str], beacon.BeaconFrame] = {}
         # (masked aem, payload) per identifier, made when it is first relayed
         self._relayed: dict[bytes, tuple[bytes, bytes]] = {}
 
@@ -137,7 +135,7 @@ class AttackerServer:
 
     def deputy_on_scan(self, deputy_id: str, sighting: Sighting) -> Optional[HarvestRecord]:
         """Forward one hearing to the server. One hearing is all it takes."""
-        row = self.log.append(ScanEvent(deputy_id, sighting))
+        row = self.log.append(deputy_id, sighting)
         self._deputies.add(deputy_id)
         self.catch_up()
         return self.record(row) if self.log.link[row] in self.harvest_links else None
@@ -161,10 +159,7 @@ class AttackerServer:
         link = self.log.links[link_id]
         if link.mac == self.policy.relay_mac:
             return  # don't harvest our own re-emissions
-        heard = (link.payload, link.mac)
-        frame = self._frames.get(heard)
-        if frame is None:
-            frame = self._frames[heard] = beacon.decode(link.payload, link.mac)
+        frame = beacon.decode(link.payload, link.mac)
         if not self.policy.collect_all and not isinstance(frame.kind, beacon.Gaen):
             return
         self.harvest_links[link_id] = frame

@@ -23,8 +23,8 @@ the encoders, offsets from payload start:
     [5+n] 16  AA FE  10  tx[1 signed]  scheme[1]  encoded-url[n<=17]
 
 Decoding is total: anything malformed or unrecognized classifies as Unknown
-and the raw payload bytes are always preserved on the frame, so re-encoding
-a decoded frame is lossless for arbitrary input.
+and the raw payload bytes are always preserved on the frame, so a decoded
+frame's `payload` gives back the input bytes exactly, whatever they are.
 """
 
 from __future__ import annotations
@@ -93,10 +93,6 @@ class BeaconFrame:
     mac: str
     payload: bytes
     kind: Kind
-
-
-def encode(frame: BeaconFrame) -> bytes:
-    return frame.payload
 
 
 def encode_gaen(rpi: bytes, aem: bytes) -> bytes:

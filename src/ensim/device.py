@@ -29,20 +29,20 @@ Matching semantics:
 Devices keep every sighting unfiltered; all filtering happens here at
 matching time. A device's sightings are row numbers of a scan log
 (`DeviceState.log`): in a run, its rows of the world's log, handed over
-when the run ends; on its own, rows that `on_scan` appends to a log of its
-own. Matching is an index join over those rows: they are grouped by payload
+when the run ends; on its own, the rows that `on_scan` logs in a log of
+its own (`ScanLog.append`: a hearing with no emitter). Matching is an
+index join over those rows: they are grouped by payload
 (`radio.ScanLog.group`), each distinct payload is decoded once (without
 its MAC: a frame's kind depends only on its payload) and looked up in the
-published-identifier index (`crypto.identifier_index`, built once
-per run and shared with re-identification), the metadata is decrypted once
-per distinct payload and matching key, and the window and attenuation
-tests run as column operations. Whether a close matched row is direct
+published-identifier index (`crypto.identifier_index`, built once per run
+and shared with re-identification), the metadata is decrypted once per
+distinct payload and matching key, and the window and attenuation tests
+run as column operations. Whether a close matched row is direct
 (`radio.Link.direct`) is read once per distinct link those rows hold.
 """
 
 from __future__ import annotations
 
-from array import array
 from dataclasses import dataclass, field
 from random import Random
 from typing import Optional
@@ -50,7 +50,7 @@ from typing import Optional
 import numpy as np
 
 from . import beacon, crypto
-from .radio import ScanEvent, ScanLog, Sighting, attenuation
+from .radio import ScanLog, Sighting, attenuation
 
 TEK_RETENTION_DAYS = 14
 
@@ -83,9 +83,9 @@ class DeviceState:
     current_tek: Optional[crypto.TemporaryExposureKey] = None
     tek_history: list = field(default_factory=list)
     log: ScanLog = field(default_factory=ScanLog)
-    # row numbers of `log`: an array("q") that `on_scan` extends, or in a run
-    # the int64 array of this device's rows
-    sightings: array = field(default_factory=lambda: array("q"))
+    # row numbers of `log`: a list that `on_scan` appends to, or in a run the
+    # int64 array of this device's rows that `ScanLog.group` hands out
+    sightings: list = field(default_factory=list)
     mac_history: list = field(default_factory=list)  # (interval, mac) ground truth
     # cached per-interval broadcast state
     _interval: int = -1
@@ -137,7 +137,7 @@ def broadcast_current(state: DeviceState, t: int) -> beacon.BeaconFrame:
 
 
 def on_scan(state: DeviceState, sighting: Sighting) -> None:
-    state.sightings.append(state.log.append(ScanEvent(state.id, sighting)))
+    state.sightings.append(state.log.append(state.id, sighting))
 
 
 def retained_keys(state: DeviceState) -> list:
@@ -175,11 +175,8 @@ def match_exposures(state: DeviceState, published_teks, params: MatchingParams, 
     matched_rows: list[list] = [[] for _ in published_teks]  # close matched rows per key
     direct_rows: list[list] = [[] for _ in published_teks]  # those of them heard direct
     min_att: list[Optional[float]] = [None] * len(matched_rows)
-    # a view of an array("q") stops `on_scan` from growing it while it lives;
-    # everything kept below is a copy, so none outlives the call
-    sightings = np.asarray(state.sightings, dtype=np.int64)
     for payload, rows in log.group(lambda link_id: log.links[link_id].payload,
-                                   sightings).items():
+                                   state.sightings).items():
         kind = beacon.decode(payload, "").kind  # the kind depends only on the payload
         if not isinstance(kind, beacon.Gaen) or kind.rpi not in index:
             continue

@@ -105,6 +105,9 @@ integer = _ranged("an integer", lambda v: type(v) is int)
 # abs() also rules out nan, infinities and ints too large to become a float
 number = _ranged("a number", lambda v: type(v) in (int, float) and abs(v) <= sys.float_info.max)
 TEXT = _check(lambda v: isinstance(v, str), "a string")
+# the default output directory is out/<name>, so a name is one plain path component
+NAME = _check(lambda v: v not in ("", ".", "..") and not any(c in v for c in "/\\\0"),
+              "a plain file name (not empty, '.' or '..', no '/', '\\' or NUL)", TEXT)
 BOOL = _check(lambda v: isinstance(v, bool), "true or false")
 
 
@@ -187,7 +190,8 @@ PATH_LOSS_FIELDS = {
 }
 WORLD_FIELDS = {
     "tick": integer(1),
-    "duration": required(integer(1)),
+    # every tick before it has a 32-bit GAEN interval number
+    "duration": required(integer(1, crypto.INTERVAL_SECONDS * 2**32)),
     "radio_range_max": number(above=0),
     "path_loss": obj(PATH_LOSS_FIELDS, PathLoss),
 }
@@ -233,7 +237,7 @@ INJECTION_FIELDS = {
 SCENARIO_FIELDS = {
     "schema_version": const(SCHEMA_VERSION),
     "kind": const("scenario"),
-    "name": required(TEXT),
+    "name": required(NAME),
     "seed": required(integer()),
     "world": required(obj(WORLD_FIELDS)),
     "matching": obj(MATCHING_FIELDS),
@@ -246,7 +250,7 @@ ALPHAS = _check(bool, "a non-empty list of numbers in [0, 1]", list_of(number(0,
 SWEEP_FIELDS = {  # all but schema_version, kind and name are arguments of coverage.sweep
     "schema_version": const(SCHEMA_VERSION),
     "kind": required(const("sweep")),
-    "name": required(TEXT),
+    "name": required(NAME),
     "seed": required(integer(0)),
     "alphas_sc": required(ALPHAS),
     "alphas_cd": required(ALPHAS),

@@ -4,26 +4,28 @@ Geometry is 2-D with piecewise-constant trajectories; distance is the only
 geometric quantity the attacks depend on. One broadcast per tick per
 emitter, delivered once per scanning node in range. Path loss is computed
 once per geometry: the world keeps each emission's deliveries (link ids
-and noiseless rssi) and drops them only when some node reaches another
-waypoint. A step delivers a span of ticks that send the same emissions
-between two waypoint changes at once: one loop writes one tick's rows,
-built from those deliveries, for every tick of the span. Identical
-(config, injections) always produce identical event
-logs. Noise comes from the world's own seeded generator: the values
-`Random.gauss` would give one delivery at a time, in row order, are drawn
-ahead in bulk (`NoiseAhead`) and added to a step's rows a refill at most
-at a time.
+and noiseless rssi) and resets them at each waypoint time of any node. A
+step delivers a span of ticks that send the same emissions between two
+waypoint times at once, in one loop that writes the rows of as many whole
+ticks as fit in one `NoiseAhead` refill and adds their noise. Identical
+(config, injections) always produce identical event logs. Noise comes
+from the world's own seeded generator: the values `Random.gauss` would
+give one delivery at a time, in row order, are drawn ahead in bulk
+(`NoiseAhead`).
 
 Every delivery, radio-made or injected, is one row of the world's
 `ScanLog`: its time, a link id and its rssi. A link is what all hearings of
 one frame by one receiver at one place share (receiver, emitter, relay
-flag, MAC, payload, rx position), stored once. Devices, the attacker and
-the event-log writer read the rows they need from this one log, by row
-number; nothing else is kept per event. Every reader that splits rows by
-receiver, payload or kept link does so with `ScanLog.group`. The
-event-log writer renders the times and rssi of a batch of rows with one
-`orjson` call per column, byte for byte as `json.dumps` would write each
-row, and hands the few numbers orjson lays out differently to `json.dumps`.
+flag, MAC, payload, rx position), stored once. Only `World.step` writes
+rows whose link has an emitter; `ScanLog.append` logs every hearing from
+outside the radio, so only the radio makes a hearing direct. Devices, the
+attacker and the event-log writer read the rows they need from this one
+log, by row number; nothing else is kept per event. Every reader that
+splits rows by receiver, payload or kept link does so with
+`ScanLog.group`. The event-log writer renders the times and rssi of a
+batch of rows with one `orjson` call per column, byte for byte as
+`json.dumps` would write each row, and hands the few numbers orjson lays
+out differently to `json.dumps`.
 
 The world is advanced by a single owner; parallelism belongs across
 independent runs, not within one.
@@ -107,13 +109,6 @@ class Sighting(NamedTuple):
     rx_location: tuple[float, float]
 
 
-class ScanEvent(NamedTuple):
-    receiver_id: str
-    sighting: Sighting
-    emitter_id: Optional[str] = None  # ground-truth annotation; None for injected
-    relay: bool = False
-
-
 @dataclass(frozen=True)
 class Emission:
     node_id: str
@@ -132,7 +127,7 @@ class Link(NamedTuple):
     """
 
     receiver: str
-    emitter: Optional[str]  # ground-truth annotation; None for injected
+    emitter: Optional[str]  # ground-truth annotation; None for a hearing from outside the radio
     relay: bool
     mac: str
     payload: bytes
@@ -179,16 +174,16 @@ class ScanLog:
             self.first.append(row)
         return link_id
 
-    def append(self, event: ScanEvent) -> int:
-        """Add one event as the next row and return the row."""
-        s = event.sighting
+    def append(self, receiver: str, sighting: Sighting) -> int:
+        """Log a hearing from outside the radio as the next row and return the
+        row. Its link has no emitter and is no relay: rows that have an emitter
+        are written by `World.step` alone."""
         row = len(self.link)
-        self.t.append(s.time)
-        self.rssi.append(s.rssi)
-        if type(s.rssi) is not float or s.rssi != s.rssi:
-            self._given[row] = s.rssi
-        link = Link(event.receiver_id, event.emitter_id, event.relay, s.mac, s.payload,
-                    s.rx_location)
+        self.t.append(sighting.time)
+        self.rssi.append(sighting.rssi)
+        if type(sighting.rssi) is not float or sighting.rssi != sighting.rssi:
+            self._given[row] = sighting.rssi
+        link = Link(receiver, None, False, sighting.mac, sighting.payload, sighting.rx_location)
         self.link.append(self.intern(link, row))
         return row
 
@@ -315,12 +310,13 @@ class World:
         self._rng = Random(config.seed)
         self._noise = NoiseAhead(self._rng, config.path_loss.noise_sigma)
         self.events = ScanLog()
-        # the geometry tables, and the waypoints and positions they were built for
-        self._waypoints: Optional[list] = None
-        self._positions: dict = {}
-        # emission -> (the link id of each delivery, its rssi before noise)
-        self._deliveries: dict = {}
         self._changes = sorted({wp[0] for n in config.nodes for wp in n.trajectory})
+        # the geometry tables: the epoch (waypoint times at or before t) they
+        # were built for, the positions in it, and per emission the link id of
+        # each delivery and its rssi before noise
+        self._epoch = -1
+        self._positions: dict = {}
+        self._deliveries: dict = {}
 
     def position(self, node_id: str, t: float) -> tuple[float, float]:
         return self.nodes[node_id].position(t)
@@ -356,32 +352,30 @@ class World:
         ticks from t; returns the row numbers of the new rows of the log.
 
         Each emission's deliveries, the link ids and noiseless rssi of its
-        in-range scanners, are worked out once per geometry and kept; the
-        geometry is rebuilt only when the waypoint in effect for some node
-        differs from the last step's (trajectories are piecewise constant), and
-        no waypoint may change within the span. One tick's rows are the
-        deliveries in emission order, then scanner order; one loop writes them
-        for each tick of the span, and a new link is interned on the row of
-        its first tick. The noise, the next values of the world's gaussian
-        sequence in row order, is added to the new rows with numpy adds of at
-        most one `NoiseAhead` refill each: the same float arithmetic as
-        `propagate`, so results are bit-identical to computing each delivery
-        of each tick from scratch.
+        in-range scanners, are worked out once per epoch (the ticks between
+        two waypoint times of any node; trajectories are piecewise constant)
+        and kept; the span may not leave t's epoch. One tick's rows are the
+        deliveries in emission order, then scanner order, and a new link is
+        interned on the row of its first tick. One loop writes the span in
+        chunks of whole ticks, at most 2 * NOISE_CHUNK_PAIRS rows (or one
+        tick), each followed by its noise, the next values of the world's
+        gaussian sequence in row order, in one numpy add: the same float
+        arithmetic as `propagate`, so results are bit-identical to computing
+        each delivery of each tick from scratch.
         """
         tick = self.config.tick
         last = t + (ticks - 1) * tick
         if ticks < 1 or t < 0 or last >= self.config.duration or t % tick != 0:
             raise ValueError(f"t={t}, ticks={ticks} outside simulation schedule")
-        if self.next_waypoint_change(t) <= last:
+        epoch = bisect_right(self._changes, t)
+        if bisect_right(self._changes, last) != epoch:
             raise ValueError(f"a waypoint changes within ticks {t}..{last}")
-        waypoints = [node.waypoint(t) for node in self.nodes.values()]
-        if self._waypoints is None or any(a is not b for a, b in zip(waypoints, self._waypoints)):
-            self._waypoints = waypoints
-            self._positions = {nid: (wp[1], wp[2]) for nid, wp in zip(self.nodes, waypoints)}
+        if epoch != self._epoch:
+            self._epoch = epoch
+            self._positions = {nid: node.position(t) for nid, node in self.nodes.items()}
             self._deliveries = {}
         log = self.events
-        links, rssis = log.link, log.rssi
-        start = len(links)
+        start = len(log)
         ids, noiseless = array("i"), array("d")  # one tick's rows
         for em in emissions:
             delivered = self._deliveries.get(em)
@@ -389,19 +383,17 @@ class World:
                 delivered = self._deliveries[em] = self._deliver(em, start + len(ids))
             ids.extend(delivered[0])
             noiseless.extend(delivered[1])
-        n, piece = len(ids), 2 * NOISE_CHUNK_PAIRS
-        per = max(1, piece // n) if n else ticks  # ticks written at once
+        n = len(ids)
+        per = max(1, 2 * NOISE_CHUNK_PAIRS // n) if n else ticks  # ticks per chunk
+        noisy = n > 0 and self.config.path_loss.noise_sigma > 0
         for done in range(0, ticks, per):
-            m = min(per, ticks - done)
-            links.extend(ids * m)
-            rssis.extend(noiseless * m)
+            m, at = min(per, ticks - done), len(log)
+            log.link.extend(ids * m)
+            log.rssi.extend(noiseless * m)
             times = np.arange(t + done * tick, t + (done + m) * tick, tick, dtype=np.int64)
             log.t.frombytes(np.repeat(times, n).tobytes())
-        if self.config.path_loss.noise_sigma > 0 and len(links) > start:
-            noisy = np.frombuffer(rssis, dtype=np.float64)[start:]
-            for i in range(0, len(noisy), piece):
-                noisy[i:i + piece] += self._noise.take(min(piece, len(noisy) - i))
-            del noisy  # a view pins the column; the next append resizes it
+            if noisy:  # a view pins the column, so none outlives this statement
+                np.frombuffer(log.rssi, dtype=np.float64)[at:] += self._noise.take(m * n)
         return range(start, len(log))
 
     def inject(self, receiver_id: str, sighting: Sighting) -> None:
@@ -409,7 +401,7 @@ class World:
         an instrumented scanner stack would; indistinguishable from a radio-originated one."""
         if receiver_id not in self.nodes:
             raise KeyError(f"unknown receiver {receiver_id!r}")
-        self.events.append(ScanEvent(receiver_id=receiver_id, sighting=sighting))
+        self.events.append(receiver_id, sighting)
 
 
 def write_event_log(log: ScanLog, path) -> None:

@@ -7,18 +7,30 @@ encodes each event with one `json.dumps` of the whole line;
 `reference_route` hands every event, one by one, to the structures that
 readers of the scan log derive from it. The link-table `World.step`, the
 columnar `ScanLog` and its readers must give the same events, the same
-bytes and the same derived results; see test_radio_oracle.py. `events`
-and `sightings` rebuild rows of a `ScanLog` for comparing with the plain
-lists these keep.
+bytes and the same derived results; see test_radio_oracle.py. The
+reference keeps each event as a `ScanEvent` of its own; `events` and
+`sightings` rebuild rows of a `ScanLog` as those, for comparing with the
+plain lists these keep.
 """
 
 import json
 import math
 from types import SimpleNamespace
+from typing import NamedTuple, Optional
 
 from ensim import beacon
 from ensim.attacker import HarvestRecord
-from ensim.radio import MIN_DISTANCE_M, ScanEvent, Sighting, propagate
+from ensim.radio import MIN_DISTANCE_M, Sighting, propagate
+
+
+class ScanEvent(NamedTuple):
+    """One hearing as the reference keeps it: who heard what, and (ground
+    truth) who sent it, if anyone did, and whether it was relayed."""
+
+    receiver_id: str
+    sighting: Sighting
+    emitter_id: Optional[str] = None  # None for a hearing from outside the radio
+    relay: bool = False
 
 
 def reference_step(world, t, emissions):

@@ -163,6 +163,20 @@ INVALID_CONFIGS = {
     "sweep n 'x'": ("sweep", [(("n",), "x")], "'n'"),
     "sweep seed -1": ("sweep", [(("seed",), -1)], "'seed'"),
     "top-level []": ("scenario", [((), [])], "'config' must be a JSON object"),
+    # a tick at or after 600 * 2**32 s has no 32-bit GAEN interval number: a traceback
+    "duration past the interval numbers": ("scenario", [(("world", "tick"), 10**12),
+                                                        (("world", "duration"), 5 * 10**12),
+                                                        (("nodes", 0, "diagnosed_at"), None)],
+                                           "'world.duration'"),
+    # the default output directory is out/<name>: these wrote outside it or into out/
+    "name '../escaped'": ("scenario", [(("name",), "../escaped")], "'name'"),
+    "name ''": ("scenario", [(("name",), "")], "'name'"),
+    "name with a backslash": ("scenario", [(("name",), "a\\b")], "'name'"),
+    # without --out, mkdir raised ValueError (embedded null byte): a traceback
+    "name with NUL": ("scenario", [(("name",), "a\0b")], "'name'"),
+    "sweep name '.'": ("sweep", [(("name",), ".")], "'name'"),
+    "sweep name '..'": ("sweep", [(("name",), "..")], "'name'"),
+    "sweep name 'a/b'": ("sweep", [(("name",), "a/b")], "'name'"),
 }
 
 
@@ -175,6 +189,16 @@ def test_invalid_config_exits_2_naming_field(case, tmp_path, capsys):
     rc = main(["run", str(cfg), "--out", str(tmp_path / "o")])
     assert rc == 2
     assert expected in capsys.readouterr().err
+
+
+def test_longest_duration_runs(tmp_path):
+    # the last tick, 600 * 2**31 s, is in interval 2**31; 600 * 2**32 itself is never a tick
+    raw = _edited(scenarios.baseline_no_attack(), [(("world", "tick"), 600 * 2**31),
+                                                   (("world", "duration"), 600 * 2**32),
+                                                   (("nodes", 0, "diagnosed_at"), None)])
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(raw))
+    assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 0
 
 
 @pytest.mark.parametrize("path_loss", [

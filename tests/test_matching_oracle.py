@@ -22,7 +22,7 @@ from ensim import beacon, crypto
 from ensim.attacker import AttackPolicy, AttackerServer, tamper
 from ensim.device import DeviceState, MatchingParams, broadcast_current, match_exposures, on_scan
 from ensim.diagnosis import PublishedTek
-from ensim.radio import NO_ROWS, NodeSpec, ScanEvent, Sighting, World, WorldConfig
+from ensim.radio import NO_ROWS, NodeSpec, Sighting, World, WorldConfig
 
 # straddles the first day boundary, so every device holds two daily keys
 INTERVALS = (0, 1, 2, 142, 143, 144, 145)
@@ -129,7 +129,7 @@ def test_reidentify_equals_reference(world, collect_all):
     _, published, sightings, _ = world
     policy = AttackPolicy(collect_all=collect_all)
     deputies = ("d0", "d1", "d2")
-    events = [ScanEvent(deputies[i % 3], s) for i, s in enumerate(sightings)]
+    events = [reference_radio.ScanEvent(deputies[i % 3], s) for i, s in enumerate(sightings)]
     route = reference_radio.reference_route(events, (), deputies, policy)
     entries = [PublishedTek(tek, i) for i, tek in enumerate(published)]
     expected = ref.reidentify(SimpleNamespace(db=route.db, policy=policy), entries)

@@ -12,7 +12,6 @@ from ensim.radio import (
     NoiseAhead,
     NodeSpec,
     PathLoss,
-    ScanEvent,
     ScanLog,
     Sighting,
     World,
@@ -251,7 +250,7 @@ def logged(*rows):
     log = ScanLog()
     rx = (0.0, 0.0)
     for t, (receiver, payload) in enumerate(rows):
-        log.append(ScanEvent(receiver, Sighting(payload, "00:00:00:00:00:01", -50.0, t, rx)))
+        log.append(receiver, Sighting(payload, "00:00:00:00:00:01", -50.0, t, rx))
     return log
 
 
