@@ -51,6 +51,14 @@ def walking(raw: dict) -> dict:
     return raw
 
 
+def artifact_digest(out) -> str:
+    """The sha256 of the files in `out`: each file's name and bytes, in name order."""
+    digest = hashlib.sha256()
+    for path in sorted(Path(out).iterdir()):
+        digest.update(path.name.encode() + b"\0" + path.read_bytes())
+    return digest.hexdigest()
+
+
 def probe(case: str) -> dict:
     """One case in this (child) process; returns its row."""
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
@@ -63,13 +71,11 @@ def probe(case: str) -> dict:
     start = time.perf_counter()
     result = engine.run_scenario(cfg)
     run_s = [time.perf_counter() - start]
-    digest = hashlib.sha256()
     with tempfile.TemporaryDirectory() as out:
         start = time.perf_counter()
         engine.write_outputs(result, out)
         write_s = time.perf_counter() - start
-        for path in sorted(Path(out).iterdir()):
-            digest.update(path.name.encode() + b"\0" + path.read_bytes())
+        digest = artifact_digest(out)
     events, links = len(result.world.events), len(result.world.events.links)
     del result
     for _ in range(RUNS - 1):
@@ -77,7 +83,7 @@ def probe(case: str) -> dict:
         engine.run_scenario(cfg)
         run_s.append(time.perf_counter() - start)
     return {"case": case, "events": events, "links": links, "run_best_s": round(min(run_s), 4),
-            "write_s": round(write_s, 4), "sha256": digest.hexdigest()}
+            "write_s": round(write_s, 4), "sha256": digest}
 
 
 def main() -> None:

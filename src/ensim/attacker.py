@@ -174,7 +174,7 @@ class AttackerServer:
         """A kept hearing, `row` of the log, as the deputy uploaded it."""
         link_id = self.log.link[row]
         link = self.log.links[link_id]
-        return HarvestRecord(frame=self.harvest_links[link_id], rssi=self.log.rssi_at(row),
+        return HarvestRecord(frame=self.harvest_links[link_id], rssi=self.log.rssi[row],
                              location=link.rx, time=self.log.t[row], deputy_id=link.receiver)
 
     @property
@@ -316,7 +316,7 @@ class AttackerServer:
 
         dossiers = []
         for pos in sorted(range(len(published)), key=lambda i: published[i].tek.key.hex()):
-            sightings = [{"t": t, "x": x, "y": y, "rssi": log.rssi_at(row), "mac": mac}
+            sightings = [{"t": t, "x": x, "y": y, "rssi": log.rssi[row], "mac": mac}
                          for t, x, y, row, mac in sorted(hits[pos])]  # ties in log order
             dossiers.append({"tek_hex": published[pos].tek.key.hex(), "sightings": sightings})
         return dossiers

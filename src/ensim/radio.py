@@ -14,15 +14,16 @@ give one delivery at a time, in row order, are drawn ahead in bulk
 (`NoiseAhead`).
 
 Every delivery, radio-made or injected, is one row of the world's
-`ScanLog`: its time, a link id and its rssi. A link is what all hearings of
-one frame by one receiver at one place share (receiver, emitter, relay
-flag, MAC, payload, rx position), stored once. Only `World.step` writes
-rows whose link has an emitter; `ScanLog.append` logs every hearing from
-outside the radio, so only the radio makes a hearing direct. Devices, the
-attacker and the event-log writer read the rows they need from this one
-log, by row number; nothing else is kept per event. Every reader that
-splits rows by receiver, payload or kept link does so with
-`ScanLog.group`. The event-log writer renders the times and rssi of a
+`ScanLog`: its time, a link id and its rssi, the one float that is
+matched, harvested and written, however the rssi was given. A link is what
+all hearings of one frame by one receiver at one place share (receiver,
+emitter, relay flag, MAC, payload, rx position), stored once. Only
+`World.step` writes rows whose link has an emitter; `ScanLog.append` logs
+every hearing from outside the radio, so only the radio makes a hearing
+direct. Devices, the attacker and the event-log writer read the rows they
+need from this one log, by row number; nothing else is kept per event.
+Every reader that splits rows by receiver, payload or kept link does so
+with `ScanLog.group`. The event-log writer renders the times and rssi of a
 batch of rows with one `orjson` call per column, byte for byte as
 `json.dumps` would write each row, and hands the few numbers orjson lays
 out differently to `json.dumps`.
@@ -142,12 +143,10 @@ class Link(NamedTuple):
 class ScanLog:
     """Append-only columnar log of scan events, read by row number.
 
-    A row is three columns, 20 bytes in all: `t`, `link` (an index into
-    `links`) and `rssi`. Links are interned when first heard; `first` holds
-    each link's first row, so link ids run in the order of first hearings.
-    An rssi that the float column would not give back as it came (an int,
-    a NaN) is also kept as given, so `rssi_at` gives it back, and the
-    event-log writer writes it, exactly as it was appended.
+    A row is three columns, 20 bytes in all, and nothing else: `t`, `link`
+    (an index into `links`) and `rssi`, a float64. Links are interned when
+    first heard; `first` holds each link's first row, so link ids run in the
+    order of first hearings.
 
     Readers hold row numbers, not rows: `group` splits rows by a key of their
     links (it is the only grouping of rows), and `columns()` hands out numpy
@@ -162,7 +161,6 @@ class ScanLog:
         self.t = array("q")
         self.link = array("i")
         self.rssi = array("d")
-        self._given: dict = {}  # row -> rssi as appended, where the column differs
 
     def intern(self, link: Link, row: int) -> int:
         """The id of `link`; a new link is first heard on `row`."""
@@ -175,14 +173,12 @@ class ScanLog:
         return link_id
 
     def append(self, receiver: str, sighting: Sighting) -> int:
-        """Log a hearing from outside the radio as the next row and return the
-        row. Its link has no emitter and is no relay: rows that have an emitter
-        are written by `World.step` alone."""
+        """Log a hearing from outside the radio, its rssi as a float, as the next
+        row and return the row. Its link has no emitter and is no relay: rows
+        that have an emitter are written by `World.step` alone."""
         row = len(self.link)
         self.t.append(sighting.time)
         self.rssi.append(sighting.rssi)
-        if type(sighting.rssi) is not float or sighting.rssi != sighting.rssi:
-            self._given[row] = sighting.rssi
         link = Link(receiver, None, False, sighting.mac, sighting.payload, sighting.rx_location)
         self.link.append(self.intern(link, row))
         return row
@@ -191,9 +187,6 @@ class ScanLog:
         """(t, link, rssi) as numpy views of the columns."""
         return (np.frombuffer(self.t, dtype=np.int64), np.frombuffer(self.link, dtype=np.int32),
                 np.frombuffer(self.rssi, dtype=np.float64))
-
-    def rssi_at(self, row: int):
-        return self._given.get(row, self.rssi[row])
 
     def group(self, key, rows=None) -> dict:
         """`rows` (row numbers; every row, in log order, when None) split by
@@ -418,8 +411,7 @@ def write_event_log(log: ScanLog, path) -> None:
     shortest digits of 1e16). Outside it orjson lays out the exponent
     differently (`1e16`, `1e-5` for `1e+16`, `1e-05`) and writes a
     non-finite value (an injected NaN, or an overflow under a `PathLoss`
-    built without the config's bounds) as `null`; those rows, and an rssi
-    kept as given (an injected int), go through `json.dumps`.
+    built without the config's bounds) as `null`; those go to `json.dumps`.
     """
     heads, tails = [], []
     for receiver, emitter, relay, mac, payload, rx in log.links:
@@ -429,9 +421,6 @@ def write_event_log(log: ScanLog, path) -> None:
         tails.append(", " + tail[1:] + "\n")
     heads, tails = np.array(heads, dtype=object), np.array(tails, dtype=object)
     t_col, link_col, rssi_col = log.columns()
-    given: dict[int, list] = {}  # batch -> (row in batch, rssi as given)
-    for row, value in log._given.items():
-        given.setdefault(row // WRITE_BATCH_ROWS, []).append((row % WRITE_BATCH_ROWS, value))
     with open(path, "w") as fh:
         for start in range(0, len(log), WRITE_BATCH_ROWS):
             rows = slice(start, start + WRITE_BATCH_ROWS)
@@ -441,8 +430,6 @@ def write_event_log(log: ScanLog, path) -> None:
             size = np.abs(rssi)
             for i in np.flatnonzero(~(((size >= 1e-4) & (size < 1e16)) | (rssi == 0))).tolist():
                 rssi_text[i] = json.dumps(rssi[i].item())
-            for i, value in given.get(start // WRITE_BATCH_ROWS, ()):
-                rssi_text[i] = json.dumps(value)
             flat = [None] * (5 * n)
             flat[0::5] = repeat('{"t": ', n)
             flat[1::5] = _texts(t_col[rows])

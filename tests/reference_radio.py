@@ -8,9 +8,10 @@ encodes each event with one `json.dumps` of the whole line;
 readers of the scan log derive from it. The link-table `World.step`, the
 columnar `ScanLog` and its readers must give the same events, the same
 bytes and the same derived results; see test_radio_oracle.py. The
-reference keeps each event as a `ScanEvent` of its own; `events` and
-`sightings` rebuild rows of a `ScanLog` as those, for comparing with the
-plain lists these keep.
+reference keeps each event as a `ScanEvent` of its own, a hearing from
+outside the radio as `appended` makes it; `events` and `sightings` rebuild
+rows of a `ScanLog` as those, for comparing with the plain lists these
+keep, through `same`.
 """
 
 import json
@@ -31,6 +32,18 @@ class ScanEvent(NamedTuple):
     sighting: Sighting
     emitter_id: Optional[str] = None  # None for a hearing from outside the radio
     relay: bool = False
+
+
+def appended(receiver_id, sighting):
+    """A hearing from outside the radio as a log keeps it: its rssi a float."""
+    return ScanEvent(receiver_id, sighting._replace(rssi=float(sighting.rssi)))
+
+
+def same(got, want) -> bool:
+    """`got == want`, compared by their text: a NaN rssi read from a log is a
+    new float each time, and NaN is not equal to itself. Text also tells an
+    int from a float and 0.0 from -0.0."""
+    return repr(got) == repr(want)
 
 
 def reference_step(world, t, emissions):
@@ -67,7 +80,7 @@ def events(log, rows=None):
     out = []
     for row in range(len(log)) if rows is None else map(int, rows):
         link = log.links[log.link[row]]
-        sighting = Sighting(link.payload, link.mac, log.rssi_at(row), log.t[row], link.rx)
+        sighting = Sighting(link.payload, link.mac, log.rssi[row], log.t[row], link.rx)
         out.append(ScanEvent(link.receiver, sighting, link.emitter, link.relay))
     return out
 

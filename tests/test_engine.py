@@ -93,13 +93,28 @@ class TestConfigValidation:
             assert ScenarioConfig.from_dict(cfg.to_dict()) == cfg, name
 
 
+SCENARIO_TABLES = (engine.SCENARIO_FIELDS, engine.WORLD_FIELDS, engine.PATH_LOSS_FIELDS,
+                   engine.MATCHING_FIELDS, engine.NODE_FIELDS, engine.ATTACK_FIELDS,
+                   engine.INJECTION_FIELDS)
+
+
 def test_readme_schema_block_matches_field_tables():
     readme = (REPO / "README.md").read_text()
     block = readme.split("```jsonc", 1)[1].split("```", 1)[0]
-    tables = (engine.SCENARIO_FIELDS, engine.WORLD_FIELDS, engine.PATH_LOSS_FIELDS,
-              engine.MATCHING_FIELDS, engine.NODE_FIELDS, engine.ATTACK_FIELDS,
-              engine.INJECTION_FIELDS)
-    assert set(re.findall(r'"(\w+)"\s*:', block)) == set().union(*tables)
+    assert set(re.findall(r'"(\w+)"\s*:', block)) == set().union(*SCENARIO_TABLES)
+
+
+def test_readme_sweep_and_required_keys_match_field_tables():
+    readme = (REPO / "README.md").read_text()
+    sweep = readme.split("Sweep configs:", 1)[1].split("\n\n", 1)[0]
+    named = set(re.findall(r"`(\w+)", sweep))
+    assert engine.SWEEP_FIELDS.keys() - {"schema_version", "kind"} <= named
+    # up to the first full stop: `world.duration` names `world` and its `duration`
+    sentence = re.split(r"\.\s", readme.split("Required keys:", 1)[1], maxsplit=1)[0]
+    keys = [k for name in re.findall(r"`([\w.]+)`", sentence) for k in name.split(".")]
+    required = [k for table in SCENARIO_TABLES for k, check in table.items()
+                if isinstance(check, engine.required)]
+    assert sorted(keys) == sorted(required)
 
 
 def _defaults(cls) -> dict:
@@ -285,6 +300,8 @@ class TestSingleHearing:
 
 
 class TestInjection:
+    INJECTED_MAC = "AB:B1:E9:9E:1B:BA"
+
     def test_injected_sentinel_reaches_device_log(self):
         sentinel_payload = "02011a03036ffd17166ffdf252a8a76c6012a86337d54f914b53b5ed12161b"
         raw = small_scenario(injections=[{
@@ -298,7 +315,45 @@ class TestInjection:
         assert "AB:B1:E9:9E:1B:BA" in macs
         hits = [row for row in rows if log.links[log.link[row]].mac == "AB:B1:E9:9E:1B:BA"]
         assert len(hits) == 1
-        assert log.rssi_at(hits[0]) == -12.0
+        assert log.rssi[hits[0]] == -12.0
+
+    def _with_deputy(self, injections):
+        """small_scenario with a deputy "d" out of everyone's range, an attack
+        that only harvests, and `injections` (rssi given) of a's frame at t=3."""
+        raw = small_scenario()
+        result = run_scenario(ScenarioConfig.from_dict(raw))
+        log = result.world.events
+        payload = next(link.payload for link in log.links if link.emitter == "a")
+        raw["nodes"].append({"id": "d", "deputy": True, "trajectory": [[0, 1000.0, 0.0]]})
+        raw["attack"] = {"target_zones": []}
+        raw["injections"] = [{"t": 3, "receiver": receiver, "payload_hex": payload.hex(),
+                              "mac": self.INJECTED_MAC, "rssi": rssi}
+                             for receiver, rssi in injections]
+        return run_scenario(ScenarioConfig.from_dict(raw))
+
+    def _injected_lines(self, path):
+        return [line for line in path.read_text().splitlines() if self.INJECTED_MAC in line]
+
+    def test_int_rssi_is_written_as_float(self, tmp_path):
+        write_outputs(self._with_deputy([("b", -12), ("d", -12)]), tmp_path)
+        lines = self._injected_lines(tmp_path / "events.jsonl")
+        assert len(lines) == 2
+        assert all('"rssi": -12.0,' in line for line in lines)
+
+    def test_int_rssi_has_one_value_everywhere(self, tmp_path):
+        # 2**53 + 1 has no float; the column holds the nearest, 2**53
+        result = self._with_deputy([("d", 9007199254740993)])
+        log = result.world.events
+        row, = [row for row in range(len(log)) if log.links[log.link[row]].mac == self.INJECTED_MAC]
+        assert log.columns()[2][row].item() == 9007199254740992.0  # what matching reads
+        record = result.attacker.record(row)
+        assert type(record.rssi) is float and record.rssi == 9007199254740992.0
+        write_outputs(result, tmp_path)
+        line, = self._injected_lines(tmp_path / "events.jsonl")
+        assert '"rssi": 9007199254740992.0,' in line
+        sightings = [s for d in json.loads((tmp_path / "dossiers.json").read_text())
+                     for s in d["sightings"] if s["mac"] == self.INJECTED_MAC]
+        assert [(type(s["rssi"]), s["rssi"]) for s in sightings] == [(float, 9007199254740992.0)]
 
 
 def test_run_does_not_import_numpy_ma(tmp_path):

@@ -8,7 +8,8 @@ float receiver positions, and published lists that repeat a key, include
 the device's own keys or a key nobody broadcast. The sightings reach the
 production code twice: through a device's (or server's) own scan log, and
 injected into a world's log that hands each receiver its rows. The
-references read the generated sightings as plain lists.
+references read the generated sightings as plain lists, each rssi as the
+float a log stores.
 """
 
 import random
@@ -94,12 +95,13 @@ def worlds(draw):
 @given(worlds())
 def test_match_exposures_equals_reference(world):
     receiver, published, sightings, params = world
+    stored = [reference_radio.appended("rx", s).sighting for s in sightings]
     expected = ref.match_exposures(
-        SimpleNamespace(sightings=sightings, tek_history=receiver.tek_history,
+        SimpleNamespace(sightings=stored, tek_history=receiver.tek_history,
                         current_tek=receiver.current_tek), published, params)
     for s in sightings:
         on_scan(receiver, s)
-    assert reference_radio.sightings(receiver.log, receiver.sightings) == sightings
+    assert reference_radio.same(reference_radio.sightings(receiver.log, receiver.sightings), stored)
     assert match_exposures(receiver, published, params) == expected
     index = crypto.identifier_index(published)
     assert match_exposures(receiver, published, params, index=index) == expected
@@ -107,7 +109,7 @@ def test_match_exposures_equals_reference(world):
     log = _world_of(sightings, {"rx": "app"}).events
     receiver.log = log
     receiver.sightings = log.group(lambda link_id: log.links[link_id].receiver).get("rx", NO_ROWS)
-    assert reference_radio.sightings(receiver.log, receiver.sightings) == sightings
+    assert reference_radio.same(reference_radio.sightings(receiver.log, receiver.sightings), stored)
     assert match_exposures(receiver, published, params, index=index) == expected
 
 
@@ -129,23 +131,24 @@ def test_reidentify_equals_reference(world, collect_all):
     _, published, sightings, _ = world
     policy = AttackPolicy(collect_all=collect_all)
     deputies = ("d0", "d1", "d2")
-    events = [reference_radio.ScanEvent(deputies[i % 3], s) for i, s in enumerate(sightings)]
+    same = reference_radio.same
+    events = [reference_radio.appended(deputies[i % 3], s) for i, s in enumerate(sightings)]
     route = reference_radio.reference_route(events, (), deputies, policy)
     entries = [PublishedTek(tek, i) for i, tek in enumerate(published)]
     expected = ref.reidentify(SimpleNamespace(db=route.db, policy=policy), entries)
 
     server = AttackerServer(policy)
-    for event in events:
-        server.deputy_on_scan(event.receiver_id, event.sighting)
-    assert list(map(server.record, server.db.tolist())) == route.db
-    assert server.reidentify(entries) == expected
+    for i, s in enumerate(sightings):
+        server.deputy_on_scan(deputies[i % 3], s)
+    assert same(list(map(server.record, server.db.tolist())), route.db)
+    assert same(server.reidentify(entries), expected)
 
     world = _world_of(sightings, dict.fromkeys(deputies, "deputy"))
     server = AttackerServer(policy, log=world.events, deputies=deputies)
     server.catch_up()
-    assert list(map(server.record, server.db.tolist())) == route.db
-    assert server._relay_candidates == route.candidates
-    assert server.reidentify(entries) == expected
+    assert same(list(map(server.record, server.db.tolist())), route.db)
+    assert same(server._relay_candidates, route.candidates)
+    assert same(server.reidentify(entries), expected)
 
 
 @settings(max_examples=40, deadline=None)
