@@ -27,6 +27,13 @@ numbers) and `reidentify` read the kept links' rows when asked, through
 `ScanLog.group`, and `record` reads one row as a HarvestRecord. Each
 dossier sighting keeps the MAC it was heard under: that is the MAC linkage
 a side database of MACs joins on.
+
+The relay plan is kept as one group per planned tick: `plan_log` holds
+`(ticks, entries)`, the decisions `select_relays` made for `ticks[0]`, which
+hold for every tick of `ticks` (`repeat_plan` widens the range of the ticks
+that repeat it). attack_plan.jsonl spells it out tick by tick, each entry
+with the tick's `t` and `age_s`: the same bytes as one line per decision
+made on every tick.
 """
 
 from __future__ import annotations
@@ -123,7 +130,9 @@ class AttackerServer:
         self._looked = 0  # links of the log that `catch_up` has looked at
         # link id -> decoded frame, for each deputy link whose hearings are kept
         self.harvest_links: dict[int, beacon.BeaconFrame] = {}
-        self.plan_log: list[dict] = []
+        # (ticks, entries) per planned tick: the relay decisions of each tick of
+        # `ticks`, in order; an entry's `t` and `age_s` are those of `ticks[0]`
+        self.plan_log: list[tuple[range, list[dict]]] = []
         # first in-zone hearing per identifier; selection works off this index.
         # First hearing is what matters: it starts the upload clock, and the
         # relay deadline depends only on the slot, which repeats hearings share.
@@ -189,7 +198,8 @@ class AttackerServer:
         return slot_end(record.time) + self.policy.replay_horizon
 
     def select_relays(self, t: int, deputy_positions: dict) -> list[RelayOrder]:
-        """Relay plan for time t; every decision is appended to the plan log."""
+        """Relay plan for time t. When it decides any relay, its decisions are
+        appended to the plan log as one group, `(range(t, t + 1), entries)`."""
         pol = self.policy
         if not pol.target_zones:
             return []
@@ -218,12 +228,12 @@ class AttackerServer:
                     aem = tamper(aem, pol.tamper_mask)
                 self._relayed[rpi] = (aem, beacon.encode_gaen(rpi, aem))
 
-        orders = []
+        orders, entries = [], []
         for deputy in targets:
             for rpi, record in ranked:
                 aem, payload = self._relayed[rpi]
                 orders.append(RelayOrder(rpi=rpi, aem=aem, payload=payload, deputy_id=deputy))
-                self.plan_log.append({
+                entries.append({
                     "t": t,
                     "deputy": deputy,
                     "rpi_hex": rpi.hex(),
@@ -236,6 +246,8 @@ class AttackerServer:
                     "age_s": t - record.time,
                     "deadline_t": self.relay_deadline(record),
                 })
+        if entries:
+            self.plan_log.append((range(t, t + 1), entries))
         return orders
 
     def _eligible(self, record: HarvestRecord) -> tuple[int, int]:
@@ -261,17 +273,13 @@ class AttackerServer:
             edges += (lo, hi + 1)
         return min((edge for edge in edges if edge > t), default=math.inf)
 
-    def repeat_plan(self, t: int, times) -> None:
-        """Append the plan entries of the ticks at `times`, whose relay plan is
-        that of tick t, the last planned: tick t's entries with `t` and
-        `age_s` set for each time, in the same key order."""
-        plan = self.plan_log
-        first = len(plan)
-        while first and plan[first - 1]["t"] == t:
-            first -= 1
-        entries = plan[first:]
-        for later in times:
-            plan.extend({**e, "t": later, "age_s": later - e["harvest_t"]} for e in entries)
+    def repeat_plan(self, t: int, times: range) -> None:
+        """Record that the ticks at `times` (t + step, t + 2 * step, ...) repeat
+        the relay plan of tick t, the last planned: tick t's group, when it
+        decided any relay, is widened to `range(t, times.stop, times.step)`.
+        No entry is copied; the writer sets `t` and `age_s` for each tick."""
+        if self.plan_log and self.plan_log[-1][0] == range(t, t + 1):
+            self.plan_log[-1] = (range(t, times.stop, times.step), self.plan_log[-1][1])
 
     def rebroadcast(self, order: RelayOrder, tx_power: int) -> Emission:
         """Emission a deputy makes for one plan entry, under the attacker's MAC."""

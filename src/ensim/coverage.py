@@ -74,9 +74,10 @@ def _draw(model: PopulationModel, draw_infected: bool = True):
         # PCG64 spends one 64-bit output per double; no buffered uint32 is pending
         rng.bit_generator.advance(model.n)
     a = rng.integers(0, model.n, model.n_contacts)
-    # offset trick keeps endpoints distinct and uniform; a + 1 + r < 2n wraps once
+    # offset trick keeps endpoints distinct and uniform; 1 <= a + 1 + r <= 2n - 2,
+    # so taking it mod n subtracts n once where it reaches n, and nothing elsewhere
     b = a + 1 + rng.integers(0, model.n - 1, model.n_contacts)
-    np.subtract(b, model.n, out=b, where=b >= model.n)
+    b %= model.n
     return sc, cd, infected, a, b
 
 

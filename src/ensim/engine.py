@@ -7,7 +7,9 @@ injections; the attacker takes in the deputy links first heard this tick,
 which is all a relay plan needs. Then its repeats: every later tick before
 the next change sends the same emissions over the same links, and only `t`
 and the noise differ, so the world delivers them in one step and the
-attacker repeats the tick's plan entries. A change is an identifier
+attacker widens the tick's plan group to cover them
+(`AttackerServer.repeat_plan`: no entry is copied; `write_outputs` writes
+each entry once per tick of its group). A change is an identifier
 rotation (every `crypto.INTERVAL_SECONDS`), a waypoint, a diagnosis, an
 injection, the end of the run, or a time at which the relay plan could
 differ (`AttackerServer.next_plan_change`); a tick on which the attacker
@@ -502,9 +504,47 @@ def write_outputs(result: RunResult, outdir) -> None:
 
     plan = result.attacker.plan_log if result.attacker is not None else []
     with open(out / "attack_plan.jsonl", "w") as fh:
-        for entry in plan:
-            fh.write(json.dumps(entry) + "\n")
+        for ticks, entries in plan:
+            if len(ticks) == 1:  # its entries hold the `t` and `age_s` of their tick
+                fh.write("".join([json.dumps(entry) + "\n" for entry in entries]))
+                continue
+            pieces = [_plan_pieces(entry) for entry in entries]
+            for t in ticks:
+                fh.write("".join(f'{{"t": {t}, {mid}, "age_s": {t - harvest_t}, {tail}'
+                                 for mid, harvest_t, tail in pieces))
 
     with open(out / "dossiers.json", "w") as fh:
-        json.dump(result.dossiers, fh, indent=2)
-        fh.write("\n")
+        fh.write(_dossiers_text(result.dossiers) + "\n")
+
+
+def _plan_pieces(entry: dict) -> tuple[str, int, str]:
+    """`json.dumps(entry)` cut around its ints `t` (the first key) and `age_s`
+    (the last key but one, before the int `deadline_t`): the text between them,
+    the entry's `harvest_t`, and the text after with the line's end. With a
+    tick's `t` and `age_s` put back, that is the entry's line for the tick.
+    `, "age_s": ` is found only at the key, because a `"` inside a JSON string
+    is escaped."""
+    text = json.dumps(entry)
+    age = text.rindex(', "age_s": ')
+    return (text[text.index(", ") + 2:age], entry["harvest_t"],
+            text[text.index(", ", age + 2) + 2:] + "\n")
+
+
+# a dossier sighting's keys, one per line at the depth `json.dump(indent=2)` puts them
+_SIGHTING = json.JSONEncoder(separators=(",\n        ", ": ")).encode
+
+
+def _dossiers_text(dossiers: list) -> str:
+    """`json.dumps(dossiers, indent=2)`, which runs the pure-Python encoder, with
+    each sighting rendered by the C encoder inside the same indent-2 frame. The
+    separators reproduce the indented text only because a sighting holds
+    nothing but scalars (numbers and strings): a nested list or object would be
+    written on one line."""
+    blocks = []
+    for dossier in dossiers:
+        sightings = [_SIGHTING(s)[1:-1] for s in dossier["sightings"]]
+        listed = ("[\n      {\n        " + "\n      },\n      {\n        ".join(sightings)
+                  + "\n      }\n    ]") if sightings else "[]"
+        blocks.append(f'  {{\n    "tek_hex": {json.dumps(dossier["tek_hex"])},\n'
+                      f'    "sightings": {listed}\n  }}')
+    return "[\n" + ",\n".join(blocks) + "\n]" if blocks else "[]"

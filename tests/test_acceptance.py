@@ -101,9 +101,11 @@ def test_criterion_04_hospital_replay_false_positives(acceptance_record, hospita
 def test_criterion_05_remote_attacker_refutation(acceptance_record, hospital_run):
     result, _ = hospital_run
     deputies = set(result.deputies)
-    plan = result.attacker.plan_log
+    plan = result.attacker.plan_log  # (ticks, entries) groups: each entry holds for every tick
+    decisions = sum(len(ticks) * len(entries) for ticks, entries in plan)
     sources_ok = bool(plan) and all(
-        e["source_deputy"] in deputies and e["deputy"] in deputies for e in plan)
+        e["source_deputy"] in deputies and e["deputy"] in deputies
+        for _ticks, entries in plan for e in entries)
     # every row has a link, and every link a row: its first hearing
     relay_links = [link for link in result.world.events.links if link.relay]
     emissions_ok = bool(relay_links) and {link.emitter for link in relay_links} <= deputies
@@ -112,7 +114,7 @@ def test_criterion_05_remote_attacker_refutation(acceptance_record, hospital_run
     ok = sources_ok and emissions_ok and server_placeless
     acceptance_record(
         5, "remote attacker refutation", ok,
-        f"{len(plan)} relay decisions all deputy-sourced: {sources_ok}, "
+        f"{decisions} relay decisions all deputy-sourced: {sources_ok}, "
         f"emissions deputy-only: {emissions_ok}, server placeless: {server_placeless}",
     )
 

@@ -1,5 +1,6 @@
 import copy
 import json
+import re
 import tempfile
 from pathlib import Path
 
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import reference_gaen as ref
-from ensim import scenarios
+from ensim import cli, engine, scenarios
 from ensim.cli import main
 from test_engine import small_scenario
 
@@ -37,6 +38,19 @@ def test_run_bundled_by_name(tmp_path, capsys):
     for name in ("events.jsonl", "notifications.csv", "published_teks.jsonl",
                  "attack_plan.jsonl", "dossiers.json"):
         assert (tmp_path / "o" / name).exists()
+
+
+def test_run_summary_counts_what_the_run_wrote(tmp_path, capsys, monkeypatch):
+    runs = []
+    monkeypatch.setattr(cli, "run_scenario",
+                        lambda cfg: runs.append(engine.run_scenario(cfg)) or runs[-1])
+    assert main(["run", "hospital_replay", "--out", str(tmp_path / "o")]) == 0
+    harvested, decisions = map(int, re.search(
+        r"attacker: (\d+) harvested frames, (\d+) relay decisions", capsys.readouterr().out).groups())
+    [result] = runs
+    lines = (tmp_path / "o" / "attack_plan.jsonl").read_text().splitlines()
+    assert decisions == len(lines) > len(result.attacker.plan_log)
+    assert harvested == len(result.attacker.db) > 0
 
 
 def test_run_config_file(tmp_path, capsys):

@@ -244,9 +244,11 @@ class TestAttackStructure:
         result = run_scenario(ScenarioConfig.from_dict(scenarios.hospital_replay()))
         deputies = set(result.deputies)
         assert result.attacker.plan_log
-        for entry in result.attacker.plan_log:
-            assert entry["source_deputy"] in deputies
-            assert entry["deputy"] in deputies
+        for _ticks, entries in result.attacker.plan_log:
+            assert entries
+            for entry in entries:
+                assert entry["source_deputy"] in deputies
+                assert entry["deputy"] in deputies
 
     def test_every_relay_emission_originates_from_deputy(self):
         result = run_scenario(ScenarioConfig.from_dict(scenarios.hospital_replay()))
@@ -257,8 +259,9 @@ class TestAttackStructure:
 
     def test_window_respected_in_plan(self):
         result = run_scenario(ScenarioConfig.from_dict(scenarios.hospital_replay()))
-        for entry in result.attacker.plan_log:
-            assert entry["t"] <= entry["deadline_t"]
+        for ticks, entries in result.attacker.plan_log:
+            for entry in entries:
+                assert ticks[-1] <= entry["deadline_t"]  # every tick of the group relays it
 
     def test_relay_machinery_is_blind(self, monkeypatch):
         # no diagnosis ever happens: the whole harvest+tamper+relay pipeline
@@ -452,7 +455,7 @@ class TestComputeOnce:
         monkeypatch.setattr(beacon, "encode_gaen", counted)
         result = run_scenario(ScenarioConfig.from_dict(scenarios.targeted_replay()))
         plan = result.attacker.plan_log
-        relayed = {entry["rpi_hex"] for entry in plan}
-        assert len(plan) > len(relayed) > 0
+        relayed = {entry["rpi_hex"] for _ticks, entries in plan for entry in entries}
+        assert sum(len(ticks) * len(entries) for ticks, entries in plan) > len(relayed) > 0
         device_intervals = sum(len(dev.mac_history) for dev in result.devices.values())
         assert calls["encode_gaen"] == device_intervals + len(relayed)

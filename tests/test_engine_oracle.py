@@ -8,7 +8,10 @@ deputy that walks into the target zone, diagnoses at t = 0 and mid-interval,
 injections at t = 0 and on the last tick, a relay latency of 0 (a hearing
 is relayed from the next tick), a relay window whose both edges fall inside
 an interval, a short replay horizon, no cap on relays per deputy, and an
-attack with no target zones. Every artifact must match byte for byte.
+attack with no target zones. Every artifact must match byte for byte, and
+the attacker's two artifacts must also be what reference_artifacts.py writes
+for the tick-by-tick run: one `json.dumps` per relay decision, one
+`json.dump(indent=2)` of the dossiers.
 """
 
 import copy
@@ -19,6 +22,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import reference_artifacts
 import reference_engine
 from ensim import engine
 
@@ -111,6 +115,11 @@ def assert_same_run(raw, tmp_path):
     assert files == sorted(p.name for p in (tmp_path / "got").iterdir())
     for name in files:
         assert (tmp_path / "got" / name).read_bytes() == (tmp_path / "want" / name).read_bytes(), name
+    plan = want.attacker.plan_log if want.attacker is not None else []
+    reference_artifacts.write(plan, want.dossiers, tmp_path / "reference")
+    for name in reference_artifacts.NAMES:
+        assert ((tmp_path / "got" / name).read_bytes()
+                == (tmp_path / "reference" / name).read_bytes()), name
     for a, b in zip(got.world.events.columns(), want.world.events.columns()):
         assert a.view(np.uint8).tobytes() == b.view(np.uint8).tobytes()
     assert got.world.events.first == want.world.events.first
