@@ -12,11 +12,20 @@ One-sided attacker visibility is weaker in practice (only one vantage
 point); `one_sided_quality` in [0, 1] weights those contacts and makes the
 assumption explicit. At the default weight 1 the closed forms above hold
 exactly in expectation.
+
+Each membership is drawn as `rng.random(n) < alpha` would draw it, word for
+word, without the doubles: with PCG64, numpy's `random()` is
+`(raw >> 11) * 2**-53` on one raw 64-bit word, so the comparison is done on
+the raw words (see `_members`), 2**19 at a time. This relies on
+`default_rng` being PCG64 and on its 53-bit `random()`; a numpy that changed
+either would fail the pinned `coverage.csv` digests and the float-draw
+oracle in the tests.
 """
 
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,19 +69,42 @@ class VisibilityReport:
         return self.attacker_known / self.infected_total if self.infected_total else 0.0
 
 
-def _draw(model: PopulationModel, draw_infected: bool = True):
-    """Membership, infection and contact pairs, in one draw order. Without
-    `draw_infected`, infection is None and its draw is skipped over, so the
-    contact pairs stay the same."""
-    rng = np.random.default_rng(model.seed)
-    sc = rng.random(model.n) < model.alpha_sc
-    cd = rng.random(model.n) < model.alpha_cd
-    infected = None
-    if draw_infected:
-        infected = rng.random(model.n) < model.infected_fraction
-    else:
+# raw words per chunk: 4 MiB, so a membership draw holds n bytes plus one chunk
+# (8n up to n = 2**19, as the doubles did). Not smaller: freeing a block this
+# large raises glibc's dynamic mmap and trim thresholds above a cell's arrays,
+# which then stay on the heap from cell to cell. With 2**15-word chunks the
+# heap was trimmed after every cell and faulted back in (about 800 minor faults
+# a cell at n = 500,000), and the sweep was no faster than with doubles.
+_CHUNK = 1 << 19
+
+
+def _members(rng: np.random.Generator, n: int, alpha: float) -> np.ndarray:
+    """Exactly `rng.random(n) < alpha`, leaving `rng` in the same state.
+
+    `(raw >> 11) * 2**-53 < alpha` holds iff `raw < ceil(alpha * 2**53) << 11`:
+    scaling by 2**53 is exact, and for alpha < 1 the limit is at most
+    2**64 - 2**11. Where the answer is known (alpha <= 0, alpha >= 1 or NaN)
+    the n words are skipped and a read-only stride-0 view is returned.
+    """
+    bitgen = rng.bit_generator
+    if not 0.0 < alpha < 1.0:
         # PCG64 spends one 64-bit output per double; no buffered uint32 is pending
-        rng.bit_generator.advance(model.n)
+        bitgen.advance(n)
+        return np.broadcast_to(alpha >= 1.0, (n,))
+    limit = np.uint64(math.ceil(alpha * 2.0**53) << 11)
+    out = np.empty(n, dtype=bool)
+    for s in range(0, n, _CHUNK):
+        e = min(s + _CHUNK, n)
+        np.less(bitgen.random_raw(e - s), limit, out=out[s:e])
+    return out
+
+
+def _draw(model: PopulationModel):
+    """Membership, infection and contact pairs, in one draw order."""
+    rng = np.random.default_rng(model.seed)
+    sc = _members(rng, model.n, model.alpha_sc)
+    cd = _members(rng, model.n, model.alpha_cd)
+    infected = _members(rng, model.n, model.infected_fraction)
     a = rng.integers(0, model.n, model.n_contacts)
     # offset trick keeps endpoints distinct and uniform; 1 <= a + 1 + r <= 2n - 2,
     # so taking it mod n subtracts n once where it reaches n, and nothing elsewhere
@@ -82,7 +114,7 @@ def _draw(model: PopulationModel, draw_infected: bool = True):
 
 
 def simulate_coverage(model: PopulationModel) -> CoverageReport:
-    sc, cd, _, a, b = _draw(model, draw_infected=False)
+    sc, cd, _, a, b = _draw(model)
     sc_hits = sc[a] & sc[b]
     cd_a, cd_b = cd[a], cd[b]
     both_cd = cd_a & cd_b

@@ -131,8 +131,14 @@ def regenerate_day(tek: TemporaryExposureKey) -> list[RollingProximityIdentifier
     regeneration an honest device performs for matching also hands an
     attacker the full day of pseudonyms to join against harvested beacons.
     """
-    rpik = derive_rpik(tek)
-    return [generate_rpi(rpik, tek.rolling_start + i) for i in range(INTERVALS_PER_DAY)]
+    intervals = range(tek.rolling_start, tek.rolling_start + INTERVALS_PER_DAY)
+    if intervals[-1] >= 1 << 32:
+        raise ValueError(f"interval out of range: {max(intervals[0], 1 << 32)}")
+    # ECB encrypts each padded block on its own: one call yields the day's 144 rpis
+    padded = b"".join(_RPI_PAD_PREFIX + struct.pack("<I", i) for i in intervals)
+    rpis = _aes_block(derive_rpik(tek), padded)
+    return [RollingProximityIdentifier(rpi=rpis[16 * k:16 * k + 16], interval=i)
+            for k, i in enumerate(intervals)]
 
 
 def identifier_index(teks) -> dict[bytes, list[tuple[int, int]]]:

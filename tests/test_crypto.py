@@ -124,8 +124,14 @@ class TestRpi:
         day = regenerate_day(tek)
         assert len(day) == 144
         rpik = derive_rpik(tek)
-        for i in (0, 1, 71, 143):
+        for i in range(144):
             assert day[i] == generate_rpi(rpik, tek.rolling_start + i)
+
+    def test_regenerate_day_past_the_last_interval_raises(self):
+        # the day's intervals 4294967184..4294967327 reach past 2**32 - 1
+        tek = TemporaryExposureKey(bytes(16), (2**32 // 144) * 144)
+        with pytest.raises(ValueError, match=r"^interval out of range: 4294967296$"):
+            regenerate_day(tek)
 
     def test_day_rpis_pairwise_distinct(self):
         rng = random.Random(9)
