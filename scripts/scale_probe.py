@@ -1,13 +1,15 @@
 """Run the benchmark's crowd generator at a larger size and report its cost.
 
     PYTHONPATH=src python3 scripts/scale_probe.py --nodes 50 100 --seconds 600
+    PYTHONPATH=src python3 scripts/scale_probe.py --nodes 100 --seconds 3600 --run-only
 
 Each (nodes, seconds) run happens in a fresh child process, one at a time,
 which sets `workloads.CROWD_NODES` and `workloads.CROWD_DURATION_S` in its
 own copy of perfbench's workload module (no file changes) and runs seed 0
 untraced: `engine.run_scenario`, then `engine.write_outputs` into a
 temporary directory that is deleted afterwards. The event log alone is
-about 230 bytes per event, so check free disk space before large runs.
+about 230 bytes per event, so check free disk space before large runs, or
+pass `--run-only`, which writes nothing (its write_s reads `-`).
 One row is printed per run: the scan events, the run and write seconds,
 and the child's maximum resident set size.
 """
@@ -25,8 +27,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def probe(nodes: int, seconds: int, results) -> None:
-    """One run in this (child) process; puts its row on `results`."""
+def probe(nodes: int, seconds: int, run_only: bool, results) -> None:
+    """One run in this (child) process; puts its row on `results`. Its
+    `write_s` is None when `run_only` skips writing the artifacts."""
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
     import workloads
     from ensim import engine
@@ -37,12 +40,14 @@ def probe(nodes: int, seconds: int, results) -> None:
     start = time.perf_counter()
     result = engine.run_scenario(cfg)
     run_s = time.perf_counter() - start
-    with tempfile.TemporaryDirectory() as out:
-        start = time.perf_counter()
-        engine.write_outputs(result, out)
-        write_s = time.perf_counter() - start
+    write_s = None
+    if not run_only:
+        with tempfile.TemporaryDirectory() as out:
+            start = time.perf_counter()
+            engine.write_outputs(result, out)
+            write_s = round(time.perf_counter() - start, 2)
     results.put({"nodes": nodes, "seconds": seconds, "events": len(result.world.events),
-                 "run_s": round(run_s, 2), "write_s": round(write_s, 2),
+                 "run_s": round(run_s, 2), "write_s": write_s,
                  "max_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024)})
 
 
@@ -50,19 +55,22 @@ def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--nodes", type=int, nargs="+", required=True)
     ap.add_argument("--seconds", type=int, required=True)
+    ap.add_argument("--run-only", action="store_true",
+                    help="run the scenario but write no artifacts (no event log)")
     args = ap.parse_args()
     ctx = multiprocessing.get_context("spawn")
     print("nodes  seconds     events  run_s  write_s  max_rss_mb")
     for nodes in args.nodes:
         results = ctx.Queue()
-        child = ctx.Process(target=probe, args=(nodes, args.seconds, results))
+        child = ctx.Process(target=probe, args=(nodes, args.seconds, args.run_only, results))
         child.start()
         child.join()
         if child.exitcode != 0:
             raise SystemExit(f"the run at {nodes} nodes failed (exit code {child.exitcode})")
         row = results.get()
+        write_s = "-" if row["write_s"] is None else f"{row['write_s']:.2f}"
         print(f"{row['nodes']:5d}  {row['seconds']:7d}  {row['events']:9d}  {row['run_s']:5.2f}  "
-              f"{row['write_s']:7.2f}  {row['max_rss_mb']:10d}", flush=True)
+              f"{write_s:>7}  {row['max_rss_mb']:10d}", flush=True)
 
 
 if __name__ == "__main__":

@@ -22,9 +22,10 @@ its deputies' rows of the world's log (on its own, rows that
 `deputy_on_scan` logs in a log of its own with `ScanLog.append`). While the
 run goes on it looks only at each deputy link's first hearing, once: it
 decodes the link's frame, keeps or drops the link and offers the hearing
-as a relay candidate; `db` (the kept rows' row
-numbers) and `reidentify` read the kept links' rows when asked, through
-`ScanLog.group`, and `record` reads one row as a HarvestRecord. Each
+as a relay candidate. `db` (the kept rows' row numbers) reads the kept
+links' rows when asked (`ScanLog.rows_of`), and `record` reads one row as
+a HarvestRecord. `reidentify` splits by published key only the rows of
+kept links whose identifier is published, not the whole log. Each
 dossier sighting keeps the MAC it was heard under: that is the MAC linkage
 a side database of MACs joins on.
 
@@ -45,7 +46,7 @@ from typing import Optional
 import numpy as np
 
 from . import beacon, crypto
-from .radio import NO_ROWS, Emission, ScanLog, Sighting
+from .radio import Emission, ScanLog, Sighting
 
 DEFAULT_RELAY_MAC = "f0:0d:00:00:00:01"
 
@@ -189,8 +190,7 @@ class AttackerServer:
     @property
     def db(self) -> np.ndarray:
         """The row numbers of every kept hearing, in log order (see `record`)."""
-        kept = self.log.group(lambda link_id: True if link_id in self.harvest_links else None)
-        return kept.get(True, NO_ROWS)
+        return self.log.rows_of(self.harvest_links)
 
     # -- server side ------------------------------------------------------
 
@@ -299,9 +299,10 @@ class AttackerServer:
         Joins the harvest against the published identifiers by exact
         identifier equality, so nothing is ever attributed to a key whose
         schedule does not contain the sighted identifier. Our own
-        re-emissions never reach the harvest (`_take` drops them). `index`
-        is `crypto.identifier_index` over the keys of `published`, built
-        here when not given.
+        re-emissions never reach the harvest (`_take` drops them). Only the
+        rows of kept links whose identifier is published are split, by the
+        keys they were heard under. `index` is `crypto.identifier_index` over
+        the keys of `published`, built here when not given.
         """
         if index is None:
             index = crypto.identifier_index([e.tek for e in published])
@@ -315,7 +316,7 @@ class AttackerServer:
                 keys[link_id] = positions
         log = self.log
         hits: list[list[tuple]] = [[] for _ in published]  # (t, x, y, row, mac)
-        for positions, rows in log.group(keys.get).items():
+        for positions, rows in log.group(keys.get, log.rows_of(keys)).items():
             for row in rows.tolist():
                 link = log.links[log.link[row]]
                 hit = (log.t[row], link.rx[0], link.rx[1], row, link.mac)

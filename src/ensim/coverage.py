@@ -107,9 +107,11 @@ def _draw(model: PopulationModel):
     infected = _members(rng, model.n, model.infected_fraction)
     a = rng.integers(0, model.n, model.n_contacts)
     # offset trick keeps endpoints distinct and uniform; 1 <= a + 1 + r <= 2n - 2,
-    # so taking it mod n subtracts n once where it reaches n, and nothing elsewhere
+    # so mod n is subtracting n where it reaches n: in unsigned words b - n wraps
+    # above b exactly where b < n, so the minimum of the two is b mod n
     b = a + 1 + rng.integers(0, model.n - 1, model.n_contacts)
-    b %= model.n
+    words = b.view(np.uint64)
+    np.minimum(words, words - np.uint64(model.n), out=words)
     return sc, cd, infected, a, b
 
 

@@ -28,17 +28,21 @@ Matching semantics:
 
 Devices keep every sighting unfiltered; all filtering happens here at
 matching time. A device's sightings are row numbers of a scan log
-(`DeviceState.log`): in a run, its rows of the world's log, handed over
-when the run ends; on its own, the rows that `on_scan` logs in a log of
-its own (`ScanLog.append`: a hearing with no emitter). Matching is an
-index join over those rows: they are grouped by payload
-(`radio.ScanLog.group`), each distinct payload is decoded once (without
-its MAC: a frame's kind depends only on its payload) and looked up in the
-published-identifier index (`crypto.identifier_index`, built once per run
-and shared with re-identification), the metadata is decrypted once per
-distinct payload and matching key, and the window and attenuation tests
-run as column operations. Whether a close matched row is direct
-(`radio.Link.direct`) is read once per distinct link those rows hold.
+(`DeviceState.log`), its rows of that log, found only when `sightings` is
+read: on its own, the rows that `on_scan` logs in a log of its own
+(`ScanLog.append`: a hearing with no emitter); in a run, its rows of the
+world's log. Matching is an index join over the rows it is given: each
+link's frame is decoded once per distinct payload (without its MAC: a
+frame's kind depends only on its payload), the links whose identifier is
+in the published-identifier index (`crypto.identifier_index`, built once
+per run and shared with re-identification) are kept (`matchable_kinds`),
+their rows are grouped by frame (`radio.ScanLog.group`), the metadata is
+decrypted once per distinct frame and matching key, and the window and
+attenuation tests run as column operations. A run hands matching only the
+rows that can match, each device's rows of the links its run kept, with
+the decoded frames, so nothing is decoded twice and no other row is
+split. Whether a close matched row is direct (`radio.Link.direct`) is
+read once per distinct link those rows hold.
 """
 
 from __future__ import annotations
@@ -82,10 +86,7 @@ class DeviceState:
     tx_power: int = 0
     current_tek: Optional[crypto.TemporaryExposureKey] = None
     tek_history: list = field(default_factory=list)
-    log: ScanLog = field(default_factory=ScanLog)
-    # row numbers of `log`: a list that `on_scan` appends to, or in a run the
-    # int64 array of this device's rows that `ScanLog.group` hands out
-    sightings: list = field(default_factory=list)
+    log: ScanLog = field(default_factory=ScanLog)  # holds what it heard (`sightings`)
     mac_history: list = field(default_factory=list)  # (interval, mac) ground truth
     # cached per-interval broadcast state
     _interval: int = -1
@@ -95,6 +96,13 @@ class DeviceState:
     _rpi: bytes = b""
     _frame: Optional[beacon.BeaconFrame] = None
     _frame_key: tuple = ()  # (rpi, mac, tx_power) the cached frame was built from
+
+    @property
+    def sightings(self) -> np.ndarray:
+        """Every row of `log` this device heard, in log order, found when read
+        (`ScanLog.rows_of` over the links it is the receiver of)."""
+        return self.log.rows_of(link_id for link_id, link in enumerate(self.log.links)
+                                if link.receiver == self.id)
 
 
 def _random_mac(rng: Random) -> str:
@@ -137,7 +145,7 @@ def broadcast_current(state: DeviceState, t: int) -> beacon.BeaconFrame:
 
 
 def on_scan(state: DeviceState, sighting: Sighting) -> None:
-    state.sightings.append(state.log.append(state.id, sighting))
+    state.log.append(state.id, sighting)
 
 
 def retained_keys(state: DeviceState) -> list:
@@ -159,12 +167,33 @@ def diagnose_and_upload(state: DeviceState, server, t: int) -> list:
     return teks
 
 
+def matchable_kinds(log: ScanLog, link_ids, index: dict) -> dict:
+    """{link id: its frame's kind} for each of `link_ids` (ids of `log.links`)
+    whose frame carries an identifier of `index` (`crypto.identifier_index`):
+    the links matching can use. Each distinct payload is decoded once, without
+    its MAC: a frame's kind depends only on its payload."""
+    decoded: dict[bytes, beacon.Kind] = {}
+    kinds = {}
+    for link_id in link_ids:
+        payload = log.links[link_id].payload
+        kind = decoded.get(payload)
+        if kind is None:
+            kind = decoded[payload] = beacon.decode(payload, "").kind
+        if isinstance(kind, beacon.Gaen) and kind.rpi in index:
+            kinds[link_id] = kind
+    return kinds
+
+
 def match_exposures(state: DeviceState, published_teks, params: MatchingParams, *,
-                     index: Optional[dict] = None) -> list:
+                    index: Optional[dict] = None, rows=None, kinds: Optional[dict] = None) -> list:
     """The notifications `state`'s stored sightings raise against published keys.
 
     `index` is `crypto.identifier_index(published_teks)`, built here when not
-    given; a run builds it once and shares it across devices.
+    given; a run builds it once and shares it across devices. `rows` are the
+    rows of `state.log` to match, `state.sightings` when not given, and
+    `kinds` is `matchable_kinds` over (at least) their links, made here when
+    not given. A run hands over only the device's rows whose link is in
+    `kinds`: no other row can match.
     """
     if index is None:
         index = crypto.identifier_index(published_teks)
@@ -172,16 +201,16 @@ def match_exposures(state: DeviceState, published_teks, params: MatchingParams, 
 
     log = state.log
     t_col, link_col, rssi_col = log.columns()
+    if rows is None:
+        rows = state.sightings
+    if kinds is None:
+        kinds = matchable_kinds(log, np.unique(link_col[rows]).tolist(), index)
     matched_rows: list[list] = [[] for _ in published_teks]  # close matched rows per key
     direct_rows: list[list] = [[] for _ in published_teks]  # those of them heard direct
     min_att: list[Optional[float]] = [None] * len(matched_rows)
-    for payload, rows in log.group(lambda link_id: log.links[link_id].payload,
-                                   state.sightings).items():
-        kind = beacon.decode(payload, "").kind  # the kind depends only on the payload
-        if not isinstance(kind, beacon.Gaen) or kind.rpi not in index:
-            continue
-        group_t, group_rssi = t_col[rows], rssi_col[rows]
-        direct = None  # per row; links hold one payload, so each is looked at once
+    for kind, group in log.group(kinds.get, rows).items():
+        group_t, group_rssi = t_col[group], rssi_col[group]
+        direct = None  # per row; links hold one frame, so each is looked at once
         for pos, interval in index[kind.rpi]:
             window_start = interval * crypto.INTERVAL_SECONDS
             window_end = window_start + crypto.INTERVAL_SECONDS
@@ -195,10 +224,10 @@ def match_exposures(state: DeviceState, published_teks, params: MatchingParams, 
             close = in_window & (att <= params.attenuation_threshold)
             if close.any():
                 if direct is None:
-                    links, of_row = np.unique(link_col[rows], return_inverse=True)
+                    links, of_row = np.unique(link_col[group], return_inverse=True)
                     direct = np.array([log.links[i].direct for i in links.tolist()])[of_row]
-                matched_rows[pos].append(rows[close])
-                direct_rows[pos].append(rows[close & direct])
+                matched_rows[pos].append(group[close])
+                direct_rows[pos].append(group[close & direct])
                 best = float(att[close].min())
                 min_att[pos] = best if min_att[pos] is None else min(min_att[pos], best)
 

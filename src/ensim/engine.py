@@ -15,12 +15,15 @@ injection, the end of the run, or a time at which the relay plan could
 differ (`AttackerServer.next_plan_change`); a tick on which the attacker
 gained a relay candidate is not repeated.
 
-No event is routed one by one: when the run ends, the log's rows are
-grouped by receiver once (`ScanLog.group`, the one grouping of the log's
-rows) and each device is handed the log and its row numbers. Matching
-then runs against the published-key snapshot; the snapshot's identifier
-index is built once and shared by every device's matching and the
-attacker's re-identification.
+No event is routed one by one. When the run ends, the published-key
+snapshot's identifier index is built once and shared by every device's
+matching and the attacker's re-identification. Each distinct payload the
+devices heard is decoded once, and only the rows that can match, the
+devices' rows of links whose identifier is in the index, are split by
+receiver (`ScanLog.rows_of`, then `ScanLog.group`, the one grouping of the
+log's rows); each device is matched on its share of them. A device's
+`sightings`, every row it heard, is found in the log only if something
+reads it.
 
 Ground truth for false-positive accounting is tracked outside the
 protocol: each notification carries how long its receiver heard the key
@@ -438,20 +441,24 @@ def _result(cfg: ScenarioConfig, world: World, devices: dict, deputies: list,
             server: Optional[AttackerServer], diag: DiagnosisServer) -> RunResult:
     """Match, account and re-identify once the run's ticks are done."""
     log = world.events
-    receiver = [link.receiver for link in log.links]
-    parts = log.group(receiver.__getitem__)
-    for nid, dev in devices.items():
-        dev.log, dev.sightings = log, parts.get(nid, NO_ROWS)
-
     published = diag.snapshot(cfg.world.duration)
     tek_owner = {tek.key: nid for nid, dev in devices.items()
                  for tek in device_mod.retained_keys(dev)}
-
-    rows = []
     published_teks = [e.tek for e in published]
     index = crypto.identifier_index(published_teks)
+
+    # only the devices' rows of links that carry a published identifier can match
+    receiver = [link.receiver for link in log.links]
+    kinds = device_mod.matchable_kinds(
+        log, [link_id for link_id, nid in enumerate(receiver) if nid in devices], index)
+    matchable = log.group(receiver.__getitem__, log.rows_of(kinds))
+    for dev in devices.values():
+        dev.log = log
+
+    rows = []
     for nid in sorted(devices):
-        notes = device_mod.match_exposures(devices[nid], published_teks, cfg.matching, index=index)
+        notes = device_mod.match_exposures(devices[nid], published_teks, cfg.matching, index=index,
+                                           rows=matchable.get(nid, NO_ROWS), kinds=kinds)
         for note in notes:
             rows.append({
                 "device_id": nid,

@@ -22,11 +22,12 @@ emitter, relay flag, MAC, payload, rx position), stored once. Only
 every hearing from outside the radio, so only the radio makes a hearing
 direct. Devices, the attacker and the event-log writer read the rows they
 need from this one log, by row number; nothing else is kept per event.
-Every reader that splits rows by receiver, payload or kept link does so
-with `ScanLog.group`. The event-log writer renders the times and rssi of a
-batch of rows with one `orjson` call per column, byte for byte as
-`json.dumps` would write each row, and hands the few numbers orjson lays
-out differently to `json.dumps`.
+Every reader that splits rows by receiver, frame or published key does so
+with `ScanLog.group`, handed only the rows it may use (`ScanLog.rows_of`).
+The event-log writer renders the times and rssi of a batch of rows with
+one `orjson` call per column, byte for byte as `json.dumps` would write
+each row, and hands the few numbers orjson lays out differently to
+`json.dumps`.
 
 The world is advanced by a single owner; parallelism belongs across
 independent runs, not within one.
@@ -149,9 +150,10 @@ class ScanLog:
     order of first hearings.
 
     Readers hold row numbers, not rows: `group` splits rows by a key of their
-    links (it is the only grouping of rows), and `columns()` hands out numpy
-    views of the columns without copying, to gather a group's times and rssi
-    from. A view pins its column, so none may be held across an append.
+    links (it is the only grouping of rows), `rows_of` picks the rows of some
+    links, and `columns()` hands out numpy views of the columns without
+    copying, to gather a group's times and rssi from. A view pins its
+    column, so none may be held across an append.
     """
 
     def __init__(self):
@@ -220,6 +222,14 @@ class ScanLog:
         if rows is not None:
             order = np.asarray(rows, dtype=np.int64)[order]
         return {k: order[bounds[i]:bounds[i + 1]] for i, k in enumerate(distinct)}
+
+    def rows_of(self, link_ids) -> np.ndarray:
+        """The row numbers, in log order, of the rows whose link is one of
+        `link_ids`: one pass of a per-link mask over the link column, so a
+        reader can hand `group` only the rows it may use."""
+        keep = np.zeros(len(self.links), dtype=bool)
+        keep[np.fromiter(link_ids, dtype=np.int64)] = True
+        return np.flatnonzero(keep[self.columns()[1]])
 
     def __len__(self) -> int:
         return len(self.link)

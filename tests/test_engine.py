@@ -432,17 +432,20 @@ class TestComputeOnce:
         for name in ("encrypt_aem", "decrypt_aem", "regenerate_day"):
             count(crypto, name)
         count(beacon, "decode")
-        # a is diagnosed at 1200 s; both hear each other for 1500 s
-        result = run_scenario(ScenarioConfig.from_dict(small_scenario()))
+        # a is diagnosed at 1200 s; all three hear each other for 1500 s
+        raw = small_scenario()
+        raw["nodes"].append({"id": "c", "app": True, "trajectory": [[0, 0.0, 1.0]]})
+        result = run_scenario(ScenarioConfig.from_dict(raw))
         intervals = 3  # 0-599, 600-1199, 1200-1499
         assert calls["encrypt_aem"] == len(result.devices) * intervals
+        # the one identifier index of the run regenerates each published key once
         assert calls["regenerate_day"] == len(result.published) == 1
-        distinct_payloads = sum(len({dev.log.links[dev.log.link[row]].payload
-                                     for row in dev.sightings.tolist()})
-                                for dev in result.devices.values())
-        assert calls["decode"] == distinct_payloads == 2 * intervals
-        # b decrypts each of a's frames once; a hears only b, whose key is unpublished
-        assert calls["decrypt_aem"] == intervals
+        # each distinct payload of the run is decoded once, however many devices
+        # heard it (each frame here is heard by two)
+        distinct_payloads = {link.payload for link in result.world.events.links}
+        assert calls["decode"] == len(distinct_payloads) == len(result.devices) * intervals
+        # b and c decrypt each of a's frames once; a hears only unpublished keys
+        assert calls["decrypt_aem"] == 2 * intervals
 
     def test_relay_encodes_each_identifier_once(self, monkeypatch):
         calls = Counter()

@@ -10,12 +10,19 @@ and nothing else:
   * another seed, without noise or attacker, changes key bytes (and MACs)
     only;
   * an app user out of everyone's range, never diagnosed, changes no other
-    notification, nor any dossier.
+    notification, nor any dossier;
+  * moving the whole scene (every waypoint and zone) by a power of two,
+    without noise, changes no notification and moves every dossier
+    sighting by the same offset. The configs it runs on have coordinates
+    that are multiples of 1/8, so every shifted coordinate and every
+    difference of two is exact.
 
 Relations that shift the noise of later rows (a bystander in range, moving
 the scene under noise) do not hold while noise follows row order, so they
 are not stated here.
 """
+
+import copy
 
 import pytest
 
@@ -75,3 +82,43 @@ def test_far_bystander_changes_nothing(name):
     got, want = (run_scenario(ScenarioConfig.from_dict(r)) for r in (with_far, raw))
     assert got.notification_rows == want.notification_rows
     assert got.dossiers == want.dossiers
+
+
+def _coordinates(raw):
+    zones = [zone for key in ("harvest_zones", "target_zones")
+             for zone in (raw.get("attack") or {}).get(key, [])]
+    return [c for node in raw["nodes"] for _t, *xy in node["trajectory"] for c in xy] + [
+        c for zone in zones for c in zone]
+
+
+def shifted(raw, dx, dy):
+    """`raw` with every waypoint and every zone moved by (dx, dy)."""
+    raw = copy.deepcopy(raw)
+    for node in raw["nodes"]:
+        node["trajectory"] = [[t, x + dx, y + dy] for t, x, y in node["trajectory"]]
+    for key in ("harvest_zones", "target_zones"):
+        if raw.get("attack") and key in raw["attack"]:
+            raw["attack"][key] = [[x0 + dx, y0 + dy, x1 + dx, y1 + dy]
+                                  for x0, y0, x1, y1 in raw["attack"][key]]
+    return raw
+
+
+EIGHTHS = [name for name in SCENARIO_NAMES
+           if all(c * 8 == int(c * 8) for c in _coordinates(scenarios.BUILDERS[name]()))]
+
+
+def test_translation_runs_on_most_bundled_configs():
+    assert len(EIGHTHS) >= len(SCENARIO_NAMES) - 1
+
+
+@pytest.mark.parametrize("dx, dy", [(1024.0, 1024.0), (-4096.0, 256.0)])
+@pytest.mark.parametrize("name", EIGHTHS)
+def test_translation_moves_places_only(name, dx, dy):
+    raw = scenarios.BUILDERS[name]()
+    assert raw["world"]["path_loss"]["noise_sigma"] == 0
+    got, want = (run_scenario(ScenarioConfig.from_dict(r)) for r in (shifted(raw, dx, dy), raw))
+    assert got.notification_rows == want.notification_rows
+    moved_back = [{"tek_hex": d["tek_hex"],
+                   "sightings": [dict(s, x=s["x"] - dx, y=s["y"] - dy) for s in d["sightings"]]}
+                  for d in got.dossiers]
+    assert moved_back == want.dossiers

@@ -15,6 +15,7 @@ float a log stores.
 import random
 from types import SimpleNamespace
 
+import numpy as np
 from hypothesis import given, settings, strategies as st
 
 import reference_matching as ref
@@ -108,7 +109,8 @@ def test_match_exposures_equals_reference(world):
 
     log = _world_of(sightings, {"rx": "app"}).events
     receiver.log = log
-    receiver.sightings = log.group(lambda link_id: log.links[link_id].receiver).get("rx", NO_ROWS)
+    every = log.group(lambda link_id: log.links[link_id].receiver)
+    assert np.array_equal(receiver.sightings, every.get("rx", NO_ROWS))
     assert reference_radio.same(reference_radio.sightings(receiver.log, receiver.sightings), stored)
     assert match_exposures(receiver, published, params, index=index) == expected
 

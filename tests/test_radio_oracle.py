@@ -348,7 +348,8 @@ def test_scan_log_readers_match_per_event_routing(run):
         SimpleNamespace(db=route.db, policy=policy), entries))
     receivers = fast.events.group(lambda link_id: fast.events.links[link_id].receiver)
     for nid, dev in devices.items():
-        dev.log, dev.sightings = fast.events, receivers.get(nid, radio.NO_ROWS)
+        dev.log = fast.events
+        assert np.array_equal(dev.sightings, receivers.get(nid, radio.NO_ROWS))
         assert ref.same(ref.sightings(dev.log, dev.sightings), route.sightings[nid])
         expected = reference_matching.match_exposures(
             SimpleNamespace(sightings=route.sightings[nid], tek_history=dev.tek_history,
