@@ -21,13 +21,13 @@ The harvest is not copied out of the scan log: in a run, the server reads
 its deputies' rows of the world's log (on its own, rows that
 `deputy_on_scan` logs in a log of its own with `ScanLog.append`). While the
 run goes on it looks only at each deputy link's first hearing, once: it
-decodes the link's frame, keeps or drops the link and offers the hearing
-as a relay candidate. `db` (the kept rows' row numbers) reads the kept
-links' rows when asked (`ScanLog.rows_of`), and `record` reads one row as
-a HarvestRecord. `reidentify` splits by published key only the rows of
-kept links whose identifier is published, not the whole log. Each
-dossier sighting keeps the MAC it was heard under: that is the MAC linkage
-a side database of MACs joins on.
+reads the link's frame kind from the log (`ScanLog.kind`, one decode per
+distinct payload), keeps or drops the link and offers the hearing as a
+relay candidate. `db` (the kept links' rows) is read when asked, and
+`record` reads one row as a HarvestRecord. `reidentify` splits only the
+rows of kept links that pass matching's published-identifier join
+(`device.published_kind`). Each dossier sighting keeps the MAC it was
+heard under: that is the MAC linkage a side database of MACs joins on.
 
 The relay plan is kept as one group per planned tick: `plan_log` holds
 `(ticks, entries)`, the decisions `select_relays` made for `ticks[0]`, which
@@ -46,6 +46,7 @@ from typing import Optional
 import numpy as np
 
 from . import beacon, crypto
+from .device import published_kind
 from .radio import Emission, ScanLog, Sighting
 
 DEFAULT_RELAY_MAC = "f0:0d:00:00:00:01"
@@ -129,8 +130,7 @@ class AttackerServer:
         self.log = ScanLog() if log is None else log
         self._deputies = set(deputies)
         self._looked = 0  # links of the log that `catch_up` has looked at
-        # link id -> decoded frame, for each deputy link whose hearings are kept
-        self.harvest_links: dict[int, beacon.BeaconFrame] = {}
+        self.harvest_links: set[int] = set()  # ids of the deputy links whose hearings are kept
         # (ticks, entries) per planned tick: the relay decisions of each tick of
         # `ticks`, in order; an entry's `t` and `age_s` are those of `ticks[0]`
         self.plan_log: list[tuple[range, list[dict]]] = []
@@ -169,23 +169,26 @@ class AttackerServer:
         link = self.log.links[link_id]
         if link.mac == self.policy.relay_mac:
             return  # don't harvest our own re-emissions
-        frame = beacon.decode(link.payload, link.mac)
-        if not self.policy.collect_all and not isinstance(frame.kind, beacon.Gaen):
+        kind = self.log.kind(link_id)
+        if not self.policy.collect_all and not isinstance(kind, beacon.Gaen):
             return
-        self.harvest_links[link_id] = frame
-        if isinstance(frame.kind, beacon.Gaen) and self._in_harvest_zone(link.rx):
-            self._relay_candidates.setdefault(frame.kind.rpi, self.record(self.log.first[link_id]))
+        self.harvest_links.add(link_id)
+        if isinstance(kind, beacon.Gaen) and self._in_harvest_zone(link.rx):
+            self._relay_candidates.setdefault(kind.rpi, self.record(self.log.first[link_id]))
 
     def _in_harvest_zone(self, location) -> bool:
         zones = self.policy.harvest_zones
         return not zones or any(z.contains(*location) for z in zones)
 
     def record(self, row: int) -> HarvestRecord:
-        """A kept hearing, `row` of the log, as the deputy uploaded it."""
+        """A kept hearing, `row` of the log, as the deputy uploaded it (KeyError if not kept)."""
         link_id = self.log.link[row]
+        if link_id not in self.harvest_links:
+            raise KeyError(link_id)
         link = self.log.links[link_id]
-        return HarvestRecord(frame=self.harvest_links[link_id], rssi=self.log.rssi[row],
-                             location=link.rx, time=self.log.t[row], deputy_id=link.receiver)
+        frame = beacon.BeaconFrame(link.mac, link.payload, self.log.kind(link_id))
+        return HarvestRecord(frame=frame, rssi=self.log.rssi[row], location=link.rx,
+                             time=self.log.t[row], deputy_id=link.receiver)
 
     @property
     def db(self) -> np.ndarray:
@@ -300,27 +303,21 @@ class AttackerServer:
         identifier equality, so nothing is ever attributed to a key whose
         schedule does not contain the sighted identifier. Our own
         re-emissions never reach the harvest (`_take` drops them). Only the
-        rows of kept links whose identifier is published are split, by the
-        keys they were heard under. `index` is `crypto.identifier_index` over
-        the keys of `published`, built here when not given.
+        rows of kept links that pass matching's join (`device.published_kind`)
+        are split, by frame, and each goes to every key of its identifier.
+        `index` is `crypto.identifier_index` over `published`, built when not given.
         """
         if index is None:
             index = crypto.identifier_index([e.tek for e in published])
-        keys: dict[int, tuple] = {}  # link id -> positions of the keys it was heard under
-        for link_id, frame in self.harvest_links.items():
-            kind = frame.kind
-            if not isinstance(kind, beacon.Gaen):
-                continue
-            positions = tuple(pos for pos, _interval in index.get(kind.rpi, ()))
-            if positions:
-                keys[link_id] = positions
         log = self.log
+        published_frame = published_kind(log, index)
+        rows = log.rows_of(link_id for link_id in self.harvest_links if published_frame(link_id))
         hits: list[list[tuple]] = [[] for _ in published]  # (t, x, y, row, mac)
-        for positions, rows in log.group(keys.get, log.rows_of(keys)).items():
-            for row in rows.tolist():
+        for kind, group in log.group(published_frame, rows).items():
+            for row in group.tolist():
                 link = log.links[log.link[row]]
                 hit = (log.t[row], link.rx[0], link.rx[1], row, link.mac)
-                for pos in positions:
+                for pos, _interval in index[kind.rpi]:
                     hits[pos].append(hit)
 
         dossiers = []

@@ -31,18 +31,17 @@ matching time. A device's sightings are row numbers of a scan log
 (`DeviceState.log`), its rows of that log, found only when `sightings` is
 read: on its own, the rows that `on_scan` logs in a log of its own
 (`ScanLog.append`: a hearing with no emitter); in a run, its rows of the
-world's log. Matching is an index join over the rows it is given: each
-link's frame is decoded once per distinct payload (without its MAC: a
-frame's kind depends only on its payload), the links whose identifier is
-in the published-identifier index (`crypto.identifier_index`, built once
-per run and shared with re-identification) are kept (`matchable_kinds`),
-their rows are grouped by frame (`radio.ScanLog.group`), the metadata is
-decrypted once per distinct frame and matching key, and the window and
-attenuation tests run as column operations. A run hands matching only the
-rows that can match, each device's rows of the links its run kept, with
-the decoded frames, so nothing is decoded twice and no other row is
-split. Whether a close matched row is direct (`radio.Link.direct`) is
-read once per distinct link those rows hold.
+world's log. Matching is an index join over the rows it is given: the
+scan log decodes each distinct payload once (`radio.ScanLog.kind`), the
+one published-identifier join (`published_kind`: is the frame's identifier
+in `crypto.identifier_index`, built once per run?) keeps the links that can
+match and groups their rows by frame (`radio.ScanLog.group`), the metadata
+is decrypted once per distinct frame and matching key, and the window and
+attenuation tests run as column operations. Re-identification makes the
+same join (`attacker.AttackerServer.reidentify`). A run hands matching only
+the rows that can match, each device's rows of the links that pass the
+join, so no other row is split. Whether a close matched row is direct
+(`radio.Link.direct`) is read once per distinct link those rows hold.
 """
 
 from __future__ import annotations
@@ -167,33 +166,24 @@ def diagnose_and_upload(state: DeviceState, server, t: int) -> list:
     return teks
 
 
-def matchable_kinds(log: ScanLog, link_ids, index: dict) -> dict:
-    """{link id: its frame's kind} for each of `link_ids` (ids of `log.links`)
-    whose frame carries an identifier of `index` (`crypto.identifier_index`):
-    the links matching can use. Each distinct payload is decoded once, without
-    its MAC: a frame's kind depends only on its payload."""
-    decoded: dict[bytes, beacon.Kind] = {}
-    kinds = {}
-    for link_id in link_ids:
-        payload = log.links[link_id].payload
-        kind = decoded.get(payload)
-        if kind is None:
-            kind = decoded[payload] = beacon.decode(payload, "").kind
-        if isinstance(kind, beacon.Gaen) and kind.rpi in index:
-            kinds[link_id] = kind
-    return kinds
+def published_kind(log: ScanLog, index: dict):
+    """The published-identifier join as a `ScanLog.group` key: link id -> its frame's
+    `Gaen` kind (`ScanLog.kind`) when its identifier is in `index`, else None."""
+    def key(link_id: int) -> Optional[beacon.Gaen]:
+        kind = log.kind(link_id)
+        return kind if isinstance(kind, beacon.Gaen) and kind.rpi in index else None
+    return key
 
 
 def match_exposures(state: DeviceState, published_teks, params: MatchingParams, *,
-                    index: Optional[dict] = None, rows=None, kinds: Optional[dict] = None) -> list:
+                    index: Optional[dict] = None, rows=None) -> list:
     """The notifications `state`'s stored sightings raise against published keys.
 
     `index` is `crypto.identifier_index(published_teks)`, built here when not
     given; a run builds it once and shares it across devices. `rows` are the
-    rows of `state.log` to match, `state.sightings` when not given, and
-    `kinds` is `matchable_kinds` over (at least) their links, made here when
-    not given. A run hands over only the device's rows whose link is in
-    `kinds`: no other row can match.
+    rows of `state.log` to match, `state.sightings` when not given, grouped by
+    `published_kind`: a row whose link fails that join is left out, so a run
+    hands over only the device's rows that pass it.
     """
     if index is None:
         index = crypto.identifier_index(published_teks)
@@ -203,12 +193,10 @@ def match_exposures(state: DeviceState, published_teks, params: MatchingParams, 
     t_col, link_col, rssi_col = log.columns()
     if rows is None:
         rows = state.sightings
-    if kinds is None:
-        kinds = matchable_kinds(log, np.unique(link_col[rows]).tolist(), index)
     matched_rows: list[list] = [[] for _ in published_teks]  # close matched rows per key
     direct_rows: list[list] = [[] for _ in published_teks]  # those of them heard direct
     min_att: list[Optional[float]] = [None] * len(matched_rows)
-    for kind, group in log.group(kinds.get, rows).items():
+    for kind, group in log.group(published_kind(log, index), rows).items():
         group_t, group_rssi = t_col[group], rssi_col[group]
         direct = None  # per row; links hold one frame, so each is looked at once
         for pos, interval in index[kind.rpi]:

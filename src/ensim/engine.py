@@ -17,13 +17,13 @@ gained a relay candidate is not repeated.
 
 No event is routed one by one. When the run ends, the published-key
 snapshot's identifier index is built once and shared by every device's
-matching and the attacker's re-identification. Each distinct payload the
-devices heard is decoded once, and only the rows that can match, the
-devices' rows of links whose identifier is in the index, are split by
-receiver (`ScanLog.rows_of`, then `ScanLog.group`, the one grouping of the
-log's rows); each device is matched on its share of them. A device's
-`sightings`, every row it heard, is found in the log only if something
-reads it.
+matching and the attacker's re-identification, which make one join
+(`device.published_kind`) over the frames the log decodes once per
+distinct payload (`ScanLog.kind`). Only the devices' rows of links that
+pass it are split by receiver (`ScanLog.rows_of`, then `ScanLog.group`,
+the one grouping of the log's rows), and each device matches its share.
+A device's `sightings`, every row it heard, is found in the log only if
+something reads it.
 
 Ground truth for false-positive accounting is tracked outside the
 protocol: each notification carries how long its receiver heard the key
@@ -350,8 +350,15 @@ class RunResult:
     published: tuple
     notification_rows: list
     dossiers: list
-    harvested_owners: set
-    tek_owner: dict  # tek key bytes -> node id
+
+    @property
+    def tek_owner(self) -> dict:  # tek key bytes -> node id
+        return {tek.key: nid for nid, dev in self.devices.items()
+                for tek in device_mod.retained_keys(dev)}
+
+    @property
+    def harvested_owners(self) -> set:
+        return harvested_owners(self.attacker) if self.attacker is not None else set()
 
     @property
     def infected_ids(self):
@@ -442,23 +449,21 @@ def _result(cfg: ScenarioConfig, world: World, devices: dict, deputies: list,
     """Match, account and re-identify once the run's ticks are done."""
     log = world.events
     published = diag.snapshot(cfg.world.duration)
-    tek_owner = {tek.key: nid for nid, dev in devices.items()
-                 for tek in device_mod.retained_keys(dev)}
     published_teks = [e.tek for e in published]
     index = crypto.identifier_index(published_teks)
 
     # only the devices' rows of links that carry a published identifier can match
     receiver = [link.receiver for link in log.links]
-    kinds = device_mod.matchable_kinds(
-        log, [link_id for link_id, nid in enumerate(receiver) if nid in devices], index)
-    matchable = log.group(receiver.__getitem__, log.rows_of(kinds))
+    published_frame = device_mod.published_kind(log, index)
+    matchable = log.group(receiver.__getitem__, log.rows_of(
+        link_id for link_id, nid in enumerate(receiver) if nid in devices and published_frame(link_id)))
     for dev in devices.values():
         dev.log = log
 
     rows = []
     for nid in sorted(devices):
         notes = device_mod.match_exposures(devices[nid], published_teks, cfg.matching, index=index,
-                                           rows=matchable.get(nid, NO_ROWS), kinds=kinds)
+                                           rows=matchable.get(nid, NO_ROWS))
         for note in notes:
             rows.append({
                 "device_id": nid,
@@ -480,8 +485,6 @@ def _result(cfg: ScenarioConfig, world: World, devices: dict, deputies: list,
         published=published,
         notification_rows=rows,
         dossiers=dossiers,
-        harvested_owners=harvested_owners(server) if server is not None else set(),
-        tek_owner=tek_owner,
     )
 
 

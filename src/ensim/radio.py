@@ -14,20 +14,21 @@ give one delivery at a time, in row order, are drawn ahead in bulk
 (`NoiseAhead`).
 
 Every delivery, radio-made or injected, is one row of the world's
-`ScanLog`: its time, a link id and its rssi, the one float that is
-matched, harvested and written, however the rssi was given. A link is what
-all hearings of one frame by one receiver at one place share (receiver,
+`ScanLog`: its time, a link id and its rssi, the one float that is matched,
+harvested and written, however the rssi was given. A link is what all
+hearings of one frame by one receiver at one place share (receiver,
 emitter, relay flag, MAC, payload, rx position), stored once. Only
 `World.step` writes rows whose link has an emitter; `ScanLog.append` logs
 every hearing from outside the radio, so only the radio makes a hearing
 direct. Devices, the attacker and the event-log writer read the rows they
-need from this one log, by row number; nothing else is kept per event.
-Every reader that splits rows by receiver, frame or published key does so
-with `ScanLog.group`, handed only the rows it may use (`ScanLog.rows_of`).
-The event-log writer renders the times and rssi of a batch of rows with
-one `orjson` call per column, byte for byte as `json.dumps` would write
-each row, and hands the few numbers orjson lays out differently to
-`json.dumps`.
+need from this one log, by row number; nothing else is kept per event. The
+log decodes each distinct payload once (`ScanLog.kind`), for the harvest
+and matching alike. Every reader that splits rows by receiver, frame or
+published key does so with `ScanLog.group`, handed only the rows it may use
+(`ScanLog.rows_of`). The event-log writer renders the times and rssi of a
+batch of rows with one `orjson` call per column, byte for byte as
+`json.dumps` would write each row, and hands the few numbers orjson lays
+out differently to `json.dumps`.
 
 The world is advanced by a single owner; parallelism belongs across
 independent runs, not within one.
@@ -47,6 +48,8 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 import orjson
+
+from . import beacon
 
 # emitters closer than this are treated as at this distance; keeps the
 # path-loss model in its rssi <= tx_power regime for co-located nodes
@@ -163,6 +166,7 @@ class ScanLog:
         self.t = array("q")
         self.link = array("i")
         self.rssi = array("d")
+        self._kinds: dict = {}  # payload -> the kind of its frame
 
     def intern(self, link: Link, row: int) -> int:
         """The id of `link`; a new link is first heard on `row`."""
@@ -184,6 +188,14 @@ class ScanLog:
         link = Link(receiver, None, False, sighting.mac, sighting.payload, sighting.rx_location)
         self.link.append(self.intern(link, row))
         return row
+
+    def kind(self, link_id: int) -> beacon.Kind:
+        """Link `link_id`'s frame kind, decoded (without its MAC) once per distinct payload."""
+        payload = self.links[link_id].payload
+        kind = self._kinds.get(payload)
+        if kind is None:
+            kind = self._kinds[payload] = beacon.decode(payload, "").kind
+        return kind
 
     def columns(self):
         """(t, link, rssi) as numpy views of the columns."""

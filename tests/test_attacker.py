@@ -86,6 +86,20 @@ class TestHarvest:
         s, _ = gaen_sighting(5, mac=server.policy.relay_mac)
         assert server.deputy_on_scan("dep1", s) is None
 
+    def test_record_of_a_row_not_kept_raises(self):
+        server = make_server()
+        own, _ = gaen_sighting(5, mac=server.policy.relay_mac)  # our own re-emission
+        decoy = Sighting(beacon.encode_decoy(beacon.EddystoneUrl(url="https://example.com", tx=-20)),
+                         "AB:B1:E8:8E:1B:BA", -12.0, 6, (0.0, 0.0))
+        kept, _ = gaen_sighting(7, seed=2)
+        records = [server.deputy_on_scan("dep1", s) for s in (own, decoy, kept)]
+        assert records[:2] == [None, None]
+        for row in (0, 1):
+            with pytest.raises(KeyError):
+                server.record(row)
+        assert server.db.tolist() == [2]
+        assert server.record(2) == records[2]
+
 
 class TestSelectRelays:
     def test_fresh_harvest_selected_for_target_deputy(self):

@@ -447,6 +447,23 @@ class TestComputeOnce:
         # b and c decrypt each of a's frames once; a hears only unpublished keys
         assert calls["decrypt_aem"] == 2 * intervals
 
+    @pytest.mark.parametrize("name", ["lazy_student", "hospital_replay"])
+    def test_attack_runs_decode_each_payload_once(self, name, monkeypatch):
+        # the harvest and matching read one decode of each distinct payload of
+        # the log; in lazy_student one node is both an app device and a deputy
+        decode, calls = beacon.decode, Counter()
+
+        def counted(payload, mac):
+            calls[payload] += 1
+            return decode(payload, mac)
+
+        monkeypatch.setattr(beacon, "decode", counted)
+        result = run_scenario(ScenarioConfig.from_dict(getattr(scenarios, name)()))
+        assert result.attacker.harvest_links and result.published
+        distinct_payloads = {link.payload for link in result.world.events.links}
+        assert set(calls) == distinct_payloads
+        assert sum(calls.values()) == len(distinct_payloads)
+
     def test_relay_encodes_each_identifier_once(self, monkeypatch):
         calls = Counter()
         encode_gaen = beacon.encode_gaen
