@@ -23,11 +23,13 @@ its deputies' rows of the world's log (on its own, rows that
 run goes on it looks only at each deputy link's first hearing, once: it
 reads the link's frame kind from the log (`ScanLog.kind`, one decode per
 distinct payload), keeps or drops the link and offers the hearing as a
-relay candidate. `db` (the kept links' rows) is read when asked, and
-`record` reads one row as a HarvestRecord. `reidentify` splits only the
-rows of kept links that pass matching's published-identifier join
-(`device.published_kind`). Each dossier sighting keeps the MAC it was
-heard under: that is the MAC linkage a side database of MACs joins on.
+relay candidate, whose relay window is decided then, once: `select_relays`
+filters the stored windows, and `next_plan_change` looks up the next of
+their edges in one sorted list. `db` (the kept links' rows) is read when
+asked, and `record` reads one row as a HarvestRecord. `reidentify` splits
+only the rows of kept links that pass matching's published-identifier join
+(`device.published_kind`). Each dossier sighting keeps the MAC it was heard
+under: that is the MAC linkage a side database of MACs joins on.
 
 The relay plan is kept as one group per planned tick: `plan_log` holds
 `(ticks, entries)`, the decisions `select_relays` made for `ticks[0]`, which
@@ -40,6 +42,7 @@ made on every tick.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right, insort
 from dataclasses import dataclass
 from typing import Optional
 
@@ -134,10 +137,13 @@ class AttackerServer:
         # (ticks, entries) per planned tick: the relay decisions of each tick of
         # `ticks`, in order; an entry's `t` and `age_s` are those of `ticks[0]`
         self.plan_log: list[tuple[range, list[dict]]] = []
-        # first in-zone hearing per identifier; selection works off this index.
-        # First hearing is what matters: it starts the upload clock, and the
-        # relay deadline depends only on the slot, which repeats hearings share.
-        self._relay_candidates: dict[bytes, HarvestRecord] = {}
+        # first in-zone hearing per identifier and the first and last time it may
+        # be relayed, fixed then (`_eligible`). First hearing is what matters: it
+        # starts the upload clock, and the relay deadline depends only on the
+        # slot, which repeats hearings share.
+        self._relay_candidates: dict[bytes, tuple[HarvestRecord, int, int]] = {}
+        # sorted times at which a candidate can start or stop changing the plan
+        self._plan_edges: list[int] = []
         # (masked aem, payload) per identifier, made when it is first relayed
         self._relayed: dict[bytes, tuple[bytes, bytes]] = {}
 
@@ -150,22 +156,22 @@ class AttackerServer:
         self.catch_up()
         return self.record(row) if self.log.link[row] in self.harvest_links else None
 
-    def catch_up(self) -> bool:
+    def catch_up(self) -> None:
         """Take in each link of the log first heard since the last call whose
-        receiver is a deputy; True when that added a relay candidate. A run
-        calls this after each tick that can hear a new link, so a hearing is a
-        relay candidate from the tick it was heard on."""
-        links, before = self.log.links, len(self._relay_candidates)
+        receiver is a deputy. A run calls this after each tick that can hear a
+        new link, so a hearing is a relay candidate, with its window fixed,
+        from the tick it was heard on."""
+        links = self.log.links
         for link_id in range(self._looked, len(links)):
             if links[link_id].receiver in self._deputies:
                 self._take(link_id)
         self._looked = len(links)
-        return len(self._relay_candidates) > before
 
     def _take(self, link_id: int) -> None:
         """Keep a deputy link's hearings unless they are our own re-emissions or,
         without `collect_all`, not exposure-notification frames; the link's
-        first hearing, when in a harvest zone, is a relay candidate."""
+        first hearing, when in a harvest zone, is a relay candidate, which can
+        change no plan before the next second (its tick's was made before it)."""
         link = self.log.links[link_id]
         if link.mac == self.policy.relay_mac:
             return  # don't harvest our own re-emissions
@@ -173,8 +179,13 @@ class AttackerServer:
         if not self.policy.collect_all and not isinstance(kind, beacon.Gaen):
             return
         self.harvest_links.add(link_id)
-        if isinstance(kind, beacon.Gaen) and self._in_harvest_zone(link.rx):
-            self._relay_candidates.setdefault(kind.rpi, self.record(self.log.first[link_id]))
+        if (isinstance(kind, beacon.Gaen) and kind.rpi not in self._relay_candidates
+                and self._in_harvest_zone(link.rx)):
+            record = self.record(self.log.first[link_id])
+            lo, hi = self._eligible(record)
+            self._relay_candidates[kind.rpi] = (record, lo, hi)
+            insort(self._plan_edges, max(lo, record.time + 1))
+            insort(self._plan_edges, hi + 1)
 
     def _in_harvest_zone(self, location) -> bool:
         zones = self.policy.harvest_zones
@@ -213,14 +224,10 @@ class AttackerServer:
         if not targets:
             return []
 
-        candidates: dict[bytes, HarvestRecord] = {}
-        for rpi, r in self._relay_candidates.items():
-            lo, hi = self._eligible(r)
-            if lo <= t <= hi:
-                candidates[rpi] = r
-
+        candidates = [(rpi, r) for rpi, (r, lo, hi) in self._relay_candidates.items()
+                      if lo <= t <= hi]
         # freshest first hearing first; ties broken by identifier bytes
-        ranked = sorted(candidates.items(), key=lambda kv: (-kv[1].time, kv[0]))
+        ranked = sorted(candidates, key=lambda kv: (-kv[1].time, kv[0]))
         if pol.max_relays_per_deputy is not None:
             ranked = ranked[:pol.max_relays_per_deputy]
 
@@ -265,16 +272,12 @@ class AttackerServer:
 
     def next_plan_change(self, t: int) -> float:
         """The first time after t at which `select_relays` could choose otherwise
-        for the same candidates and deputy positions (inf when never): the
-        earliest time, over all candidates, at which one becomes or stops
-        being eligible."""
-        if not self.policy.target_zones:
-            return math.inf
-        edges = []
-        for r in self._relay_candidates.values():
-            lo, hi = self._eligible(r)
-            edges += (lo, hi + 1)
-        return min((edge for edge in edges if edge > t), default=math.inf)
+        for the same deputy positions (inf when never): the first edge after t
+        that `_take` filed, the time each candidate can first change a plan or
+        the time just after its window. A candidate heard at t counts."""
+        edges = self._plan_edges
+        i = bisect_right(edges, t)
+        return edges[i] if self.policy.target_zones and i < len(edges) else math.inf
 
     def repeat_plan(self, t: int, times: range) -> None:
         """Record that the ticks at `times` (t + step, t + 2 * step, ...) repeat

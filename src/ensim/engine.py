@@ -4,16 +4,17 @@ Each tick the loop runs goes in fixed order: scheduled diagnoses publish
 keys; honest app devices broadcast; the attacker plans and deputies
 re-emit; the world delivers into its scan log and takes the tick's
 injections; the attacker takes in the deputy links first heard this tick,
-which is all a relay plan needs. Then its repeats: every later tick before
-the next change sends the same emissions over the same links, and only `t`
-and the noise differ, so the world delivers them in one step and the
-attacker widens the tick's plan group to cover them
-(`AttackerServer.repeat_plan`: no entry is copied; `write_outputs` writes
-each entry once per tick of its group). A change is an identifier
-rotation (every `crypto.INTERVAL_SECONDS`), a waypoint, a diagnosis, an
-injection, the end of the run, or a time at which the relay plan could
-differ (`AttackerServer.next_plan_change`); a tick on which the attacker
-gained a relay candidate is not repeated.
+which is all a relay plan needs, and fixes each new relay candidate's
+window then. Then its repeats: every later tick before the next change
+sends the same emissions over the same links, and only `t` and the noise
+differ, so the world delivers them in one step and the attacker widens the
+tick's plan group to cover them (`AttackerServer.repeat_plan`: no entry is
+copied; `write_outputs` writes each entry once per tick of its group). One
+rule ends a span: the next change is the earliest of the next identifier
+rotation (every `crypto.INTERVAL_SECONDS`), waypoint, diagnosis, injection,
+the end of the run and the next time at which the relay plan could differ
+(`AttackerServer.next_plan_change`, which counts the candidates heard on
+the tick itself).
 
 No event is routed one by one. When the run ends, the published-key
 snapshot's identifier index is built once and shared by every device's
@@ -384,7 +385,8 @@ def run_scenario(cfg: ScenarioConfig) -> RunResult:
     world = World(cfg.world)
     node_by_id = world.nodes
     devices = {
-        n.id: DeviceState(id=n.id, rng=_node_rng(cfg.world.seed, n.id), tx_power=n.tx_power)
+        n.id: DeviceState(id=n.id, rng=_node_rng(cfg.world.seed, n.id), tx_power=n.tx_power,
+                          log=world.events)
         for n in cfg.world.nodes if n.app
     }
     deputies = sorted(n.id for n in cfg.world.nodes if n.deputy)
@@ -424,9 +426,8 @@ def run_scenario(cfg: ScenarioConfig) -> RunResult:
                 payload=bytes.fromhex(inj.payload_hex), mac=inj.mac, rssi=inj.rssi,
                 time=t, rx_location=world.position(inj.receiver, t),
             ))
-        if server is not None and server.catch_up():
-            t += tick  # a new relay candidate may change the next tick's plan
-            continue
+        if server is not None:
+            server.catch_up()
 
         # every tick before the next change repeats this one but for t and the noise
         i = bisect_right(scheduled, t)
@@ -457,8 +458,6 @@ def _result(cfg: ScenarioConfig, world: World, devices: dict, deputies: list,
     published_frame = device_mod.published_kind(log, index)
     matchable = log.group(receiver.__getitem__, log.rows_of(
         link_id for link_id, nid in enumerate(receiver) if nid in devices and published_frame(link_id)))
-    for dev in devices.values():
-        dev.log = log
 
     rows = []
     for nid in sorted(devices):
@@ -515,9 +514,6 @@ def write_outputs(result: RunResult, outdir) -> None:
     plan = result.attacker.plan_log if result.attacker is not None else []
     with open(out / "attack_plan.jsonl", "w") as fh:
         for ticks, entries in plan:
-            if len(ticks) == 1:  # its entries hold the `t` and `age_s` of their tick
-                fh.write("".join([json.dumps(entry) + "\n" for entry in entries]))
-                continue
             pieces = [_plan_pieces(entry) for entry in entries]
             for t in ticks:
                 fh.write("".join(f'{{"t": {t}, {mid}, "age_s": {t - harvest_t}, {tail}'

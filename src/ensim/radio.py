@@ -247,10 +247,10 @@ class ScanLog:
         return len(self.link)
 
 
-def propagate(tx_power: float, distance: float, noise_draw: float,
-              path_loss: PathLoss, radio_range_max: float) -> Optional[float]:
-    """Received power in dBm, or None beyond radio range. A distance below
-    MIN_DISTANCE_M (co-located nodes) counts as MIN_DISTANCE_M."""
+def propagate(tx_power: float, distance: float, path_loss: PathLoss,
+              radio_range_max: float) -> Optional[float]:
+    """Noiseless received power in dBm, or None beyond radio range. A distance
+    below MIN_DISTANCE_M (co-located nodes) counts as MIN_DISTANCE_M."""
     distance = max(distance, MIN_DISTANCE_M)
     if distance > radio_range_max:
         return None
@@ -258,7 +258,6 @@ def propagate(tx_power: float, distance: float, noise_draw: float,
         tx_power
         + path_loss.ref_rssi_at_1m
         - 10.0 * path_loss.exponent * math.log10(distance)
-        + noise_draw
     )
 
 
@@ -348,7 +347,7 @@ class World:
             if sid == emitter:
                 continue
             rx = positions[sid]
-            rssi = propagate(em.tx_power, math.hypot(rx[0] - ex, rx[1] - ey), 0.0, pl, range_max)
+            rssi = propagate(em.tx_power, math.hypot(rx[0] - ex, rx[1] - ey), pl, range_max)
             if rssi is not None:
                 heard.append((sid, rx))
                 rssis.append(rssi)
@@ -374,9 +373,9 @@ class World:
         interned on the row of its first tick. One loop writes the span in
         chunks of whole ticks, at most 2 * NOISE_CHUNK_PAIRS rows (or one
         tick), each followed by its noise, the next values of the world's
-        gaussian sequence in row order, in one numpy add: the same float
-        arithmetic as `propagate`, so results are bit-identical to computing
-        each delivery of each tick from scratch.
+        gaussian sequence in row order, in one numpy add: `propagate`'s
+        value plus the noise, so results are bit-identical to computing each
+        delivery of each tick from scratch.
         """
         tick = self.config.tick
         last = t + (ticks - 1) * tick

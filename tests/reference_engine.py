@@ -22,7 +22,8 @@ def run_scenario(cfg):
     world = World(cfg.world)
     node_by_id = world.nodes
     devices = {
-        n.id: DeviceState(id=n.id, rng=engine._node_rng(cfg.world.seed, n.id), tx_power=n.tx_power)
+        n.id: DeviceState(id=n.id, rng=engine._node_rng(cfg.world.seed, n.id), tx_power=n.tx_power,
+                          log=world.events)
         for n in cfg.world.nodes if n.app
     }
     deputies = sorted(n.id for n in cfg.world.nodes if n.deputy)

@@ -32,9 +32,9 @@ def harvest(server, dev, t, deputy="hosp", loc=(0.0, 0.0), rssi=-40.0, mac=None)
 
 
 def plan(server, deputies):
-    """Plan a group of three ticks and a group of one: the writer renders a group
-    of one tick as it stands and cuts the entries of a longer one around `t`
-    and `age_s`."""
+    """Plan a group of four ticks and a group of one: the writer cuts the entries
+    of every group around `t` and `age_s` and puts each tick's back, so a group
+    of one tick is written the same way as a longer one."""
     server.select_relays(600, deputies)
     server.repeat_plan(600, range(601, 604))
     server.select_relays(700, deputies)

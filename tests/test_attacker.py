@@ -1,6 +1,8 @@
+import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ensim import beacon, crypto
 from ensim.attacker import (
@@ -170,6 +172,54 @@ class TestSelectRelays:
         orders = server.select_relays(600, {"fac": (1000.0, 0.0)})
         original = beacon.decode(s.payload, s.mac).kind.aem
         assert orders[0].aem == tamper(original, mask)
+
+
+HEARINGS = st.lists(st.tuples(
+    st.sampled_from(["hosp1", "hosp2"]),
+    st.sampled_from([(0.0, 0.0), (1.0, 1.0), (500.0, 0.0)]),  # the last outside HOSPITAL
+    st.integers(0, 3),  # whose identifier
+    st.integers(0, 3),  # the 10-minute interval it was broadcast in
+), max_size=3)
+POLICIES = st.builds(
+    make_server,
+    relay_latency=st.just(0) | st.integers(1, 10),  # 0 often: heard at t, relayable at t + 1
+    relay_window=st.none() | st.tuples(st.integers(0, 8000), st.integers(0, 2000)).map(
+        lambda w: (w[0], w[0] + w[1])),
+    replay_horizon=st.integers(0, 8000),
+    max_relays_per_deputy=st.sampled_from([None, 1, 2]),
+)
+
+
+class TestNextPlanChange:
+    TARGETS = {"fac": (1000.0, 0.0), "fac2": (1001.0, 1.0), "hosp1": (0.0, 0.0)}
+
+    def orders(self, server, t):
+        return [(o.deputy_id, o.rpi, o.aem) for o in server.select_relays(t, self.TARGETS)]
+
+    @settings(max_examples=100, deadline=None)
+    @given(POLICIES, st.lists(st.tuples(st.integers(1, 1500), HEARINGS), min_size=1, max_size=10))
+    def test_plan_holds_until_the_next_plan_change(self, server, steps):
+        """As in a run: at each step's time t the plan is made, then the step's
+        hearings are fed; every second before the next plan change, looked at
+        up to 600 s ahead, gets the plan made at t. The next step is at that
+        change or `gap` seconds on, whichever is first."""
+        t = 0
+        for gap, hearings in steps:
+            planned = self.orders(server, t)
+            for deputy, loc, seed, interval in hearings:
+                s, _ = gaen_sighting(t, loc=loc, seed=seed, emit_t=interval * 600)
+                server.deputy_on_scan(deputy, s)
+            change = server.next_plan_change(t)
+            assert change > t
+            for later in range(t + 1, min(change, t + 600)):
+                assert self.orders(server, later) == planned, (t, later, change)
+            t = min(change, t + gap)
+
+    def test_no_target_zone_never_changes(self):
+        server = make_server(target_zones=())
+        s, _ = gaen_sighting(0)
+        server.deputy_on_scan("hosp", s)
+        assert server.next_plan_change(0) == math.inf
 
 
 class TestRebroadcast:

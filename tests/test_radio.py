@@ -54,28 +54,28 @@ def still(nid, x, y, **kw):
 
 class TestPropagate:
     def test_reference_distance(self):
-        assert propagate(0, 1.0, 0.0, PL, 50.0) == -41.0
+        assert propagate(0, 1.0, PL, 50.0) == -41.0
 
     def test_ten_meters(self):
-        assert propagate(0, 10.0, 0.0, PL, 50.0) == pytest.approx(-61.0)
+        assert propagate(0, 10.0, PL, 50.0) == pytest.approx(-61.0)
 
     def test_out_of_range(self):
-        assert propagate(0, 50.1, 0.0, PL, 50.0) is None
+        assert propagate(0, 50.1, PL, 50.0) is None
 
     def test_zero_and_negative_distance_clamped(self):
         # co-located nodes count as MIN_DISTANCE_M apart: 40 dB above the 1 m reference
-        at_min = propagate(0, MIN_DISTANCE_M, 0.0, PL, 50.0)
+        at_min = propagate(0, MIN_DISTANCE_M, PL, 50.0)
         assert at_min == pytest.approx(-1.0)
-        assert propagate(0, 0.0, 0.0, PL, 50.0) == at_min
-        assert propagate(0, -1.0, 0.0, PL, 50.0) == at_min
+        assert propagate(0, 0.0, PL, 50.0) == at_min
+        assert propagate(0, -1.0, PL, 50.0) == at_min
 
     def test_monotone_loss_without_noise(self):
-        rssis = [propagate(0, d, 0.0, PL, 1000.0) for d in (1, 2, 5, 10, 100, 999)]
+        rssis = [propagate(0, d, PL, 1000.0) for d in (1, 2, 5, 10, 100, 999)]
         assert rssis == sorted(rssis, reverse=True)
 
     def test_never_amplifies(self):
         for d in (0.01, 0.5, 1.0, 3.0, 49.0):
-            assert propagate(0, d, 0.0, PL, 50.0) <= 0
+            assert propagate(0, d, PL, 50.0) <= 0
 
 
 class TestAttenuation:

@@ -336,7 +336,8 @@ def test_scan_log_readers_match_per_event_routing(run):
 
     route = ref.reference_route(slow.events, devices, deputies, policy)
     assert engine.harvested_owners(server) == route.owners
-    assert ref.same(server._relay_candidates, route.candidates)
+    candidates = {rpi: record for rpi, (record, _lo, _hi) in server._relay_candidates.items()}
+    assert ref.same(candidates, route.candidates)
     assert ref.same(list(map(server.record, server.db.tolist())), route.db)
 
     keys = [k for dev in devices.values() for k in dev.tek_history + [dev.current_tek]]
