@@ -325,7 +325,8 @@ class AttackerServer:
 
         dossiers = []
         for pos in sorted(range(len(published)), key=lambda i: published[i].tek.key.hex()):
+            # by time, then x, then y, then row: the order the pinned dossiers hold
             sightings = [{"t": t, "x": x, "y": y, "rssi": log.rssi[row], "mac": mac}
-                         for t, x, y, row, mac in sorted(hits[pos])]  # ties in log order
+                         for t, x, y, row, mac in sorted(hits[pos])]
             dossiers.append({"tek_hex": published[pos].tek.key.hex(), "sightings": sightings})
         return dossiers

@@ -28,7 +28,8 @@ published key does so with `ScanLog.group`, handed only the rows it may use
 (`ScanLog.rows_of`). The event-log writer renders the times and rssi of a
 batch of rows with one `orjson` call per column, byte for byte as
 `json.dumps` would write each row, and hands the few numbers orjson lays
-out differently to `json.dumps`.
+out differently to `json.dumps`; its line renderer (`render_lines`) also
+writes the relay plan.
 
 The world is advanced by a single owner; parallelism belongs across
 independent runs, not within one.
@@ -54,8 +55,8 @@ from . import beacon
 # emitters closer than this are treated as at this distance; keeps the
 # path-loss model in its rssi <= tx_power regime for co-located nodes
 MIN_DISTANCE_M = 0.01
-# rows formatted and written at once by write_event_log; 4096 raised the peak
-# memory of writing a dense log by 2-3 MB
+# rows rendered and written at once by write_event_log and the relay plan's
+# writer; 4096 raised the peak memory of writing a dense log by 2-3 MB
 WRITE_BATCH_ROWS = 1 << 10
 # gaussian pairs NoiseAhead draws per refill: drawing only what a tick needs
 # leaves numpy's per-call cost dominant when ticks deliver a few dozen events
@@ -419,21 +420,10 @@ class World:
 
 
 def write_event_log(log: ScanLog, path) -> None:
-    """Write every row of `log` to `path` as JSON lines in stable field order.
-
-    The text around `t` and `rssi` is rendered with `json.dumps` once per
-    link. Rows are written a batch at a time, each batch joined from one
-    flat list, so no copy of the whole log is built. A batch's `t` and
-    `rssi` columns are each rendered by one `orjson.dumps` call. orjson
-    writes an int, and a float with 1e-4 <= |x| < 1e16 or a zero of either
-    sign, exactly as `json.dumps` does: the shortest digits that round-trip,
-    as `repr` picks them. That window is where `repr` writes no exponent
-    (the double 1e-4 lies above 10**-4, and no double below 1e16 has the
-    shortest digits of 1e16). Outside it orjson lays out the exponent
-    differently (`1e16`, `1e-5` for `1e+16`, `1e-05`) and writes a
-    non-finite value (an injected NaN, or an overflow under a `PathLoss`
-    built without the config's bounds) as `null`; those go to `json.dumps`.
-    """
+    """Write every row of `log` to `path` as JSON lines in stable field order,
+    a batch of rows at a time through `render_lines`: a row's key is its link,
+    whose text around `rssi` is rendered with `json.dumps` once, and its
+    value is its rssi. No copy of the whole log is built."""
     heads, tails = [], []
     for receiver, emitter, relay, mac, payload, rx in log.links:
         head = json.dumps({"receiver": receiver, "emitter": emitter, "relay": relay, "mac": mac})
@@ -445,19 +435,41 @@ def write_event_log(log: ScanLog, path) -> None:
     with open(path, "w") as fh:
         for start in range(0, len(log), WRITE_BATCH_ROWS):
             rows = slice(start, start + WRITE_BATCH_ROWS)
-            links, rssi = link_col[rows], rssi_col[rows]
-            n = len(links)
-            rssi_text = _texts(rssi)
-            size = np.abs(rssi)
-            for i in np.flatnonzero(~(((size >= 1e-4) & (size < 1e16)) | (rssi == 0))).tolist():
-                rssi_text[i] = json.dumps(rssi[i].item())
-            flat = [None] * (5 * n)
-            flat[0::5] = repeat('{"t": ', n)
-            flat[1::5] = _texts(t_col[rows])
-            flat[2::5] = heads[links].tolist()
-            flat[3::5] = rssi_text
-            flat[4::5] = tails[links].tolist()
-            fh.write("".join(flat))
+            fh.write(render_lines(t_col[rows], link_col[rows], rssi_col[rows], heads, tails))
+
+
+def render_lines(t: np.ndarray, key: np.ndarray, value: np.ndarray,
+                 heads: np.ndarray, tails: np.ndarray) -> str:
+    """The JSON lines of a non-empty batch of rows, byte for byte as one
+    `json.dumps` per line writes them: row i is `'{"t": '`, `t[i]`,
+    `heads[key[i]]`, `value[i]` and `tails[key[i]]`, where `heads` and `tails`
+    (object arrays) hold each key's text around its value, the last number
+    but one of its line, and `tails` ends the line.
+
+    The `t` and `value` columns are each rendered by one `orjson.dumps` call.
+    orjson writes an int, and a float with 1e-4 <= |x| < 1e16 or a zero of
+    either sign, exactly as `json.dumps` does: the shortest digits that
+    round-trip, as `repr` picks them. That window is where `repr` writes no
+    exponent (the double 1e-4 lies above 10**-4, and no double below 1e16 has
+    the shortest digits of 1e16). Outside it orjson lays the number out
+    differently (`1e16` and `0.00001` for `1e+16` and `1e-05`) and writes a
+    non-finite value (an injected NaN, or an overflow under a `PathLoss`
+    built without the config's bounds) as `null`. Its text cannot tell which
+    layout it took, so the window is tested on the values, and a value
+    outside it goes to `json.dumps`.
+    """
+    n = len(key)
+    value_text = _texts(value)
+    size = np.abs(value)
+    for i in np.flatnonzero(~(((size >= 1e-4) & (size < 1e16)) | (value == 0))).tolist():
+        value_text[i] = json.dumps(value[i].item())
+    flat = [None] * (5 * n)
+    flat[0::5] = repeat('{"t": ', n)
+    flat[1::5] = _texts(t)
+    flat[2::5] = heads[key].tolist()
+    flat[3::5] = value_text
+    flat[4::5] = tails[key].tolist()
+    return "".join(flat)
 
 
 def _texts(column: np.ndarray) -> list:

@@ -1,22 +1,31 @@
 """Differential test of the attacker's two artifacts on hand-made plans and
-dossiers: `engine.write_outputs` renders attack_plan.jsonl once per plan group
-and dossiers.json through the C encoder, and must write the bytes that
+dossiers: `engine.write_outputs` writes attack_plan.jsonl through the event
+log's line renderer (`radio.render_lines`), each plan entry cut once per
+group, and dossiers.json with one `orjson.dumps` call when a guard on the
+dossiers' numbers and text allows it. It must write the bytes that
 reference_artifacts.py writes with one stdlib json call per decision and one
 `json.dump(indent=2)`. The cases are the values whose text a hand-rolled
-renderer could get wrong: NaN, -0.0, int coordinates, quoted and non-ASCII
-text, ticks of 7 s, and empty dossiers.
+renderer could get wrong: NaN, infinities, -0.0, numbers at the ends of
+orjson's window, int coordinates, quoted, non-ASCII and DEL text, ticks of
+7 s, plans whose lines cross batches, and empty dossiers.
 """
 
 import math
 import random
+import tempfile
+from pathlib import Path
 from types import SimpleNamespace
+
+import pytest
+from hypothesis import given, settings, strategies as st
 
 import reference_artifacts
 from ensim import crypto, engine
 from ensim.attacker import AttackPolicy, AttackerServer, Zone
 from ensim.device import DeviceState, broadcast_current
 from ensim.diagnosis import PublishedTek
-from ensim.radio import ScanLog, Sighting
+from ensim.radio import WRITE_BATCH_ROWS, ScanLog, Sighting
+from test_radio_oracle import NUMBER_EDGES
 
 HOSPITAL = Zone(-10, -10, 10, 10)
 FACTORY = Zone(990, -10, 1010, 10)
@@ -133,3 +142,128 @@ def test_dossier_with_no_sightings(tmp_path):
     assert sorted(len(d["sightings"]) for d in dossiers) == [0, 1]
     text = assert_same(server, dossiers, tmp_path)
     assert '"sightings": []\n  }' in text["dossiers.json"]
+
+
+# -- the dossier writer's guard: orjson's bytes only where they are json.dumps' ---
+
+ORDINARY = {"t": 10, "x": 1.5, "y": -2.25, "rssi": -61.123456789, "mac": "aa:bb:cc:dd:ee:ff"}
+# outside orjson's window or not finite, and an int orjson cannot hold
+ODD_NUMBERS = (math.nan, math.inf, -math.inf, 1e-05, -1e16, 2 ** 64, 2 ** 70)
+# DEL, a line separator, a non-BMP character, a lone surrogate (orjson raises), and
+# non-ASCII, quote, backslash and control characters together
+ODD_MACS = ("aa:\x7f", "aa:\u2028", "aa:\U0001f600", "aa:\ud800", "\u00e4\"\\:01\n\x1f")
+
+
+def dossiers_with(*sightings):
+    return [{"tek_hex": "ff" * 16, "sightings": []},
+            {"tek_hex": "00" * 16, "sightings": [ORDINARY, *sightings, ORDINARY]}]
+
+
+@pytest.mark.parametrize("value", NUMBER_EDGES + ODD_NUMBERS, ids=repr)
+@pytest.mark.parametrize("name", ("x", "y", "rssi"))
+def test_dossier_number_at_the_window_edges(name, value, tmp_path):
+    """Each number at either end of the window, of both signs, and each that
+    orjson writes otherwise than json.dumps or not at all, in each field."""
+    assert_same(None, dossiers_with({**ORDINARY, name: value}), tmp_path)
+
+
+@pytest.mark.parametrize("mac", ODD_MACS, ids=ascii)
+def test_dossier_mac_json_escapes(mac, tmp_path):
+    text = assert_same(None, dossiers_with({**ORDINARY, "mac": mac}), tmp_path)["dossiers.json"]
+    assert text.isascii()
+
+
+def test_dossiers_in_the_window_are_written_by_orjson(tmp_path, monkeypatch):
+    """Dossiers inside the guard never reach the stdlib encoder."""
+    dossiers = dossiers_with(*({**ORDINARY, "x": v, "y": -v, "rssi": v}
+                               for v in (0, -0.0, 1e-4, 3, 2.0 ** 50 + 0.25, math.nextafter(1e16, 0))))
+    want = written(None, dossiers, tmp_path)["dossiers.json"][1]
+    monkeypatch.setattr(engine, "json", SimpleNamespace(dumps=None))
+    engine.write_outputs(SimpleNamespace(world=SimpleNamespace(events=ScanLog()), notification_rows=[],
+                                         published=(), attacker=None, dossiers=dossiers), tmp_path / "orjson")
+    assert (tmp_path / "orjson" / "dossiers.json").read_bytes() == want
+
+
+# mostly finite floats, so that many draws hold no number the guard must refuse, and
+# many below 1e-4: down to 1e-5 orjson writes them without an exponent (`0.000032`)
+POOL_NUMBERS = st.one_of(st.floats(-1e3, 1e3), st.floats(-1e-4, 1e-4),
+                         st.sampled_from(NUMBER_EDGES + ODD_NUMBERS), st.floats(),
+                         st.integers(-2 ** 70, 2 ** 70))
+POOL_SIGHTINGS = st.fixed_dictionaries({
+    "t": st.integers(0, 2 ** 40), "x": POOL_NUMBERS, "y": POOL_NUMBERS, "rssi": POOL_NUMBERS,
+    "mac": st.one_of(st.sampled_from(ODD_MACS + (ORDINARY["mac"],)), st.text(max_size=6))})
+POOL_DOSSIERS = st.lists(st.fixed_dictionaries({
+    "tek_hex": st.binary(min_size=16, max_size=16).map(bytes.hex),
+    "sightings": st.lists(POOL_SIGHTINGS, max_size=3)}), max_size=3)
+
+
+@settings(max_examples=300, deadline=None)
+@given(POOL_DOSSIERS)
+def test_drawn_dossiers_match_reference(dossiers):
+    with tempfile.TemporaryDirectory() as tmp:
+        assert_same(None, dossiers, Path(tmp))
+
+
+# -- the plan through the event log's line renderer -----------------------------
+
+def test_one_tick_groups_between_widened_groups_cross_batches(tmp_path):
+    """Runs of one-tick groups between groups widened over more lines than a
+    batch, on ticks of 7 s: a batch ends inside a group as often as between
+    groups, each part of a cut group keeps its entries, and no batch holds
+    more lines than WRITE_BATCH_ROWS."""
+    deputies = {"fac1": (1000.0, 0.0), "fac2": (1001.0, 1.0)}
+    server = server_with(max_relays_per_deputy=2)
+    for seed, t in ((7, 0), (8, 3)):
+        harvest(server, DeviceState(id=f"d{seed}", rng=random.Random(seed)), t)
+    t = 14
+    for run in (1, 300, 40, 1, 2, 560, 5):
+        server.select_relays(t, deputies)
+        if run > 1:
+            server.repeat_plan(t, range(t + 7, t + 7 * run, 7))
+        t += 7 * run
+        for one in range(t, t + 7 * 20, 7):  # one-tick groups, planned one by one
+            server.select_relays(one, deputies)
+        t += 7 * 20
+    sizes = [len(ticks) * len(entries) for ticks, entries in server.plan_log]
+    assert max(sizes) > 2 * WRITE_BATCH_ROWS and sizes.count(4) > 100
+    assert sum(sizes) > 4 * WRITE_BATCH_ROWS
+    assert_same(server, [], tmp_path)
+    batches = [len(t) for t, *_ in engine._plan_batches(server.plan_log)]
+    assert sum(batches) == sum(sizes) and max(batches) <= WRITE_BATCH_ROWS  # memory: one batch
+
+
+def test_group_wider_than_a_batch(tmp_path):
+    """A tick with more entries than a batch holds lines is a part of its own."""
+    deputies = {f"fac{i:02d}": (1000.0 + i / 10, 0.0) for i in range(40)}
+    server = server_with(max_relays_per_deputy=None)
+    for seed in range(30):
+        harvest(server, DeviceState(id=f"d{seed}", rng=random.Random(100 + seed)), seed)
+    server.select_relays(100, deputies)
+    server.repeat_plan(100, range(101, 103))
+    server.select_relays(200, deputies)
+    assert [len(entries) for _ticks, entries in server.plan_log] == [1200, 1200]
+    assert_same(server, [], tmp_path)
+    assert [len(t) for t, *_ in engine._plan_batches(server.plan_log)] == [1200] * 4
+
+
+def test_entry_text_with_format_characters(tmp_path):
+    """Deputy ids holding `%`, braces, quotes, `, "age_s": ` and non-ASCII text."""
+    server = server_with(max_relays_per_deputy=None)
+    for i, deputy in enumerate(('100% {0}', '{"t": 1, "age_s": 2}', '\u00fc\u2028"%s"\\', "\U0001f600")):
+        harvest(server, DeviceState(id=f"d{i}", rng=random.Random(200 + i)), i, deputy=deputy)
+    server.select_relays(600, {'{%d} "f\u00e4b"': (1000.0, 0.0), ', "age_s": 5, ': (1001.0, 0.0)})
+    server.repeat_plan(600, range(601, 610))
+    server.select_relays(700, {"%%": (1000.0, 0.0)})
+    text = assert_same(server, [], tmp_path)["attack_plan.jsonl"]
+    assert '"deputy": ", \\"age_s\\": 5, "' in text
+
+
+def test_harvest_coordinates_at_the_window_edges(tmp_path):
+    """Harvest places at each end of orjson's number window, of both signs,
+    and past it: harvest_x and harvest_y stay json.dumps' text."""
+    server = AttackerServer(AttackPolicy(target_zones=(FACTORY,), max_relays_per_deputy=None))
+    for i, v in enumerate(NUMBER_EDGES + (1e-05, 2 ** 64)):
+        harvest(server, DeviceState(id=f"d{i}", rng=random.Random(300 + i)), i, loc=(v, -v))
+    plan(server, {"fac": (1000.0, 0.0)})
+    text = assert_same(server, [], tmp_path)["attack_plan.jsonl"]
+    assert '"harvest_x": 1e-05, "harvest_y": -1e-05,' in text
