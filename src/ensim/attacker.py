@@ -31,17 +31,20 @@ only the rows of kept links that pass matching's published-identifier join
 (`device.published_kind`). Each dossier sighting keeps the MAC it was heard
 under: that is the MAC linkage a side database of MACs joins on.
 
-The relay plan is kept as one group per planned tick: `plan_log` holds
-`(ticks, entries)`, the decisions `select_relays` made for `ticks[0]`, which
-hold for every tick of `ticks` (`repeat_plan` widens the range of the ticks
-that repeat it). attack_plan.jsonl spells it out tick by tick, each entry
-with the tick's `t` and `age_s`: the same bytes as one line per decision
-made on every tick.
+The relay plan is a row log like the scan log: each relay decision on
+each tick is one row, its time (`plan_t`) and its entry (`plan_entry`, an
+index into `plan_entries`). An entry is made the first time its (deputy,
+identifier) pair is planned, and only then: it holds every field of an
+attack_plan.jsonl line but `t` and `age_s`, all fixed per pair, because
+the candidate, the masked AEM and the deadline are fixed per identifier.
+`repeat_plan` extends a tick's rows over the ticks that repeat it, as
+`World.step` extends a tick's scan rows.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from bisect import bisect_right, insort
 from dataclasses import dataclass
 from typing import Optional
@@ -134,9 +137,13 @@ class AttackerServer:
         self._deputies = set(deputies)
         self._looked = 0  # links of the log that `catch_up` has looked at
         self.harvest_links: set[int] = set()  # ids of the deputy links whose hearings are kept
-        # (ticks, entries) per planned tick: the relay decisions of each tick of
-        # `ticks`, in order; an entry's `t` and `age_s` are those of `ticks[0]`
-        self.plan_log: list[tuple[range, list[dict]]] = []
+        # the relay plan, one row per decision per tick: its time and its entry,
+        # the line's fields but `t` and `age_s`, made once per (deputy, identifier)
+        self.plan_t = array("q")
+        self.plan_entry = array("i")
+        self.plan_entries: list[dict] = []
+        self._entry_ids: dict[tuple[str, bytes], int] = {}
+        self._planned = (None, 0)  # the last tick `select_relays` planned, and its first row
         # first in-zone hearing per identifier and the first and last time it may
         # be relayed, fixed then (`_eligible`). First hearing is what matters: it
         # starts the upload clock, and the relay deadline depends only on the
@@ -212,8 +219,9 @@ class AttackerServer:
         return slot_end(record.time) + self.policy.replay_horizon
 
     def select_relays(self, t: int, deputy_positions: dict) -> list[RelayOrder]:
-        """Relay plan for time t. When it decides any relay, its decisions are
-        appended to the plan log as one group, `(range(t, t + 1), entries)`."""
+        """Relay plan for time t. Each decision is appended to the plan as one
+        row; a (deputy, identifier) pair planned for the first time gets its entry."""
+        self._planned = (t, len(self.plan_t))
         pol = self.policy
         if not pol.target_zones:
             return []
@@ -238,27 +246,33 @@ class AttackerServer:
                     aem = tamper(aem, pol.tamper_mask)
                 self._relayed[rpi] = (aem, beacon.encode_gaen(rpi, aem))
 
-        orders, entries = [], []
+        orders = []
         for deputy in targets:
             for rpi, record in ranked:
                 aem, payload = self._relayed[rpi]
                 orders.append(RelayOrder(rpi=rpi, aem=aem, payload=payload, deputy_id=deputy))
-                entries.append({
-                    "t": t,
-                    "deputy": deputy,
-                    "rpi_hex": rpi.hex(),
-                    "aem_hex": aem.hex(),
-                    "tampered": pol.tamper_mask is not None,
-                    "source_deputy": record.deputy_id,
-                    "harvest_t": record.time,
-                    "harvest_x": record.location[0],
-                    "harvest_y": record.location[1],
-                    "age_s": t - record.time,
-                    "deadline_t": self.relay_deadline(record),
-                })
-        if entries:
-            self.plan_log.append((range(t, t + 1), entries))
+                self.plan_t.append(t)
+                self.plan_entry.append(self._entry(deputy, rpi, record))
         return orders
+
+    def _entry(self, deputy: str, rpi: bytes, record: HarvestRecord) -> int:
+        """The plan entry of relaying `rpi` by `deputy`, made on first use: an
+        attack_plan.jsonl line's fields, in line order, but `t` and `age_s`."""
+        entry = self._entry_ids.get((deputy, rpi))
+        if entry is None:
+            entry = self._entry_ids[deputy, rpi] = len(self.plan_entries)
+            self.plan_entries.append({
+                "deputy": deputy,
+                "rpi_hex": rpi.hex(),
+                "aem_hex": self._relayed[rpi][0].hex(),
+                "tampered": self.policy.tamper_mask is not None,
+                "source_deputy": record.deputy_id,
+                "harvest_t": record.time,
+                "harvest_x": record.location[0],
+                "harvest_y": record.location[1],
+                "deadline_t": self.relay_deadline(record),
+            })
+        return entry
 
     def _eligible(self, record: HarvestRecord) -> tuple[int, int]:
         """The first and last time at which `record` may be relayed: once it is
@@ -281,11 +295,15 @@ class AttackerServer:
 
     def repeat_plan(self, t: int, times: range) -> None:
         """Record that the ticks at `times` (t + step, t + 2 * step, ...) repeat
-        the relay plan of tick t, the last planned: tick t's group, when it
-        decided any relay, is widened to `range(t, times.stop, times.step)`.
-        No entry is copied; the writer sets `t` and `age_s` for each tick."""
-        if self.plan_log and self.plan_log[-1][0] == range(t, t + 1):
-            self.plan_log[-1] = (range(t, times.stop, times.step), self.plan_log[-1][1])
+        the relay plan of tick t, the last planned: tick t's rows, when it
+        planned any, are appended again for each of them, in the same order."""
+        planned, first = self._planned
+        if planned != t:
+            return
+        entries = self.plan_entry[first:]
+        self.plan_entry.extend(entries * len(times))
+        ticks = np.arange(times.start, times.stop, times.step, dtype=np.int64)
+        self.plan_t.frombytes(np.repeat(ticks, len(entries)).tobytes())
 
     def rebroadcast(self, order: RelayOrder, tx_power: int) -> Emission:
         """Emission a deputy makes for one plan entry, under the attacker's MAC."""

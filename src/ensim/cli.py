@@ -67,8 +67,8 @@ def _summarize(result: RunResult) -> None:
           f"{len(result.published)} published keys")
     print(f"notifications: {len(rows)} ({false_pos} with no genuine contact)")
     if result.attacker is not None:
-        decisions = sum(len(ticks) * len(entries) for ticks, entries in result.attacker.plan_log)
-        print(f"attacker: {len(result.attacker.db)} harvested frames, {decisions} relay decisions, "
+        print(f"attacker: {len(result.attacker.db)} harvested frames, "
+              f"{len(result.attacker.plan_t)} relay decisions, "
               f"{len(result.dossiers)} dossiers")
 
 

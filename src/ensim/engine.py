@@ -7,10 +7,10 @@ injections; the attacker takes in the deputy links first heard this tick,
 which is all a relay plan needs, and fixes each new relay candidate's
 window then. Then its repeats: every later tick before the next change
 sends the same emissions over the same links, and only `t` and the noise
-differ, so the world delivers them in one step and the attacker widens the
-tick's plan group to cover them (`AttackerServer.repeat_plan`: no entry is
-copied; `write_outputs` writes each entry for each tick of its group). One
-rule ends a span: the next change is the earliest of the next identifier
+differ, so the world delivers them in one step and the attacker extends
+the tick's plan rows over them (`AttackerServer.repeat_plan`, as the world
+extends the tick's scan rows; no entry is made or copied). One rule ends a
+span: the next change is the earliest of the next identifier
 rotation (every `crypto.INTERVAL_SECONDS`), waypoint, diagnosis, injection,
 the end of the run and the next time at which the relay plan could differ
 (`AttackerServer.next_plan_change`, which counts the candidates heard on
@@ -41,11 +41,13 @@ cross-field checks; the dataclasses they build do not check themselves. An
 absent key takes the default of the dataclass or function that owns it;
 anything invalid raises ScenarioError naming the field before the run starts.
 
-`events.jsonl` and `attack_plan.jsonl` share one line renderer
-(`radio.render_lines`), which renders a batch of lines with one `orjson`
-call per number column: each plan entry is cut once around its `t` and
-`age_s`, the plan's two columns. `dossiers.json` is one guarded `orjson`
-call, which hands what it cannot vouch for to `json.dumps(indent=2)`.
+`events.jsonl` and `attack_plan.jsonl` are both row logs, written by one
+batch loop (`radio.write_lines`) with one `orjson` call per number column
+per batch: a scan row's key is its link and its value its rssi; a plan
+row's key is its entry and its value its `age_s`. Each key's text around
+the value is rendered once, from dicts. `dossiers.json` is one guarded
+`orjson` call, which hands what it cannot vouch for to
+`json.dumps(indent=2)`.
 
 Everything is keyed off the config's seed; identical configs produce
 byte-identical artifacts.
@@ -77,15 +79,15 @@ from .device import DeviceState, MatchingParams
 from .diagnosis import DiagnosisServer
 from .radio import (
     NO_ROWS,
-    WRITE_BATCH_ROWS,
     Emission,
     NodeSpec,
     PathLoss,
     Sighting,
     World,
     WorldConfig,
-    render_lines,
+    orjson_writes_as_json,
     write_event_log,
+    write_lines,
 )
 
 SCHEMA_VERSION = 1
@@ -522,85 +524,46 @@ def write_outputs(result: RunResult, outdir) -> None:
                 "publication_time": e.publication_time,
             }) + "\n")
 
-    plan = result.attacker.plan_log if result.attacker is not None else []
-    with open(out / "attack_plan.jsonl", "w") as fh:
-        for batch in _plan_batches(plan):
-            fh.write(render_lines(*batch))
+    write_attack_plan(result.attacker, out / "attack_plan.jsonl")
 
     with open(out / "dossiers.json", "wb") as fh:
         fh.write(_dossiers_json(result.dossiers) + b"\n")
 
 
-def _plan_batches(plan: list):
-    """The plan log's lines as `render_lines` batches `(t, key, age_s, heads,
-    tails)`: every group's entries, in order, for each of its ticks. Each
-    entry is cut once (`_plan_pieces`); a key is an entry's place in
-    `pieces`, which holds only the entries of the groups the batch reads. A
-    batch gathers parts, each one group's entries over a range of its ticks,
-    up to WRITE_BATCH_ROWS lines (or one tick, when that has more entries),
-    so no column of the whole plan is built. Times are int64, as in the scan
-    log."""
-    pieces, parts, rows = [], [], 0
-    for ticks, entries in plan:  # `select_relays` logs no group without an entry
-        first, width = len(pieces), len(entries)
-        pieces += map(_plan_pieces, entries)
-        done = 0
-        while done < len(ticks):
-            if parts and rows + width > WRITE_BATCH_ROWS:
-                yield _plan_columns(parts, pieces)
-                pieces, parts, rows, first = pieces[first:], [], 0, 0
-            part = ticks[done:done + max(1, (WRITE_BATCH_ROWS - rows) // width)]
-            parts.append((part.start, part.step, len(part), width, first))
-            rows += len(part) * width
-            done += len(part)
-    if parts:
-        yield _plan_columns(parts, pieces)
-
-
-def _plan_columns(parts: list, pieces: list) -> tuple:
-    """One `render_lines` batch: the lines of `parts`, each `(start, step,
-    count, width, first)`, the ticks `range(start, start + count * step, step)`
-    of the `width` entries from `pieces[first]` on, tick by tick."""
-    start, step, count, width, first = np.array(parts, dtype=np.int64).T
-    size = count * width
-    part = np.repeat(np.arange(len(parts)), size)
-    line = np.arange(size.sum()) - np.repeat(np.cumsum(size) - size, size)  # within its part
-    tick, entry = np.divmod(line, width[part])
-    t = start[part] + tick * step[part]
-    key = first[part] + entry
-    heads, tails, harvest = zip(*pieces)
-    return (t, key, t - np.array(harvest, dtype=np.int64)[key],
-            np.array(heads, dtype=object), np.array(tails, dtype=object))
-
-
-def _plan_pieces(entry: dict) -> tuple[str, str, int]:
-    """`json.dumps(entry)` cut around its ints `t` (the first key) and `age_s`
-    (the last key but one, before the int `deadline_t`): the text between
-    them, the text after with the line's end, and the entry's `harvest_t`.
-    With a tick's `t` and `age_s` put back (`render_lines`), that is the
-    entry's line for the tick. `, "age_s": ` is found only at the key,
-    because a `"` inside a JSON string is escaped."""
-    text = json.dumps(entry)
-    age = text.rindex(', "age_s": ') + len(', "age_s": ')
-    return text[text.index(", "):age], text[text.index(", ", age):] + "\n", entry["harvest_t"]
+def write_attack_plan(server: Optional[AttackerServer], path) -> None:
+    """Write the relay plan's rows to `path` as JSON lines through
+    `write_lines`: a row's key is its entry, whose text around `age_s` is
+    rendered with `json.dumps` once, and its value is `age_s`, the row's
+    time less the entry's `harvest_t`. With no attacker the file is empty."""
+    if server is None:
+        server = AttackerServer(AttackPolicy())
+    heads, tails, harvest_t = [], [], []
+    for entry in server.plan_entries:
+        head = dict(entry)
+        tail = json.dumps({"deadline_t": head.pop("deadline_t")})
+        heads.append(", " + json.dumps(head)[1:-1] + ', "age_s": ')
+        tails.append(", " + tail[1:] + "\n")
+        harvest_t.append(entry["harvest_t"])
+    t = np.frombuffer(server.plan_t, dtype=np.int64)
+    entry = np.frombuffer(server.plan_entry, dtype=np.int32)
+    age_s = t - np.array(harvest_t, dtype=np.int64)[entry]
+    write_lines(path, t, entry, age_s, heads, tails)
 
 
 def _dossiers_json(dossiers: list) -> bytes:
     """`json.dumps(dossiers, indent=2)`, from one `orjson.dumps` call when that
     gives the same bytes, and from `json.dumps` otherwise. Besides `x`, `y`
-    and `rssi`, a sighting holds an int `t` and strings. orjson writes a
-    number as `json.dumps` does only inside `render_lines`' window (a zero,
-    or 1e-4 <= |v| < 1e16), and its text cannot tell which layout it took
-    (`0.00001` for 1e-05), so the window is tested on the values. It writes
-    every character but DEL and the non-ASCII ones as `json.dumps` does,
-    which escapes those, so the text must be ASCII with no DEL. What orjson
-    or the float conversion refuses (a lone surrogate, an int too large for
-    a float) goes to `json.dumps` too."""
+    and `rssi`, a sighting holds an int `t` and strings. orjson writes those
+    numbers as `json.dumps` does only inside `radio.orjson_writes_as_json`'s
+    window, which is tested on the values. It writes every character but DEL
+    and the non-ASCII ones as `json.dumps` does, which escapes those, so the
+    text must be ASCII with no DEL. What orjson or the float conversion
+    refuses (a lone surrogate, an int too large for a float) goes to
+    `json.dumps` too."""
     numbers = [v for dossier in dossiers for s in dossier["sightings"]
                for v in (s["x"], s["y"], s["rssi"])]
     try:
-        size = np.abs(np.array(numbers, dtype=np.float64))
-        if (((size >= 1e-4) & (size < 1e16)) | (size == 0)).all():
+        if orjson_writes_as_json(np.array(numbers, dtype=np.float64)).all():
             text = orjson.dumps(dossiers, option=orjson.OPT_INDENT_2)
             if text.isascii() and b"\x7f" not in text:
                 return text

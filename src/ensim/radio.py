@@ -28,8 +28,8 @@ published key does so with `ScanLog.group`, handed only the rows it may use
 (`ScanLog.rows_of`). The event-log writer renders the times and rssi of a
 batch of rows with one `orjson` call per column, byte for byte as
 `json.dumps` would write each row, and hands the few numbers orjson lays
-out differently to `json.dumps`; its line renderer (`render_lines`) also
-writes the relay plan.
+out differently (`orjson_writes_as_json`) to `json.dumps`. Its batch loop
+(`write_lines`) also writes the relay plan, the attacker's row log.
 
 The world is advanced by a single owner; parallelism belongs across
 independent runs, not within one.
@@ -55,8 +55,8 @@ from . import beacon
 # emitters closer than this are treated as at this distance; keeps the
 # path-loss model in its rssi <= tx_power regime for co-located nodes
 MIN_DISTANCE_M = 0.01
-# rows rendered and written at once by write_event_log and the relay plan's
-# writer; 4096 raised the peak memory of writing a dense log by 2-3 MB
+# rows rendered and written at once by write_lines, for the event log and the
+# relay plan; 4096 raised the peak memory of writing a dense log by 2-3 MB
 WRITE_BATCH_ROWS = 1 << 10
 # gaussian pairs NoiseAhead draws per refill: drawing only what a tick needs
 # leaves numpy's per-call cost dominant when ticks deliver a few dozen events
@@ -203,25 +203,21 @@ class ScanLog:
         return (np.frombuffer(self.t, dtype=np.int64), np.frombuffer(self.link, dtype=np.int32),
                 np.frombuffer(self.rssi, dtype=np.float64))
 
-    def group(self, key, rows=None) -> dict:
-        """`rows` (row numbers; every row, in log order, when None) split by
-        `key(link_id)` of each row's link: {key: row numbers in the order of
-        `rows`}, in the order in which the keys first come up among the rows'
-        link ids. Rows whose key is None are left out.
+    def group(self, key, rows) -> dict:
+        """`rows` (row numbers) split by `key(link_id)` of each row's link:
+        {key: row numbers in the order of `rows`}, in the order in which the
+        keys first come up among the rows' link ids. Rows whose key is None are
+        left out.
 
         `key` is called once per link the rows contain; the split is one stable
         sort of a per-row code, the narrowest unsigned dtype that holds one code
         per key and a last one for None (a stable sort of 8- or 16-bit codes is
         a radix sort).
         """
-        link_col = self.columns()[1]
-        of_row = link_col if rows is None else link_col[rows]
-        if rows is None:  # every link has a row: its first hearing
-            present = np.arange(len(self.links))
-        else:
-            heard = np.zeros(len(self.links), dtype=bool)
-            heard[of_row] = True
-            present = np.flatnonzero(heard)
+        of_row = self.columns()[1][rows]
+        heard = np.zeros(len(self.links), dtype=bool)
+        heard[of_row] = True
+        present = np.flatnonzero(heard)
         keys = list(map(key, present.tolist()))
         distinct = dict.fromkeys(keys)
         distinct.pop(None, None)
@@ -231,9 +227,7 @@ class ScanLog:
         of_link[present] = list(map(codes.__getitem__, keys))
         of_row = of_link[of_row]
         bounds = [0, *np.cumsum(np.bincount(of_row, minlength=none + 1)).tolist()]
-        order = np.argsort(of_row, kind="stable")
-        if rows is not None:
-            order = np.asarray(rows, dtype=np.int64)[order]
+        order = np.asarray(rows, dtype=np.int64)[np.argsort(of_row, kind="stable")]
         return {k: order[bounds[i]:bounds[i + 1]] for i, k in enumerate(distinct)}
 
     def rows_of(self, link_ids) -> np.ndarray:
@@ -420,22 +414,28 @@ class World:
 
 
 def write_event_log(log: ScanLog, path) -> None:
-    """Write every row of `log` to `path` as JSON lines in stable field order,
-    a batch of rows at a time through `render_lines`: a row's key is its link,
-    whose text around `rssi` is rendered with `json.dumps` once, and its
-    value is its rssi. No copy of the whole log is built."""
+    """Write every row of `log` to `path` as JSON lines in stable field order
+    through `write_lines`: a row's key is its link, whose text around `rssi`
+    is rendered with `json.dumps` once, and its value is its rssi."""
     heads, tails = [], []
     for receiver, emitter, relay, mac, payload, rx in log.links:
         head = json.dumps({"receiver": receiver, "emitter": emitter, "relay": relay, "mac": mac})
         tail = json.dumps({"rx_x": rx[0], "rx_y": rx[1], "payload_hex": payload.hex()})
         heads.append(", " + head[1:-1] + ', "rssi": ')
         tails.append(", " + tail[1:] + "\n")
+    write_lines(path, *log.columns(), heads, tails)
+
+
+def write_lines(path, t: np.ndarray, key: np.ndarray, value: np.ndarray, heads: list,
+                tails: list) -> None:
+    """Write the JSON lines of the rows of the columns `t`, `key` and `value`
+    to `path` (see `render_lines`), WRITE_BATCH_ROWS rows at a time, so no
+    text of the whole file is built."""
     heads, tails = np.array(heads, dtype=object), np.array(tails, dtype=object)
-    t_col, link_col, rssi_col = log.columns()
     with open(path, "w") as fh:
-        for start in range(0, len(log), WRITE_BATCH_ROWS):
+        for start in range(0, len(key), WRITE_BATCH_ROWS):
             rows = slice(start, start + WRITE_BATCH_ROWS)
-            fh.write(render_lines(t_col[rows], link_col[rows], rssi_col[rows], heads, tails))
+            fh.write(render_lines(t[rows], key[rows], value[rows], heads, tails))
 
 
 def render_lines(t: np.ndarray, key: np.ndarray, value: np.ndarray,
@@ -446,22 +446,13 @@ def render_lines(t: np.ndarray, key: np.ndarray, value: np.ndarray,
     (object arrays) hold each key's text around its value, the last number
     but one of its line, and `tails` ends the line.
 
-    The `t` and `value` columns are each rendered by one `orjson.dumps` call.
-    orjson writes an int, and a float with 1e-4 <= |x| < 1e16 or a zero of
-    either sign, exactly as `json.dumps` does: the shortest digits that
-    round-trip, as `repr` picks them. That window is where `repr` writes no
-    exponent (the double 1e-4 lies above 10**-4, and no double below 1e16 has
-    the shortest digits of 1e16). Outside it orjson lays the number out
-    differently (`1e16` and `0.00001` for `1e+16` and `1e-05`) and writes a
-    non-finite value (an injected NaN, or an overflow under a `PathLoss`
-    built without the config's bounds) as `null`. Its text cannot tell which
-    layout it took, so the window is tested on the values, and a value
-    outside it goes to `json.dumps`.
+    The `t` and `value` columns are each rendered by one `orjson.dumps` call;
+    a value orjson would write otherwise (outside `orjson_writes_as_json`)
+    goes to `json.dumps`.
     """
     n = len(key)
     value_text = _texts(value)
-    size = np.abs(value)
-    for i in np.flatnonzero(~(((size >= 1e-4) & (size < 1e16)) | (value == 0))).tolist():
+    for i in np.flatnonzero(~orjson_writes_as_json(value)).tolist():
         value_text[i] = json.dumps(value[i].item())
     flat = [None] * (5 * n)
     flat[0::5] = repeat('{"t": ', n)
@@ -470,6 +461,24 @@ def render_lines(t: np.ndarray, key: np.ndarray, value: np.ndarray,
     flat[3::5] = value_text
     flat[4::5] = tails[key].tolist()
     return "".join(flat)
+
+
+def orjson_writes_as_json(values: np.ndarray) -> np.ndarray:
+    """Per number of `values`, whether it lies in the window where orjson
+    writes a number as `json.dumps` does.
+
+    orjson writes an int, and a float with 1e-4 <= |x| < 1e16 or a zero of
+    either sign, exactly as `json.dumps` does: the shortest digits that
+    round-trip, as `repr` picks them. That window is where `repr` writes no
+    exponent (the double 1e-4 lies above 10**-4, and no double below 1e16 has
+    the shortest digits of 1e16). Outside it orjson lays the number out
+    differently (`1e16` and `0.00001` for `1e+16` and `1e-05`) and writes a
+    non-finite value (an injected NaN, or an overflow under a `PathLoss`
+    built without the config's bounds) as `null`. Its text cannot tell which
+    layout it took, so the window is tested on the values.
+    """
+    size = np.abs(values)
+    return ((size >= 1e-4) & (size < 1e16)) | (values == 0)
 
 
 def _texts(column: np.ndarray) -> list:

@@ -1,7 +1,7 @@
 """Reference writers of the attacker's two artifacts, as `engine.write_outputs`
-wrote them before the relay plan was kept as one group per planned tick:
-attack_plan.jsonl is one `json.dumps` per relay decision, each decision its
-own dict, and dossiers.json is one `json.dump(indent=2)`.
+wrote them before the relay plan was kept as rows: attack_plan.jsonl is one
+`json.dumps` per relay decision, each decision its own dict, and
+dossiers.json is one `json.dump(indent=2)`.
 test_artifact_writers.py and test_engine_oracle.py check that the program
 writes the same bytes.
 """
@@ -10,21 +10,32 @@ import json
 from pathlib import Path
 
 NAMES = ("attack_plan.jsonl", "dossiers.json")
+# an attack_plan.jsonl line's keys, in the order the README documents
+PLAN_KEYS = ("t", "deputy", "rpi_hex", "aem_hex", "tampered", "source_deputy",
+             "harvest_t", "harvest_x", "harvest_y", "age_s", "deadline_t")
 
 
-def decisions(plan):
-    """Every relay decision of a plan log as its own dict, in line order: for each
-    group, each of its ticks, each entry with that tick's `t` and `age_s`."""
-    return [{**entry, "t": t, "age_s": t - entry["harvest_t"]}
-            for ticks, entries in plan for t in ticks for entry in entries]
+def decisions(server):
+    """Every relay decision of a server's plan as its own dict, in row order:
+    the row's time, its entry's fields and the age at that time, in PLAN_KEYS
+    order. No server, no decision."""
+    if server is None:
+        return []
+    out = []
+    for t, entry in zip(server.plan_t, server.plan_entry):
+        fields = {**server.plan_entries[entry], "t": t}
+        fields["age_s"] = t - fields["harvest_t"]
+        assert sorted(fields) == sorted(PLAN_KEYS)
+        out.append({key: fields[key] for key in PLAN_KEYS})
+    return out
 
 
-def write(plan, dossiers, outdir) -> None:
+def write(server, dossiers, outdir) -> None:
     out = Path(outdir)
     out.mkdir(parents=True, exist_ok=True)
     with open(out / "attack_plan.jsonl", "w") as fh:
-        for entry in decisions(plan):
-            fh.write(json.dumps(entry) + "\n")
+        for decision in decisions(server):
+            fh.write(json.dumps(decision) + "\n")
     with open(out / "dossiers.json", "w") as fh:
         json.dump(dossiers, fh, indent=2)
         fh.write("\n")

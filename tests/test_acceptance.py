@@ -10,6 +10,7 @@ import random
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import reference_gaen as ref
@@ -101,11 +102,11 @@ def test_criterion_04_hospital_replay_false_positives(acceptance_record, hospita
 def test_criterion_05_remote_attacker_refutation(acceptance_record, hospital_run):
     result, _ = hospital_run
     deputies = set(result.deputies)
-    plan = result.attacker.plan_log  # (ticks, entries) groups: each entry holds for every tick
-    decisions = sum(len(ticks) * len(entries) for ticks, entries in plan)
-    sources_ok = bool(plan) and all(
+    plan = result.attacker  # one row per decision per tick, each naming its entry
+    decisions = len(plan.plan_t)
+    sources_ok = decisions > 0 and all(
         e["source_deputy"] in deputies and e["deputy"] in deputies
-        for _ticks, entries in plan for e in entries)
+        for e in map(plan.plan_entries.__getitem__, plan.plan_entry))
     # every row has a link, and every link a row: its first hearing
     relay_links = [link for link in result.world.events.links if link.relay]
     emissions_ok = bool(relay_links) and {link.emitter for link in relay_links} <= deputies
@@ -180,7 +181,7 @@ def test_criterion_08_reidentification(acceptance_record, tmp_path):
     truth = set()
     for link_id, rows in log.group(lambda link_id: link_id if (
             log.links[link_id].receiver in result.deputies
-            and log.links[link_id].emitter == victim) else None).items():
+            and log.links[link_id].emitter == victim) else None, np.arange(len(log))).items():
         link = log.links[link_id]
         truth |= {(t, link.rx[0], link.rx[1], link.mac) for t in t_col[rows].tolist()}
     dossiers = json.loads((tmp_path / "dossiers.json").read_text())

@@ -1,7 +1,7 @@
 """Differential test of the attacker's two artifacts on hand-made plans and
 dossiers: `engine.write_outputs` writes attack_plan.jsonl through the event
-log's line renderer (`radio.render_lines`), each plan entry cut once per
-group, and dossiers.json with one `orjson.dumps` call when a guard on the
+log's batch writer (`radio.write_lines`), each plan entry's text rendered
+once, and dossiers.json with one `orjson.dumps` call when a guard on the
 dossiers' numbers and text allows it. It must write the bytes that
 reference_artifacts.py writes with one stdlib json call per decision and one
 `json.dump(indent=2)`. The cases are the values whose text a hand-rolled
@@ -10,8 +10,10 @@ orjson's window, int coordinates, quoted, non-ASCII and DEL text, ticks of
 7 s, plans whose lines cross batches, and empty dossiers.
 """
 
+import json
 import math
 import random
+from collections import Counter
 import tempfile
 from pathlib import Path
 from types import SimpleNamespace
@@ -20,7 +22,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import reference_artifacts
-from ensim import crypto, engine
+from ensim import crypto, engine, radio
 from ensim.attacker import AttackPolicy, AttackerServer, Zone
 from ensim.device import DeviceState, broadcast_current
 from ensim.diagnosis import PublishedTek
@@ -41,13 +43,13 @@ def harvest(server, dev, t, deputy="hosp", loc=(0.0, 0.0), rssi=-40.0, mac=None)
 
 
 def plan(server, deputies):
-    """Plan a group of four ticks and a group of one: the writer cuts the entries
-    of every group around `t` and `age_s` and puts each tick's back, so a group
-    of one tick is written the same way as a longer one."""
+    """Plan a tick repeated over three more and a tick on its own: the writer
+    puts each row's `t` and `age_s` into its entry's text, so a repeated row is
+    written the same way as a planned one."""
     server.select_relays(600, deputies)
     server.repeat_plan(600, range(601, 604))
     server.select_relays(700, deputies)
-    assert [ticks for ticks, _entries in server.plan_log] == [range(600, 604), range(700, 701)]
+    assert list(dict.fromkeys(server.plan_t)) == [600, 601, 602, 603, 700]
 
 
 def written(server, dossiers, tmp_path):
@@ -55,8 +57,7 @@ def written(server, dossiers, tmp_path):
     result = SimpleNamespace(world=SimpleNamespace(events=ScanLog()), notification_rows=[],
                              published=(), attacker=server, dossiers=dossiers)
     engine.write_outputs(result, tmp_path / "got")
-    plan = server.plan_log if server is not None else []
-    reference_artifacts.write(plan, dossiers, tmp_path / "want")
+    reference_artifacts.write(server, dossiers, tmp_path / "want")
     return {name: ((tmp_path / "got" / name).read_bytes(), (tmp_path / "want" / name).read_bytes())
             for name in reference_artifacts.NAMES}
 
@@ -103,23 +104,26 @@ def test_quoted_and_non_ascii_ids_and_macs(tmp_path):
 
 
 def test_tick_7_span_writes_each_tick_as_planned_on_its_own(tmp_path):
-    """A group widened over ticks of 7 s writes what planning every tick writes:
-    two candidates relayed by two deputies, four entries a tick, tick by tick."""
+    """A tick's rows repeated over ticks of 7 s are the rows, and write the
+    lines, that planning every tick makes: two candidates relayed by two
+    deputies, four rows a tick, tick by tick."""
     deputies = {"fac1": (1000.0, 0.0), "fac2": (1001.0, 1.0)}
     spanned, ticked = (server_with(max_relays_per_deputy=2) for _ in range(2))
     for server in (spanned, ticked):
         for seed, t in ((4, 0), (5, 3)):
             harvest(server, DeviceState(id=f"d{seed}", rng=random.Random(seed)), t)
     spanned.select_relays(14, deputies)
-    [(_ticks, entries)] = spanned.plan_log
+    entries = spanned.plan_entries
     before = [dict(entry) for entry in entries]
     spanned.repeat_plan(14, range(21, 70, 7))
-    for t in range(14, 70, 7):
+    ticks = range(14, 70, 7)
+    for t in ticks:
         ticked.select_relays(t, deputies)
 
-    [(ticks, same)] = spanned.plan_log
-    assert ticks == range(14, 70, 7) and same is entries and entries == before  # no entry copied
-    assert len(entries) == 4 and len(ticked.plan_log) == len(ticks)
+    assert spanned.plan_entries is entries and entries == before  # no entry made or changed
+    assert len(entries) == 4 and ticked.plan_entries == entries
+    assert list(spanned.plan_t) == list(ticked.plan_t) == [t for t in ticks for _ in range(4)]
+    assert list(spanned.plan_entry) == list(ticked.plan_entry) == [0, 1, 2, 3] * len(ticks)
     text = assert_same(spanned, [], tmp_path)
     assert text == assert_same(ticked, [], tmp_path / "ticked")
     lines = text["attack_plan.jsonl"].splitlines()
@@ -206,34 +210,49 @@ def test_drawn_dossiers_match_reference(dossiers):
 
 # -- the plan through the event log's line renderer -----------------------------
 
-def test_one_tick_groups_between_widened_groups_cross_batches(tmp_path):
-    """Runs of one-tick groups between groups widened over more lines than a
-    batch, on ticks of 7 s: a batch ends inside a group as often as between
-    groups, each part of a cut group keeps its entries, and no batch holds
-    more lines than WRITE_BATCH_ROWS."""
+def rendered_batches(monkeypatch) -> list:
+    """The number of lines of each batch `radio.render_lines` renders from now on."""
+    batches, render_lines = [], radio.render_lines
+
+    def spy(t, key, *args):
+        batches.append(len(key))
+        return render_lines(t, key, *args)
+
+    monkeypatch.setattr(radio, "render_lines", spy)
+    return batches
+
+
+def test_one_tick_groups_between_widened_groups_cross_batches(tmp_path, monkeypatch):
+    """Runs of ticks planned one by one between ticks repeated over more lines
+    than a batch, on ticks of 7 s: a batch ends inside a repeated span as often
+    as between spans, and no batch holds more lines than WRITE_BATCH_ROWS."""
     deputies = {"fac1": (1000.0, 0.0), "fac2": (1001.0, 1.0)}
     server = server_with(max_relays_per_deputy=2)
     for seed, t in ((7, 0), (8, 3)):
         harvest(server, DeviceState(id=f"d{seed}", rng=random.Random(seed)), t)
-    t = 14
+    t, sizes = 14, []  # the rows of each span
     for run in (1, 300, 40, 1, 2, 560, 5):
+        rows = len(server.plan_t)
         server.select_relays(t, deputies)
         if run > 1:
             server.repeat_plan(t, range(t + 7, t + 7 * run, 7))
+        sizes.append(len(server.plan_t) - rows)
         t += 7 * run
-        for one in range(t, t + 7 * 20, 7):  # one-tick groups, planned one by one
+        for one in range(t, t + 7 * 20, 7):  # ticks planned one by one
+            rows = len(server.plan_t)
             server.select_relays(one, deputies)
+            sizes.append(len(server.plan_t) - rows)
         t += 7 * 20
-    sizes = [len(ticks) * len(entries) for ticks, entries in server.plan_log]
     assert max(sizes) > 2 * WRITE_BATCH_ROWS and sizes.count(4) > 100
-    assert sum(sizes) > 4 * WRITE_BATCH_ROWS
+    assert sum(sizes) == len(server.plan_t) > 4 * WRITE_BATCH_ROWS
+    batches = rendered_batches(monkeypatch)
     assert_same(server, [], tmp_path)
-    batches = [len(t) for t, *_ in engine._plan_batches(server.plan_log)]
     assert sum(batches) == sum(sizes) and max(batches) <= WRITE_BATCH_ROWS  # memory: one batch
 
 
-def test_group_wider_than_a_batch(tmp_path):
-    """A tick with more entries than a batch holds lines is a part of its own."""
+def test_group_wider_than_a_batch(tmp_path, monkeypatch):
+    """A tick with more decisions than a batch holds lines is cut across
+    batches, and its entries, made on the first tick, serve every later one."""
     deputies = {f"fac{i:02d}": (1000.0 + i / 10, 0.0) for i in range(40)}
     server = server_with(max_relays_per_deputy=None)
     for seed in range(30):
@@ -241,9 +260,12 @@ def test_group_wider_than_a_batch(tmp_path):
     server.select_relays(100, deputies)
     server.repeat_plan(100, range(101, 103))
     server.select_relays(200, deputies)
-    assert [len(entries) for _ticks, entries in server.plan_log] == [1200, 1200]
+    assert len(server.plan_entries) == 1200
+    assert list(server.plan_entry) == list(range(1200)) * 4
+    assert Counter(server.plan_t) == {100: 1200, 101: 1200, 102: 1200, 200: 1200}
+    batches = rendered_batches(monkeypatch)
     assert_same(server, [], tmp_path)
-    assert [len(t) for t, *_ in engine._plan_batches(server.plan_log)] == [1200] * 4
+    assert batches == [WRITE_BATCH_ROWS] * 4 + [4 * 1200 - 4 * WRITE_BATCH_ROWS]
 
 
 def test_entry_text_with_format_characters(tmp_path):
@@ -267,3 +289,40 @@ def test_harvest_coordinates_at_the_window_edges(tmp_path):
     plan(server, {"fac": (1000.0, 0.0)})
     text = assert_same(server, [], tmp_path)["attack_plan.jsonl"]
     assert '"harvest_x": 1e-05, "harvest_y": -1e-05,' in text
+
+
+def test_repeat_after_a_tick_that_planned_nothing_adds_no_row():
+    """A span after a tick with no deputy in a target zone, and one after a tick
+    with targets but no live candidate, add no row: neither repeats the rows
+    of the last tick that planned."""
+    server = server_with()
+    harvest(server, DeviceState(id="victim", rng=random.Random(9)), 0)
+    factory = {"fac": (1000.0, 0.0)}
+    server.select_relays(600, factory)
+    server.repeat_plan(600, range(601, 603))
+    rows = list(zip(server.plan_t, server.plan_entry))
+    assert rows == [(600, 0), (601, 0), (602, 0)]
+
+    assert server.select_relays(700, {"fac": (0.0, 0.0)}) == []  # no deputy in a target zone
+    server.repeat_plan(700, range(701, 710))
+    last = server.plan_entries[0]["deadline_t"]
+    assert server.select_relays(last + 1, factory) == []  # targets, but no live candidate
+    server.repeat_plan(last + 1, range(last + 2, last + 9))
+    assert list(zip(server.plan_t, server.plan_entry)) == rows
+
+
+def test_pair_planned_in_two_spans_is_one_entry_rendered_once(tmp_path, monkeypatch):
+    """Each (deputy, identifier) pair planned in two separate spans has one
+    entry, and its text is rendered once, with two `json.dumps` calls (the
+    text around `age_s`), however many lines it is written on."""
+    server = server_with()
+    harvest(server, DeviceState(id="victim", rng=random.Random(10)), 0)
+    plan(server, {"fac1": (1000.0, 0.0), "fac2": (1001.0, 0.0)})
+    assert len(server.plan_entries) == 2 and list(server.plan_entry) == [0, 1] * 5
+    calls, dumps = [], json.dumps
+    monkeypatch.setattr(json, "dumps", lambda *args, **kw: calls.append(args) or dumps(*args, **kw))
+    engine.write_attack_plan(server, tmp_path / "attack_plan.jsonl")
+    assert len(calls) == 2 * len(server.plan_entries)
+    monkeypatch.undo()
+    want = "".join(json.dumps(d) + "\n" for d in reference_artifacts.decisions(server))
+    assert (tmp_path / "attack_plan.jsonl").read_text() == want

@@ -156,12 +156,11 @@ class TestSelectRelays:
         s, _ = gaen_sighting(0, loc=(1.0, 2.0))
         server.deputy_on_scan("hosp", s)
         server.select_relays(600, {"fac": (1000.0, 0.0)})
-        [(ticks, [entry])] = server.plan_log
-        assert ticks == range(600, 601)
+        assert list(server.plan_t) == [600] and list(server.plan_entry) == [0]
+        [entry] = server.plan_entries
         assert entry["source_deputy"] == "hosp"
         assert entry["deputy"] == "fac"
         assert entry["harvest_t"] == 0
-        assert entry["t"] == 600
         assert entry["tampered"] is False
 
     def test_mask_applied_to_orders(self):

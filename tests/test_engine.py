@@ -243,12 +243,12 @@ class TestAttackStructure:
     def test_relay_decisions_consume_only_deputy_uploads(self):
         result = run_scenario(ScenarioConfig.from_dict(scenarios.hospital_replay()))
         deputies = set(result.deputies)
-        assert result.attacker.plan_log
-        for _ticks, entries in result.attacker.plan_log:
-            assert entries
-            for entry in entries:
-                assert entry["source_deputy"] in deputies
-                assert entry["deputy"] in deputies
+        plan = result.attacker
+        assert plan.plan_t
+        for e in plan.plan_entry:
+            entry = plan.plan_entries[e]
+            assert entry["source_deputy"] in deputies
+            assert entry["deputy"] in deputies
 
     def test_every_relay_emission_originates_from_deputy(self):
         result = run_scenario(ScenarioConfig.from_dict(scenarios.hospital_replay()))
@@ -259,9 +259,10 @@ class TestAttackStructure:
 
     def test_window_respected_in_plan(self):
         result = run_scenario(ScenarioConfig.from_dict(scenarios.hospital_replay()))
-        for ticks, entries in result.attacker.plan_log:
-            for entry in entries:
-                assert ticks[-1] <= entry["deadline_t"]  # every tick of the group relays it
+        plan = result.attacker
+        assert plan.plan_t
+        for t, e in zip(plan.plan_t, plan.plan_entry):
+            assert t <= plan.plan_entries[e]["deadline_t"]
 
     def test_relay_machinery_is_blind(self, monkeypatch):
         # no diagnosis ever happens: the whole harvest+tamper+relay pipeline
@@ -474,8 +475,8 @@ class TestComputeOnce:
 
         monkeypatch.setattr(beacon, "encode_gaen", counted)
         result = run_scenario(ScenarioConfig.from_dict(scenarios.targeted_replay()))
-        plan = result.attacker.plan_log
-        relayed = {entry["rpi_hex"] for _ticks, entries in plan for entry in entries}
-        assert sum(len(ticks) * len(entries) for ticks, entries in plan) > len(relayed) > 0
+        plan = result.attacker
+        relayed = {plan.plan_entries[e]["rpi_hex"] for e in plan.plan_entry}
+        assert len(plan.plan_t) > len(relayed) > 0
         device_intervals = sum(len(dev.mac_history) for dev in result.devices.values())
         assert calls["encode_gaen"] == device_intervals + len(relayed)

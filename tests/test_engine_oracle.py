@@ -115,8 +115,7 @@ def assert_same_run(raw, tmp_path):
     assert files == sorted(p.name for p in (tmp_path / "got").iterdir())
     for name in files:
         assert (tmp_path / "got" / name).read_bytes() == (tmp_path / "want" / name).read_bytes(), name
-    plan = want.attacker.plan_log if want.attacker is not None else []
-    reference_artifacts.write(plan, want.dossiers, tmp_path / "reference")
+    reference_artifacts.write(want.attacker, want.dossiers, tmp_path / "reference")
     for name in reference_artifacts.NAMES:
         assert ((tmp_path / "got" / name).read_bytes()
                 == (tmp_path / "reference" / name).read_bytes()), name
@@ -131,7 +130,7 @@ def assert_same_run(raw, tmp_path):
 def test_spans_write_what_ticks_write(name, tmp_path):
     got = assert_same_run(CASES[name], tmp_path)
     if name.startswith(("tick7", "noisy", "latency", "window")):
-        assert got.attacker.plan_log  # the attack relays, so the plan is compared too
+        assert got.attacker.plan_t  # the attack relays, so the plan is compared too
 
 
 @st.composite

@@ -31,7 +31,7 @@ VISITOR = "visitor0"  # diagnosed; its frames are harvested and relayed to the w
 def reference_rows(result) -> list:
     """`result.notification_rows` as matching over every row each device heard gives them."""
     log = result.world.events
-    every = log.group(lambda link_id: log.links[link_id].receiver)
+    every = log.group(lambda link_id: log.links[link_id].receiver, np.arange(len(log)))
     teks = [e.tek for e in result.published]
     rows = []
     for nid in sorted(result.devices):

@@ -258,28 +258,33 @@ def parts(groups):
     return {k: rows.tolist() for k, rows in groups.items()}
 
 
+def every(log):
+    """Every row of `log`, in log order."""
+    return np.arange(len(log))
+
+
 class TestGroup:
     def receiver(self, log):
         return lambda link_id: log.links[link_id].receiver
 
     def test_parts_in_log_order(self):
         log = logged(("a", b"1"), ("b", b"1"), ("a", b"1"), ("b", b"1"), ("b", b"1"), ("a", b"1"))
-        assert parts(log.group(self.receiver(log))) == {"a": [0, 2, 5], "b": [1, 3, 4]}
+        assert parts(log.group(self.receiver(log), every(log))) == {"a": [0, 2, 5], "b": [1, 3, 4]}
 
     def test_none_keys_dropped(self):
         log = logged(("a", b"1"), ("b", b"1"), ("c", b"1"), ("a", b"1"))
         groups = log.group(lambda link_id: None if log.links[link_id].receiver == "b" else
-                           log.links[link_id].receiver)
+                           log.links[link_id].receiver, every(log))
         assert parts(groups) == {"a": [0, 3], "c": [2]}
-        assert log.group(lambda link_id: None) == {}
+        assert log.group(lambda link_id: None, every(log)) == {}
 
     def test_shared_key_merges_links_in_log_order(self):
         # links 0 and 2 are a's, with different payloads; keys come in order of first link id
         log = logged(("a", b"1"), ("b", b"1"), ("a", b"2"), ("a", b"1"), ("b", b"1"), ("a", b"2"))
-        groups = log.group(self.receiver(log))
+        groups = log.group(self.receiver(log), every(log))
         assert list(groups) == ["a", "b"]
         assert parts(groups) == {"a": [0, 2, 3, 5], "b": [1, 4]}
-        by_payload = log.group(lambda link_id: log.links[link_id].payload)
+        by_payload = log.group(lambda link_id: log.links[link_id].payload, every(log))
         assert parts(by_payload) == {b"1": [0, 1, 3, 4], b"2": [2, 5]}
 
     def test_rows_subset(self):
@@ -296,7 +301,7 @@ class TestGroup:
         assert log.group(key, np.array([], dtype=np.int64)) == {}
 
     def test_empty_log(self):
-        assert ScanLog().group(lambda link_id: link_id) == {}
+        assert ScanLog().group(lambda link_id: link_id, every(ScanLog())) == {}
         assert ScanLog().group(lambda link_id: link_id, np.array([], dtype=np.int64)) == {}
 
     @pytest.mark.parametrize("n_keys, dtype", [
@@ -312,7 +317,7 @@ class TestGroup:
             return argsort(a, *args, **kwargs)
 
         monkeypatch.setattr(np, "argsort", spy)
-        groups = log.group(lambda link_id: None if link_id == n_keys else link_id)
+        groups = log.group(lambda link_id: None if link_id == n_keys else link_id, every(log))
         assert sorted_dtypes == [dtype]
         assert len(groups) == n_keys
         assert all(rows.tolist() == [k] for k, rows in groups.items())

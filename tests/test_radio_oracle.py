@@ -347,7 +347,8 @@ def test_scan_log_readers_match_per_event_routing(run):
     index = crypto.identifier_index(published)
     assert ref.same(server.reidentify(entries, index=index), reference_matching.reidentify(
         SimpleNamespace(db=route.db, policy=policy), entries))
-    receivers = fast.events.group(lambda link_id: fast.events.links[link_id].receiver)
+    receivers = fast.events.group(lambda link_id: fast.events.links[link_id].receiver,
+                                  np.arange(len(fast.events)))
     for nid, dev in devices.items():
         dev.log = fast.events
         assert np.array_equal(dev.sightings, receivers.get(nid, radio.NO_ROWS))
