@@ -46,8 +46,7 @@ from __future__ import annotations
 import math
 from array import array
 from bisect import bisect_right, insort
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -58,8 +57,7 @@ from .radio import Emission, ScanLog, Sighting
 DEFAULT_RELAY_MAC = "f0:0d:00:00:00:01"
 
 
-@dataclass(frozen=True)
-class Zone:
+class Zone(NamedTuple):
     """Axis-aligned rectangle, bounds inclusive."""
 
     x_min: float
@@ -71,8 +69,7 @@ class Zone:
         return self.x_min <= x <= self.x_max and self.y_min <= y <= self.y_max
 
 
-@dataclass(frozen=True)
-class AttackPolicy:
+class AttackPolicy(NamedTuple):
     """Targeting configuration.
 
     harvest_zones empty = accept uploads from anywhere; target_zones empty =
@@ -92,8 +89,7 @@ class AttackPolicy:
     relay_mac: str = DEFAULT_RELAY_MAC
 
 
-@dataclass(frozen=True)
-class HarvestRecord:
+class HarvestRecord(NamedTuple):
     frame: beacon.BeaconFrame  # raw advertising bytes preserved on the frame
     rssi: float
     location: tuple[float, float]
@@ -105,8 +101,7 @@ class HarvestRecord:
         return self.frame.mac
 
 
-@dataclass(frozen=True)
-class RelayOrder:
+class RelayOrder(NamedTuple):
     rpi: bytes
     aem: bytes  # already masked when the policy tampers
     payload: bytes  # the advertising bytes carrying rpi and aem

@@ -31,8 +31,7 @@ from __future__ import annotations
 
 import struct
 import uuid as uuidlib
-from dataclasses import dataclass
-from typing import Union
+from typing import NamedTuple, Union
 
 MAX_PAYLOAD = 31
 GAEN_SERVICE_UUID = 0xFD6F
@@ -52,44 +51,38 @@ _EDDY_EXPANSIONS = [
 ]
 
 
-@dataclass(frozen=True)
-class Gaen:
+class Gaen(NamedTuple):
     rpi: bytes
     aem: bytes
 
 
-@dataclass(frozen=True)
-class IBeacon:
+class IBeacon(NamedTuple):
     uuid: str
     major: int
     minor: int
     tx: int
 
 
-@dataclass(frozen=True)
-class AltBeacon:
+class AltBeacon(NamedTuple):
     beacon_id: bytes
     ref_rssi: int
     mfg_id: int = ALTBEACON_DEFAULT_MFG
     mfg_reserved: int = 0
 
 
-@dataclass(frozen=True)
-class EddystoneUrl:
+class EddystoneUrl(NamedTuple):
     url: str
     tx: int
 
 
-@dataclass(frozen=True)
-class Unknown:
+class Unknown(NamedTuple):
     data: bytes
 
 
 Kind = Union[Gaen, IBeacon, AltBeacon, EddystoneUrl, Unknown]
 
 
-@dataclass(frozen=True)
-class BeaconFrame:
+class BeaconFrame(NamedTuple):
     mac: str
     payload: bytes
     kind: Kind

@@ -26,13 +26,12 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 
-@dataclass(frozen=True)
-class PopulationModel:
+class PopulationModel(NamedTuple):
     """Built by `sweep` from `engine.SWEEP_FIELDS`: n >= 2, n_contacts >= 1, fractions in [0, 1]."""
 
     n: int = 10_000
@@ -44,8 +43,7 @@ class PopulationModel:
     one_sided_quality: float = 1.0
 
 
-@dataclass(frozen=True)
-class CoverageReport:
+class CoverageReport(NamedTuple):
     alpha_sc: float
     alpha_cd: float
     n_contacts: int
@@ -54,8 +52,7 @@ class CoverageReport:
     attacker_coverage: float
 
 
-@dataclass(frozen=True)
-class VisibilityReport:
+class VisibilityReport(NamedTuple):
     infected_total: int
     authority_known: int
     attacker_known: int
@@ -166,9 +163,11 @@ def visibility_from_run(infected_ids, deputy_ids, published_owner_ids, harvested
     )
 
 
-def sweep(alphas_sc, alphas_cd, n=PopulationModel.n, n_contacts=PopulationModel.n_contacts,
-          seed=PopulationModel.seed,
-          one_sided_quality=PopulationModel.one_sided_quality) -> list[CoverageReport]:
+_DEFAULT = PopulationModel._field_defaults  # a NamedTuple's class attributes are its fields
+
+
+def sweep(alphas_sc, alphas_cd, n=_DEFAULT["n"], n_contacts=_DEFAULT["n_contacts"],
+          seed=_DEFAULT["seed"], one_sided_quality=_DEFAULT["one_sided_quality"]) -> list[CoverageReport]:
     """One coverage report per grid point, deterministic per-cell seeding."""
     reports = []
     for i, a_sc in enumerate(alphas_sc):

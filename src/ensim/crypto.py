@@ -21,6 +21,7 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 from random import Random
+from typing import NamedTuple
 
 from cryptography.hazmat.primitives import hashes
 from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
@@ -60,8 +61,7 @@ class TemporaryExposureKey:
             )
 
 
-@dataclass(frozen=True)
-class RollingProximityIdentifier:
+class RollingProximityIdentifier(NamedTuple):
     rpi: bytes
     interval: int
 

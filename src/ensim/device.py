@@ -48,7 +48,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from random import Random
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -58,16 +58,14 @@ from .radio import ScanLog, Sighting, attenuation
 TEK_RETENTION_DAYS = 14
 
 
-@dataclass(frozen=True)
-class MatchingParams:
+class MatchingParams(NamedTuple):
     tolerance: int = 7200
     attenuation_threshold: float = 55.0
     duration_threshold: int = 900
     tick: int = 1
 
 
-@dataclass(frozen=True)
-class ExposureNotification:
+class ExposureNotification(NamedTuple):
     """Durations in seconds: every close matched tick (`cumulative_duration`),
     and those heard straight from the key's owner (`direct_duration`)."""
 

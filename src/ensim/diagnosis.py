@@ -7,13 +7,12 @@ reads hand out immutable snapshots, publishes go through the single owner.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .crypto import TemporaryExposureKey
 
 
-@dataclass(frozen=True)
-class PublishedTek:
+class PublishedTek(NamedTuple):
     tek: TemporaryExposureKey
     publication_time: int
 

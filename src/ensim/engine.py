@@ -37,8 +37,8 @@ with the owner on another day does not make a notification genuine.
 Configs are checked against one field table per object (`SCENARIO_FIELDS`
 and the tables it nests, `SWEEP_FIELDS`), which maps every key the object
 may hold to its type-and-range check, and by `ScenarioConfig.from_dict`'s
-cross-field checks; the dataclasses they build do not check themselves. An
-absent key takes the default of the dataclass or function that owns it;
+cross-field checks; the value types they build do not check themselves. An
+absent key takes the default of the value type or function that owns it;
 anything invalid raises ScenarioError naming the field before the run starts.
 
 `events.jsonl` and `attack_plan.jsonl` are both row logs, written by one
@@ -46,7 +46,7 @@ batch loop (`radio.write_lines`) with one `orjson` call per number column
 per batch: a scan row's key is its link and its value its rssi; a plan
 row's key is its entry and its value its `age_s`. Each key's text around
 the value is rendered once, from dicts. `dossiers.json` is one guarded
-`orjson` call, which hands what it cannot vouch for to
+`orjson` call per dossier, which hands a dossier it cannot vouch for to
 `json.dumps(indent=2)`.
 
 Everything is keyed off the config's seed; identical configs produce
@@ -65,7 +65,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from pathlib import Path
 from random import Random
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 import orjson
@@ -185,14 +185,7 @@ def _attack(value, where):
     return AttackPolicy(tamper_mask=mask and bytes.fromhex(mask), **fields)
 
 
-@dataclass(frozen=True)
-class NodeConfig(NodeSpec):
-    infected_at: Optional[int] = None
-    diagnosed_at: Optional[int] = None
-
-
-@dataclass(frozen=True)
-class InjectionSpec:
+class InjectionSpec(NamedTuple):
     t: int
     receiver: str
     payload_hex: str
@@ -260,7 +253,7 @@ SCENARIO_FIELDS = {
     "seed": required(integer()),
     "world": required(obj(WORLD_FIELDS)),
     "matching": obj(MATCHING_FIELDS),
-    "nodes": required(list_of(obj(NODE_FIELDS, NodeConfig))),
+    "nodes": required(list_of(obj(NODE_FIELDS, NodeSpec))),
     "attack": optional(_attack),
     "injections": list_of(obj(INJECTION_FIELDS, InjectionSpec)),
 }
@@ -289,7 +282,7 @@ def _on_schedule(world: WorldConfig, t: int, where: str) -> None:
 @dataclass(frozen=True)
 class ScenarioConfig:
     name: str
-    world: WorldConfig  # the seed, the radio model and the nodes (NodeConfig)
+    world: WorldConfig  # the seed, the radio model and the nodes
     matching: MatchingParams
     attack: Optional[AttackPolicy]
     injections: tuple
@@ -329,8 +322,7 @@ class ScenarioConfig:
         return copy.deepcopy(self.doc)
 
 
-@dataclass(frozen=True)
-class SweepConfig:
+class SweepConfig(NamedTuple):
     """A coverage sweep; `params` are the keyword arguments of `coverage.sweep`."""
 
     name: str
@@ -551,7 +543,15 @@ def write_attack_plan(server: Optional[AttackerServer], path) -> None:
 
 
 def _dossiers_json(dossiers: list) -> bytes:
-    """`json.dumps(dossiers, indent=2)`, from one `orjson.dumps` call when that
+    """`json.dumps(dossiers, indent=2)`, written one dossier at a time."""
+    if not dossiers:
+        return b"[]"
+    return b"[\n" + b",\n".join(map(_dossier_item, dossiers)) + b"\n]"
+
+
+def _dossier_item(dossier: dict) -> bytes:
+    """`dossier` as an item of `json.dumps(dossiers, indent=2)`: the text of
+    `[dossier]` less its brackets, from one `orjson.dumps` call when that
     gives the same bytes, and from `json.dumps` otherwise. Besides `x`, `y`
     and `rssi`, a sighting holds an int `t` and strings. orjson writes those
     numbers as `json.dumps` does only inside `radio.orjson_writes_as_json`'s
@@ -560,13 +560,12 @@ def _dossiers_json(dossiers: list) -> bytes:
     text must be ASCII with no DEL. What orjson or the float conversion
     refuses (a lone surrogate, an int too large for a float) goes to
     `json.dumps` too."""
-    numbers = [v for dossier in dossiers for s in dossier["sightings"]
-               for v in (s["x"], s["y"], s["rssi"])]
+    numbers = [v for s in dossier["sightings"] for v in (s["x"], s["y"], s["rssi"])]
     try:
         if orjson_writes_as_json(np.array(numbers, dtype=np.float64)).all():
-            text = orjson.dumps(dossiers, option=orjson.OPT_INDENT_2)
+            text = orjson.dumps([dossier], option=orjson.OPT_INDENT_2)
             if text.isascii() and b"\x7f" not in text:
-                return text
+                return text[2:-2]
     except (TypeError, ValueError, OverflowError):
         pass
-    return json.dumps(dossiers, indent=2).encode()
+    return json.dumps([dossier], indent=2).encode()[2:-2]

@@ -41,7 +41,6 @@ import json
 import math
 from array import array
 from bisect import bisect_right
-from dataclasses import dataclass
 from itertools import repeat
 from operator import itemgetter
 from random import Random
@@ -65,8 +64,7 @@ TWOPI = 2.0 * math.pi
 NO_ROWS = np.empty(0, dtype=np.int64)
 
 
-@dataclass(frozen=True)
-class PathLoss:
+class PathLoss(NamedTuple):
     """Built through `engine.PATH_LOSS_FIELDS`: exponent in (0, 10], noise_sigma in [0, 100]."""
 
     ref_rssi_at_1m: float = -41.0
@@ -74,15 +72,21 @@ class PathLoss:
     noise_sigma: float = 0.0
 
 
-@dataclass(frozen=True)
-class NodeSpec:
-    """A positioned participant; built through `engine.NODE_FIELDS`: trajectory non-empty, sorted by t."""
+class NodeSpec(NamedTuple):
+    """A positioned participant; built through `engine.NODE_FIELDS`: trajectory non-empty, sorted by t.
+
+    The world reads its trajectory, roles and power. It also carries the
+    engine's schedule for it, which the world does not read: `infected_at`
+    (ground truth) and `diagnosed_at` (when its app publishes its keys).
+    """
 
     id: str
     trajectory: tuple
     app: bool = False
     deputy: bool = False
     tx_power: int = 0
+    infected_at: Optional[int] = None
+    diagnosed_at: Optional[int] = None
 
     def waypoint(self, t: float):
         """The waypoint in effect at t: the last one at or before t, else the first."""
@@ -93,8 +97,7 @@ class NodeSpec:
         return (x, y)
 
 
-@dataclass(frozen=True)
-class WorldConfig:
+class WorldConfig(NamedTuple):
     """Built by `engine.ScenarioConfig.from_dict`: duration a multiple of tick, node ids unique."""
 
     nodes: tuple
@@ -115,8 +118,7 @@ class Sighting(NamedTuple):
     rx_location: tuple[float, float]
 
 
-@dataclass(frozen=True)
-class Emission:
+class Emission(NamedTuple):
     node_id: str
     payload: bytes
     mac: str

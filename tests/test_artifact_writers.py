@@ -2,7 +2,8 @@
 dossiers: `engine.write_outputs` writes attack_plan.jsonl through the event
 log's batch writer (`radio.write_lines`), each plan entry's text rendered
 once, and dossiers.json with one `orjson.dumps` call when a guard on the
-dossiers' numbers and text allows it. It must write the bytes that
+dossiers' numbers and text allows it, else one per dossier the guard allows
+and `json.dumps` for the rest. It must write the bytes that
 reference_artifacts.py writes with one stdlib json call per decision and one
 `json.dump(indent=2)`. The cases are the values whose text a hand-rolled
 renderer could get wrong: NaN, infinities, -0.0, numbers at the ends of
@@ -186,6 +187,46 @@ def test_dossiers_in_the_window_are_written_by_orjson(tmp_path, monkeypatch):
     engine.write_outputs(SimpleNamespace(world=SimpleNamespace(events=ScanLog()), notification_rows=[],
                                          published=(), attacker=None, dossiers=dossiers), tmp_path / "orjson")
     assert (tmp_path / "orjson" / "dossiers.json").read_bytes() == want
+
+
+def clean_dossiers():
+    return [{"tek_hex": f"{i:02x}" * 16,
+             "sightings": [{**ORDINARY, "t": t, "x": 0.5 * t + i} for t in range(3 + i)]}
+            for i in range(4)]
+
+
+def with_odd(*odd):
+    """Clean dossiers but for the (dossier, field, value) of `odd`, each in a
+    sighting of its own dossier."""
+    dossiers = clean_dossiers()
+    for at, name, value in odd:
+        dossiers[at]["sightings"][1][name] = value
+    return dossiers
+
+
+@pytest.mark.parametrize("dossiers, stdlib_calls", [
+    (with_odd((1, "rssi", math.nan)), 1),
+    (with_odd((3, "rssi", -math.inf)), 1),
+    (with_odd((0, "x", 1e-5)), 1),
+    (with_odd((0, "rssi", math.nan), (2, "rssi", -math.inf), (3, "y", 1e-5)), 3),
+    ([], 0),
+    (clean_dossiers(), 0),
+], ids=["nan_rssi", "minus_inf_rssi", "place_1e-5", "each_in_one_dossier", "none", "clean"])
+def test_dossiers_fall_back_one_at_a_time(dossiers, stdlib_calls, monkeypatch):
+    """A number orjson cannot vouch for sends only its own dossier to
+    json.dumps; the others keep orjson's bytes, and the list is
+    json.dumps(indent=2)'s."""
+    want = json.dumps(dossiers, indent=2).encode()
+    calls = []
+
+    def dumps(value, **kw):
+        calls.append(value)
+        return json.dumps(value, **kw)
+
+    monkeypatch.setattr(engine, "json", SimpleNamespace(dumps=dumps))
+    assert engine._dossiers_json(dossiers) == want
+    assert len(calls) == stdlib_calls
+    assert all(len(value) == 1 and value[0] in dossiers for value in calls)
 
 
 # mostly finite floats, so that many draws hold no number the guard must refuse, and

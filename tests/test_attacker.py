@@ -232,7 +232,7 @@ class TestRebroadcast:
         assert em.relay is True
         assert em.mac == server.policy.relay_mac
         kind = beacon.decode(em.payload, em.mac).kind
-        assert kind == beacon.Gaen(orders[0].rpi, orders[0].aem)
+        assert type(kind) is beacon.Gaen and kind == beacon.Gaen(orders[0].rpi, orders[0].aem)
 
     def test_server_has_no_location(self):
         server = make_server()

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -26,7 +25,7 @@ def model(**kw):
 @pytest.mark.parametrize("n, n_contacts, seed", [(2, 1, 0), (7, 13, 5), (20_001, 999, 42)])
 def test_skipping_the_infection_draw_leaves_the_other_draws(n, n_contacts, seed):
     m = model(n=n, n_contacts=n_contacts, seed=seed, alpha_sc=0.5, alpha_cd=0.25)
-    sc, cd, infected, a, b = _draw(dataclasses.replace(m, infected_fraction=0.3))
+    sc, cd, infected, a, b = _draw(m._replace(infected_fraction=0.3))
     skipped = _draw(m)
     # at infected_fraction 0 nobody is infected and no array is filled for it
     assert infected.strides == (1,) and skipped[2].strides == (0,) and not skipped[2].any()

@@ -1,4 +1,3 @@
-import dataclasses
 import importlib.util
 import inspect
 import json
@@ -118,8 +117,7 @@ def test_readme_sweep_and_required_keys_match_field_tables():
 
 
 def _defaults(cls) -> dict:
-    return {f.name: f.default for f in dataclasses.fields(cls)
-            if f.default is not dataclasses.MISSING}
+    return dict(cls._field_defaults)
 
 
 def _attack_defaults() -> dict:
@@ -128,14 +126,14 @@ def _attack_defaults() -> dict:
     return dict(defaults, tamper_mask_hex=mask and mask.hex())
 
 
-# each table with the defaults its absent keys take: the owning dataclass's fields, or
+# each table with the defaults its absent keys take: the owning value type's fields, or
 # coverage.sweep's keyword arguments
 TABLE_DEFAULTS = {
     "path_loss": (engine.PATH_LOSS_FIELDS, _defaults(engine.PathLoss)),
     "world": ({k: v for k, v in engine.WORLD_FIELDS.items() if k != "path_loss"},
               _defaults(engine.WorldConfig)),
     "matching": (engine.MATCHING_FIELDS, _defaults(engine.MatchingParams)),
-    "node": (engine.NODE_FIELDS, _defaults(engine.NodeConfig)),
+    "node": (engine.NODE_FIELDS, _defaults(engine.NodeSpec)),
     "attack": (engine.ATTACK_FIELDS, _attack_defaults()),
     "injection": (engine.INJECTION_FIELDS, _defaults(engine.InjectionSpec)),
     "sweep": ({k: v for k, v in engine.SWEEP_FIELDS.items()

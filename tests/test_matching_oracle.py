@@ -161,4 +161,6 @@ def test_harvest_frames_keep_each_hearings_mac(world):
     server = AttackerServer(AttackPolicy(collect_all=True))
     for s in sightings:
         record = server.deputy_on_scan("d", s)
-        assert record.frame == beacon.decode(s.payload, s.mac)
+        frame = beacon.decode(s.payload, s.mac)
+        assert type(record.frame) is beacon.BeaconFrame and type(record.frame.kind) is type(frame.kind)
+        assert record.frame == frame
