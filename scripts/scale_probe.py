@@ -10,8 +10,9 @@ untraced: `engine.run_scenario`, then `engine.write_outputs` into a
 temporary directory that is deleted afterwards. The event log alone is
 about 230 bytes per event, so check free disk space before large runs, or
 pass `--run-only`, which writes nothing (its write_s reads `-`).
-One row is printed per run: the scan events, the run and write seconds,
-and the child's maximum resident set size.
+One row is printed per run: the scan events, the links of the scan log
+(`radio.Link`), the run and write seconds, and the child's maximum
+resident set size.
 """
 
 from __future__ import annotations
@@ -47,6 +48,7 @@ def probe(nodes: int, seconds: int, run_only: bool, results) -> None:
             engine.write_outputs(result, out)
             write_s = round(time.perf_counter() - start, 2)
     results.put({"nodes": nodes, "seconds": seconds, "events": len(result.world.events),
+                 "links": len(result.world.events.links),
                  "run_s": round(run_s, 2), "write_s": write_s,
                  "max_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024)})
 
@@ -59,7 +61,7 @@ def main() -> None:
                     help="run the scenario but write no artifacts (no event log)")
     args = ap.parse_args()
     ctx = multiprocessing.get_context("spawn")
-    print("nodes  seconds     events  run_s  write_s  max_rss_mb")
+    print("nodes  seconds     events    links  run_s  write_s  max_rss_mb")
     for nodes in args.nodes:
         results = ctx.Queue()
         child = ctx.Process(target=probe, args=(nodes, args.seconds, args.run_only, results))
@@ -69,8 +71,8 @@ def main() -> None:
             raise SystemExit(f"the run at {nodes} nodes failed (exit code {child.exitcode})")
         row = results.get()
         write_s = "-" if row["write_s"] is None else f"{row['write_s']:.2f}"
-        print(f"{row['nodes']:5d}  {row['seconds']:7d}  {row['events']:9d}  {row['run_s']:5.2f}  "
-              f"{write_s:>7}  {row['max_rss_mb']:10d}", flush=True)
+        print(f"{row['nodes']:5d}  {row['seconds']:7d}  {row['events']:9d}  {row['links']:7d}  "
+              f"{row['run_s']:5.2f}  {write_s:>7}  {row['max_rss_mb']:10d}", flush=True)
 
 
 if __name__ == "__main__":

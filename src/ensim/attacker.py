@@ -33,10 +33,11 @@ under: that is the MAC linkage a side database of MACs joins on.
 
 The relay plan is a row log like the scan log: each relay decision on
 each tick is one row, its time (`plan_t`) and its entry (`plan_entry`, an
-index into `plan_entries`). An entry is made the first time its (deputy,
-identifier) pair is planned, and only then: it holds every field of an
-attack_plan.jsonl line but `t` and `age_s`, all fixed per pair, because
-the candidate, the masked AEM and the deadline are fixed per identifier.
+index into `plan_entries`). An identifier's first relay makes its masked
+AEM, its payload and its line fields together: every field of an
+attack_plan.jsonl line but `t`, `deputy` and `age_s`, all fixed per
+identifier. A (deputy, identifier) pair's entry is the deputy followed by
+those fields, made the first time the pair is planned, and only then.
 `repeat_plan` extends a tick's rows over the ticks that repeat it, as
 `World.step` extends a tick's scan rows.
 """
@@ -146,8 +147,9 @@ class AttackerServer:
         self._relay_candidates: dict[bytes, tuple[HarvestRecord, int, int]] = {}
         # sorted times at which a candidate can start or stop changing the plan
         self._plan_edges: list[int] = []
-        # (masked aem, payload) per identifier, made when it is first relayed
-        self._relayed: dict[bytes, tuple[bytes, bytes]] = {}
+        # (masked aem, payload, plan entry fields but the deputy) per identifier,
+        # made when it is first relayed
+        self._relayed: dict[bytes, tuple[bytes, bytes, dict]] = {}
 
     # -- deputy side ------------------------------------------------------
 
@@ -239,35 +241,23 @@ class AttackerServer:
                 aem = record.frame.kind.aem
                 if pol.tamper_mask is not None:
                     aem = tamper(aem, pol.tamper_mask)
-                self._relayed[rpi] = (aem, beacon.encode_gaen(rpi, aem))
+                self._relayed[rpi] = (aem, beacon.encode_gaen(rpi, aem), {
+                    "rpi_hex": rpi.hex(), "aem_hex": aem.hex(),
+                    "tampered": pol.tamper_mask is not None, "source_deputy": record.deputy_id,
+                    "harvest_t": record.time, "harvest_x": record.location[0],
+                    "harvest_y": record.location[1], "deadline_t": self.relay_deadline(record)})
 
         orders = []
         for deputy in targets:
-            for rpi, record in ranked:
-                aem, payload = self._relayed[rpi]
+            for rpi, _ in ranked:
+                aem, payload, fields = self._relayed[rpi]
                 orders.append(RelayOrder(rpi=rpi, aem=aem, payload=payload, deputy_id=deputy))
+                entry = self._entry_ids.setdefault((deputy, rpi), len(self.plan_entries))
+                if entry == len(self.plan_entries):
+                    self.plan_entries.append({"deputy": deputy, **fields})
                 self.plan_t.append(t)
-                self.plan_entry.append(self._entry(deputy, rpi, record))
+                self.plan_entry.append(entry)
         return orders
-
-    def _entry(self, deputy: str, rpi: bytes, record: HarvestRecord) -> int:
-        """The plan entry of relaying `rpi` by `deputy`, made on first use: an
-        attack_plan.jsonl line's fields, in line order, but `t` and `age_s`."""
-        entry = self._entry_ids.get((deputy, rpi))
-        if entry is None:
-            entry = self._entry_ids[deputy, rpi] = len(self.plan_entries)
-            self.plan_entries.append({
-                "deputy": deputy,
-                "rpi_hex": rpi.hex(),
-                "aem_hex": self._relayed[rpi][0].hex(),
-                "tampered": self.policy.tamper_mask is not None,
-                "source_deputy": record.deputy_id,
-                "harvest_t": record.time,
-                "harvest_x": record.location[0],
-                "harvest_y": record.location[1],
-                "deadline_t": self.relay_deadline(record),
-            })
-        return entry
 
     def _eligible(self, record: HarvestRecord) -> tuple[int, int]:
         """The first and last time at which `record` may be relayed: once it is

@@ -42,10 +42,11 @@ absent key takes the default of the value type or function that owns it;
 anything invalid raises ScenarioError naming the field before the run starts.
 
 `events.jsonl` and `attack_plan.jsonl` are both row logs, written by one
-batch loop (`radio.write_lines`) with one `orjson` call per number column
-per batch: a scan row's key is its link and its value its rssi; a plan
-row's key is its entry and its value its `age_s`. Each key's text around
-the value is rendered once, from dicts. `dossiers.json` is one guarded
+batch loop (`radio.write_lines`), the one layout of their lines, with one
+`orjson` call per number column per batch: a scan row's key is its link
+and its value its rssi; a plan row's key is its entry and its value its
+`age_s`. Each writer hands it one dict of fields per key, in line order,
+and the value's name and place. `dossiers.json` is one guarded
 `orjson` call per dossier, which hands a dossier it cannot vouch for to
 `json.dumps(indent=2)`.
 
@@ -524,22 +525,16 @@ def write_outputs(result: RunResult, outdir) -> None:
 
 def write_attack_plan(server: Optional[AttackerServer], path) -> None:
     """Write the relay plan's rows to `path` as JSON lines through
-    `write_lines`: a row's key is its entry, whose text around `age_s` is
-    rendered with `json.dumps` once, and its value is `age_s`, the row's
-    time less the entry's `harvest_t`. With no attacker the file is empty."""
+    `write_lines`: a row's key is its entry, given as its fields, and its value
+    is `age_s`, the row's time less the entry's `harvest_t`, written before the
+    entry's last field. With no attacker the file is empty."""
     if server is None:
-        server = AttackerServer(AttackPolicy())
-    heads, tails, harvest_t = [], [], []
-    for entry in server.plan_entries:
-        head = dict(entry)
-        tail = json.dumps({"deadline_t": head.pop("deadline_t")})
-        heads.append(", " + json.dumps(head)[1:-1] + ', "age_s": ')
-        tails.append(", " + tail[1:] + "\n")
-        harvest_t.append(entry["harvest_t"])
+        Path(path).write_text("")
+        return
     t = np.frombuffer(server.plan_t, dtype=np.int64)
     entry = np.frombuffer(server.plan_entry, dtype=np.int32)
-    age_s = t - np.array(harvest_t, dtype=np.int64)[entry]
-    write_lines(path, t, entry, age_s, heads, tails)
+    harvest_t = np.array([fields["harvest_t"] for fields in server.plan_entries], dtype=np.int64)
+    write_lines(path, t, entry, t - harvest_t[entry], server.plan_entries, "age_s", 1)
 
 
 def _dossiers_json(dossiers: list) -> bytes:

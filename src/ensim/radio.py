@@ -25,11 +25,12 @@ need from this one log, by row number; nothing else is kept per event. The
 log decodes each distinct payload once (`ScanLog.kind`), for the harvest
 and matching alike. Every reader that splits rows by receiver, frame or
 published key does so with `ScanLog.group`, handed only the rows it may use
-(`ScanLog.rows_of`). The event-log writer renders the times and rssi of a
-batch of rows with one `orjson` call per column, byte for byte as
-`json.dumps` would write each row, and hands the few numbers orjson lays
-out differently (`orjson_writes_as_json`) to `json.dumps`. Its batch loop
-(`write_lines`) also writes the relay plan, the attacker's row log.
+(`ScanLog.rows_of`). `write_lines` is the one layout of a line of the event
+log or the relay plan: it renders each key's fields (a link's or a plan
+entry's dict) around the value with two `json.dumps` calls, once, and a
+batch of rows' numbers with one `orjson` call per column, byte for byte as
+`json.dumps` would; the few numbers orjson lays out otherwise
+(`orjson_writes_as_json`) go to `json.dumps`.
 
 The world is advanced by a single owner; parallelism belongs across
 independent runs, not within one.
@@ -417,22 +418,28 @@ class World:
 
 def write_event_log(log: ScanLog, path) -> None:
     """Write every row of `log` to `path` as JSON lines in stable field order
-    through `write_lines`: a row's key is its link, whose text around `rssi`
-    is rendered with `json.dumps` once, and its value is its rssi."""
+    through `write_lines`: a row's key is its link, given as its fields, and
+    its value is its rssi, written before the link's last three fields."""
+    fields = ({"receiver": receiver, "emitter": emitter, "relay": relay, "mac": mac,
+               "rx_x": rx[0], "rx_y": rx[1], "payload_hex": payload.hex()}
+              for receiver, emitter, relay, mac, payload, rx in log.links)
+    write_lines(path, *log.columns(), fields, "rssi", 3)
+
+
+def write_lines(path, t: np.ndarray, key: np.ndarray, value: np.ndarray, fields, name: str,
+                tail: int) -> None:
+    """Write the rows of the columns `t`, `key` and `value` to `path`,
+    WRITE_BATCH_ROWS at a time (see `render_lines`): row i as
+    `json.dumps({"t": t[i], **head, name: value[i], **end})`, where `end` is
+    the last `tail` fields of `fields[key[i]]` (its line's fields in line order
+    but `t` and the value) and `head` the others, each rendered once per key.
+    `name`, a plain key, is written as it is."""
     heads, tails = [], []
-    for receiver, emitter, relay, mac, payload, rx in log.links:
-        head = json.dumps({"receiver": receiver, "emitter": emitter, "relay": relay, "mac": mac})
-        tail = json.dumps({"rx_x": rx[0], "rx_y": rx[1], "payload_hex": payload.hex()})
-        heads.append(", " + head[1:-1] + ', "rssi": ')
-        tails.append(", " + tail[1:] + "\n")
-    write_lines(path, *log.columns(), heads, tails)
-
-
-def write_lines(path, t: np.ndarray, key: np.ndarray, value: np.ndarray, heads: list,
-                tails: list) -> None:
-    """Write the JSON lines of the rows of the columns `t`, `key` and `value`
-    to `path` (see `render_lines`), WRITE_BATCH_ROWS rows at a time, so no
-    text of the whole file is built."""
+    for line in fields:
+        items = list(line.items())
+        head, end = json.dumps(dict(items[:-tail])), json.dumps(dict(items[-tail:]))
+        heads.append(", " + head[1:-1] + f', "{name}": ')
+        tails.append(", " + end[1:] + "\n")
     heads, tails = np.array(heads, dtype=object), np.array(tails, dtype=object)
     with open(path, "w") as fh:
         for start in range(0, len(key), WRITE_BATCH_ROWS):

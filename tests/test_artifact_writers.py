@@ -8,7 +8,9 @@ reference_artifacts.py writes with one stdlib json call per decision and one
 `json.dump(indent=2)`. The cases are the values whose text a hand-rolled
 renderer could get wrong: NaN, infinities, -0.0, numbers at the ends of
 orjson's window, int coordinates, quoted, non-ASCII and DEL text, ticks of
-7 s, plans whose lines cross batches, and empty dossiers.
+7 s, plans whose lines cross batches, and empty dossiers. The line rule
+both row logs share, `radio.write_lines`, is also checked on its own, on
+drawn keys, values and field counts, against one `json.dumps` per line.
 """
 
 import json
@@ -18,7 +20,9 @@ from collections import Counter
 import tempfile
 from pathlib import Path
 from types import SimpleNamespace
+from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -367,3 +371,56 @@ def test_pair_planned_in_two_spans_is_one_entry_rendered_once(tmp_path, monkeypa
     monkeypatch.undo()
     want = "".join(json.dumps(d) + "\n" for d in reference_artifacts.decisions(server))
     assert (tmp_path / "attack_plan.jsonl").read_text() == want
+
+
+# -- the one line rule of both row logs: radio.write_lines ---------------------
+
+# quote, backslash, control characters, a line separator, DEL, non-ASCII and
+# non-BMP characters, and lone surrogates of both halves
+ODD_CHARS = st.sampled_from(['"', "\\", "\x00", "\x1f", "\n", "\u2028", "\x7f", "\u00e4",
+                             "\U0001f600", "\ud800", "\udfff"])
+FIELD_TEXT = st.text(st.one_of(st.characters(), ODD_CHARS), max_size=6)
+FIELD_VALUES = st.one_of(FIELD_TEXT, st.booleans(), st.none(), st.integers(-2 ** 70, 2 ** 70),
+                         st.sampled_from(NUMBER_EDGES))
+PLAIN_KEY = st.from_regex(r"[a-z_]{1,8}", fullmatch=True).filter(lambda k: k != "t")
+
+
+@st.composite
+def row_logs(draw):
+    """(batch, t, key, value, fields, name, tail) for `radio.write_lines` with
+    WRITE_BATCH_ROWS set to `batch`: one dict of 2-9 fields per key, more rows
+    than a batch holds, and a value column of int64 or float64."""
+    name = draw(PLAIN_KEY)
+    names = draw(st.lists(FIELD_TEXT.filter(lambda k: k not in ("t", name)),
+                          min_size=2, max_size=9, unique=True))
+    fields = draw(st.lists(st.fixed_dictionaries(dict.fromkeys(names, FIELD_VALUES)),
+                           min_size=1, max_size=4))
+    tail = draw(st.integers(1, len(names) - 1))
+    batch = draw(st.sampled_from([1, 3, 16]))
+    if draw(st.booleans()):
+        numbers, dtype = st.integers(-2 ** 63, 2 ** 63 - 1), np.int64
+    else:
+        numbers = st.one_of(st.floats(), st.sampled_from(NUMBER_EDGES + (math.nan, math.inf, -math.inf)))
+        dtype = np.float64
+    value = np.array(draw(st.lists(numbers, min_size=batch + 1, max_size=batch + 40)), dtype=dtype)
+    t0 = draw(st.integers(-2 ** 63, 2 ** 63 - 1 - 7 * len(value)))
+    t = t0 + draw(st.sampled_from([1, 7])) * np.arange(len(value), dtype=np.int64)
+    key = np.array(draw(st.lists(st.integers(0, len(fields) - 1), min_size=len(value),
+                                 max_size=len(value))), dtype=np.int32)
+    return batch, t, key, value, fields, name, tail
+
+
+@settings(max_examples=100, deadline=None)
+@given(row_logs())
+def test_write_lines_is_one_json_dumps_per_line(log):
+    """Every line is `json.dumps({"t": t, **head, name: value, **end})`, where
+    `end` is the key's last `tail` fields and `head` the others."""
+    batch, t, key, value, fields, name, tail = log
+    want = []
+    for i in range(len(key)):
+        items = list(fields[key[i]].items())
+        line = {"t": t[i].item(), **dict(items[:-tail]), name: value[i].item(), **dict(items[-tail:])}
+        want.append(json.dumps(line) + "\n")
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(radio, "WRITE_BATCH_ROWS", batch):
+        radio.write_lines(Path(tmp) / "log.jsonl", t, key, value, fields, name, tail)
+        assert (Path(tmp) / "log.jsonl").read_text() == "".join(want)

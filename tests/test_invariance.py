@@ -17,22 +17,71 @@ and nothing else:
     that are multiples of 1/8, so every shifted coordinate and every
     difference of two is exact.
 
+The attack-off, bystander and translation relations are checked on the
+bundled configs and on small drawn ones (`scenes`): noiseless, with a tick of 1 or 7 s, 2-6 nodes
+on a 1/8 m grid with waypoints off the tick grid, diagnoses, injections and,
+for some, an attack with harvest and target zones.
+
 Relations that shift the noise of later rows (a bystander in range, moving
 the scene under noise) do not hold while noise follows row order, so they
 are not stated here.
 """
 
 import copy
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ensim import scenarios
 from ensim.engine import ScenarioConfig, run_scenario, write_outputs
+from test_engine_oracle import _injection, _node, scenario
 
 ATTACK_SCENARIOS = ("lazy_student", "hospital_replay", "targeted_replay", "reidentification",
                     "tamper_range_extension")
 SCENARIO_NAMES = [name for name, build in scenarios.BUILDERS.items()
                   if build()["kind"] == "scenario"]
+
+
+# places near the harvest zone (HARVEST) and the target zone (TARGET), and far
+# from both; a drawn node stands within 3 m of one of them, on a 1/8 m grid
+PLACES = ((0.0, 0.0), (3.0, 0.0), (1000.0, 0.0), (1003.0, 1.0), (5000.0, 0.0))
+HARVEST = [-10.0, -10.0, 10.0, 10.0]
+TARGET = [990.0, -10.0, 1010.0, 10.0]
+JITTER = st.integers(-24, 24).map(lambda k: k / 8)
+
+
+@st.composite
+def scenes(draw, attack=st.booleans()):
+    """A small noiseless run. Waypoint times are drawn as floats, so most fall
+    between ticks; app nodes may be diagnosed on a tick, scanners may be
+    injected into, and when `attack` draws True deputies harvest around
+    HARVEST (or anywhere) and relay into TARGET."""
+    tick = draw(st.sampled_from([1, 7]))
+    duration = tick * draw(st.integers(120 // tick, 1200 // tick))
+    on_tick = st.integers(0, duration // tick - 1).map(lambda k: k * tick)
+    place = st.builds(lambda p, dx, dy: [p[0] + dx, p[1] + dy], st.sampled_from(PLACES), JITTER, JITTER)
+    nodes = []
+    for i in range(draw(st.integers(2, 6))):
+        stops = sorted(draw(st.lists(st.floats(0, duration), max_size=3)))
+        trajectory = [[0, *draw(place)]] + [[t, *draw(place)] for t in stops]
+        app = draw(st.sampled_from([True, True, False]))
+        nodes.append(_node(f"n{i}", trajectory, app=app, deputy=draw(st.booleans()),
+                           diagnosed_at=draw(st.one_of(st.none(), on_tick)) if app else None))
+    scanners = [n["id"] for n in nodes if n["app"] or n["deputy"]]
+    injections = [_injection(draw(on_tick), draw(st.sampled_from(scanners)))
+                  for _ in range(draw(st.integers(0, 2) if scanners else st.just(0)))]
+    policy = draw(st.fixed_dictionaries({
+        "harvest_zones": st.sampled_from([[], [HARVEST]]),
+        "target_zones": st.just([TARGET]),
+        "tamper_mask_hex": st.sampled_from([None, "00f80000"]),
+        "relay_latency": st.sampled_from([0, 5]),
+        "replay_horizon": st.sampled_from([60, 7200]),
+        "max_relays_per_deputy": st.sampled_from([None, 1, 2]),
+    })) if draw(attack) else None
+    return scenario(world={"tick": tick, "duration": duration}, nodes=nodes, attack=policy,
+                    injections=injections)
 
 
 def artifacts(raw, out, names):
@@ -41,15 +90,26 @@ def artifacts(raw, out, names):
     return {name: (out / name).read_bytes() for name in names}
 
 
+def assert_relaying_nowhere_is_no_attack(raw, out):
+    raw = dict(raw, attack=dict(raw["attack"], target_zones=[]))
+    names = ("events.jsonl", "notifications.csv", "attack_plan.jsonl")
+    harvest_only = artifacts(raw, out / "harvest_only", names)
+    assert harvest_only == artifacts(dict(raw, attack=None), out / "none", names)
+
+
 @pytest.mark.parametrize("noise_sigma", [0.0, 4.0])
 @pytest.mark.parametrize("name", ATTACK_SCENARIOS)
 def test_relaying_nowhere_is_no_attack(name, noise_sigma, tmp_path):
     raw = scenarios.BUILDERS[name]()
     raw["world"]["path_loss"]["noise_sigma"] = noise_sigma
-    raw["attack"]["target_zones"] = []
-    names = ("events.jsonl", "notifications.csv", "attack_plan.jsonl")
-    harvest_only = artifacts(raw, tmp_path / "harvest_only", names)
-    assert harvest_only == artifacts(dict(raw, attack=None), tmp_path / "none", names)
+    assert_relaying_nowhere_is_no_attack(raw, tmp_path)
+
+
+@settings(max_examples=40, deadline=None)
+@given(scenes(attack=st.just(True)))
+def test_drawn_relaying_nowhere_is_no_attack(raw):
+    with tempfile.TemporaryDirectory() as tmp:
+        assert_relaying_nowhere_is_no_attack(raw, Path(tmp))
 
 
 def test_zero_tamper_mask_is_no_mask(tmp_path):
@@ -73,15 +133,24 @@ def test_seed_changes_key_bytes_only():
     assert rows(raw["seed"]) == rows(raw["seed"] + 1000) != []
 
 
-@pytest.mark.parametrize("name", SCENARIO_NAMES)
-def test_far_bystander_changes_nothing(name):
-    raw = scenarios.BUILDERS[name]()
+def assert_far_bystander_changes_nothing(raw):
     # first in the config and in id order, so no other node keeps its place in either
     far = {"id": "00_far", "app": True, "trajectory": [[0, 1e6, 1e6]]}
     with_far = dict(raw, nodes=[far, *raw["nodes"]])
     got, want = (run_scenario(ScenarioConfig.from_dict(r)) for r in (with_far, raw))
     assert got.notification_rows == want.notification_rows
     assert got.dossiers == want.dossiers
+
+
+@pytest.mark.parametrize("name", SCENARIO_NAMES)
+def test_far_bystander_changes_nothing(name):
+    assert_far_bystander_changes_nothing(scenarios.BUILDERS[name]())
+
+
+@settings(max_examples=40, deadline=None)
+@given(scenes())
+def test_drawn_far_bystander_changes_nothing(raw):
+    assert_far_bystander_changes_nothing(raw)
 
 
 def _coordinates(raw):
@@ -111,10 +180,7 @@ def test_translation_runs_on_most_bundled_configs():
     assert len(EIGHTHS) >= len(SCENARIO_NAMES) - 1
 
 
-@pytest.mark.parametrize("dx, dy", [(1024.0, 1024.0), (-4096.0, 256.0)])
-@pytest.mark.parametrize("name", EIGHTHS)
-def test_translation_moves_places_only(name, dx, dy):
-    raw = scenarios.BUILDERS[name]()
+def assert_translation_moves_places_only(raw, dx, dy):
     assert raw["world"]["path_loss"]["noise_sigma"] == 0
     got, want = (run_scenario(ScenarioConfig.from_dict(r)) for r in (shifted(raw, dx, dy), raw))
     assert got.notification_rows == want.notification_rows
@@ -122,3 +188,15 @@ def test_translation_moves_places_only(name, dx, dy):
                    "sightings": [dict(s, x=s["x"] - dx, y=s["y"] - dy) for s in d["sightings"]]}
                   for d in got.dossiers]
     assert moved_back == want.dossiers
+
+
+@pytest.mark.parametrize("dx, dy", [(1024.0, 1024.0), (-4096.0, 256.0)])
+@pytest.mark.parametrize("name", EIGHTHS)
+def test_translation_moves_places_only(name, dx, dy):
+    assert_translation_moves_places_only(scenarios.BUILDERS[name](), dx, dy)
+
+
+@settings(max_examples=40, deadline=None)
+@given(scenes())
+def test_drawn_translation_moves_places_only(raw):
+    assert_translation_moves_places_only(raw, 1024.0, -4096.0)

@@ -1,7 +1,8 @@
 """`scripts/scale_probe.py` at a tiny size: with and without `--run-only`.
 
 The crowd generator seats at least three diagnosed pairs, so 4 requested
-nodes are 6, each hearing the other 5 on every one of 60 ticks.
+nodes are 6, each hearing the other 5 on every one of 60 ticks: 30 links,
+since no identifier rotates within the first 600 s.
 """
 
 import os
@@ -22,9 +23,9 @@ def test_scale_probe_smoke(run_only):
            "--seconds", "60", *(["--run-only"] if run_only else [])]
     done = subprocess.run(cmd, env=env, capture_output=True, text=True, check=True, timeout=120)
     header, row = done.stdout.splitlines()
-    assert header.split() == ["nodes", "seconds", "events", "run_s", "write_s", "max_rss_mb"]
-    nodes, seconds, events, run_s, write_s, max_rss_mb = row.split()
-    assert (nodes, seconds, events) == ("4", "60", str(6 * 5 * 60))
+    assert header.split() == ["nodes", "seconds", "events", "links", "run_s", "write_s", "max_rss_mb"]
+    nodes, seconds, events, links, run_s, write_s, max_rss_mb = row.split()
+    assert (nodes, seconds, events, links) == ("4", "60", str(6 * 5 * 60), str(6 * 5))
     assert float(run_s) >= 0 and int(max_rss_mb) > 0
     if run_only:
         assert write_s == "-"
