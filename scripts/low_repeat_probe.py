@@ -79,7 +79,7 @@ def probe(case: str) -> dict:
             engine.write_outputs(result, out)
             write_s.append(time.perf_counter() - start)
             digest = digest or artifact_digest(out)
-    events, links = len(result.world.events), len(result.world.events.links)
+    events, links = len(result.world.events), len(result.world.events.keys)
     del result
     for _ in range(RUNS - 1):
         start = time.perf_counter()

@@ -48,7 +48,7 @@ def probe(nodes: int, seconds: int, run_only: bool, results) -> None:
             engine.write_outputs(result, out)
             write_s = round(time.perf_counter() - start, 2)
     results.put({"nodes": nodes, "seconds": seconds, "events": len(result.world.events),
-                 "links": len(result.world.events.links),
+                 "links": len(result.world.events.keys),
                  "run_s": round(run_s, 2), "write_s": write_s,
                  "max_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024)})
 

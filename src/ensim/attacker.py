@@ -31,15 +31,15 @@ only the rows of kept links that pass matching's published-identifier join
 (`device.published_kind`). Each dossier sighting keeps the MAC it was heard
 under: that is the MAC linkage a side database of MACs joins on.
 
-The relay plan is a row log like the scan log: each relay decision on
-each tick is one row, its time (`plan_t`) and its entry (`plan_entry`, an
-index into `plan_entries`). An identifier's first relay makes its masked
-AEM, its payload and its line fields together: every field of an
+The relay plan (`plan`) is a `radio.RowLog`, as the scan log is: each
+relay decision on each tick is one row, its time and its entry (the row's
+key); it has no values. An identifier's first relay makes its masked AEM,
+its payload and its line fields together: every field of an
 attack_plan.jsonl line but `t`, `deputy` and `age_s`, all fixed per
 identifier. A (deputy, identifier) pair's entry is the deputy followed by
-those fields, made the first time the pair is planned, and only then.
-`repeat_plan` extends a tick's rows over the ticks that repeat it, as
-`World.step` extends a tick's scan rows.
+those fields, interned by the pair the first time it is planned. The run
+loop extends a tick's plan rows over the ticks that repeat it with
+`RowLog.repeat`, as `World.step` extends a tick's scan rows.
 """
 
 from __future__ import annotations
@@ -53,7 +53,7 @@ import numpy as np
 
 from . import beacon, crypto
 from .device import published_kind
-from .radio import Emission, ScanLog, Sighting
+from .radio import Emission, RowLog, ScanLog, Sighting
 
 DEFAULT_RELAY_MAC = "f0:0d:00:00:00:01"
 
@@ -133,13 +133,9 @@ class AttackerServer:
         self._deputies = set(deputies)
         self._looked = 0  # links of the log that `catch_up` has looked at
         self.harvest_links: set[int] = set()  # ids of the deputy links whose hearings are kept
-        # the relay plan, one row per decision per tick: its time and its entry,
-        # the line's fields but `t` and `age_s`, made once per (deputy, identifier)
-        self.plan_t = array("q")
-        self.plan_entry = array("i")
-        self.plan_entries: list[dict] = []
-        self._entry_ids: dict[tuple[str, bytes], int] = {}
-        self._planned = (None, 0)  # the last tick `select_relays` planned, and its first row
+        # the relay plan, one row per decision per tick: its key is its entry, the
+        # line's fields but `t` and `age_s`, interned by (deputy, identifier)
+        self.plan = RowLog()
         # first in-zone hearing per identifier and the first and last time it may
         # be relayed, fixed then (`_eligible`). First hearing is what matters: it
         # starts the upload clock, and the relay deadline depends only on the
@@ -158,14 +154,14 @@ class AttackerServer:
         row = self.log.append(deputy_id, sighting)
         self._deputies.add(deputy_id)
         self.catch_up()
-        return self.record(row) if self.log.link[row] in self.harvest_links else None
+        return self.record(row) if self.log.key[row] in self.harvest_links else None
 
     def catch_up(self) -> None:
         """Take in each link of the log first heard since the last call whose
         receiver is a deputy. A run calls this after each tick that can hear a
         new link, so a hearing is a relay candidate, with its window fixed,
         from the tick it was heard on."""
-        links = self.log.links
+        links = self.log.keys
         for link_id in range(self._looked, len(links)):
             if links[link_id].receiver in self._deputies:
                 self._take(link_id)
@@ -176,7 +172,7 @@ class AttackerServer:
         without `collect_all`, not exposure-notification frames; the link's
         first hearing, when in a harvest zone, is a relay candidate, which can
         change no plan before the next second (its tick's was made before it)."""
-        link = self.log.links[link_id]
+        link = self.log.keys[link_id]
         if link.mac == self.policy.relay_mac:
             return  # don't harvest our own re-emissions
         kind = self.log.kind(link_id)
@@ -197,12 +193,12 @@ class AttackerServer:
 
     def record(self, row: int) -> HarvestRecord:
         """A kept hearing, `row` of the log, as the deputy uploaded it (KeyError if not kept)."""
-        link_id = self.log.link[row]
+        link_id = self.log.key[row]
         if link_id not in self.harvest_links:
             raise KeyError(link_id)
-        link = self.log.links[link_id]
+        link = self.log.keys[link_id]
         frame = beacon.BeaconFrame(link.mac, link.payload, self.log.kind(link_id))
-        return HarvestRecord(frame=frame, rssi=self.log.rssi[row], location=link.rx,
+        return HarvestRecord(frame=frame, rssi=self.log.value[row], location=link.rx,
                              time=self.log.t[row], deputy_id=link.receiver)
 
     @property
@@ -218,7 +214,6 @@ class AttackerServer:
     def select_relays(self, t: int, deputy_positions: dict) -> list[RelayOrder]:
         """Relay plan for time t. Each decision is appended to the plan as one
         row; a (deputy, identifier) pair planned for the first time gets its entry."""
-        self._planned = (t, len(self.plan_t))
         pol = self.policy
         if not pol.target_zones:
             return []
@@ -247,16 +242,14 @@ class AttackerServer:
                     "harvest_t": record.time, "harvest_x": record.location[0],
                     "harvest_y": record.location[1], "deadline_t": self.relay_deadline(record)})
 
-        orders = []
+        orders, entries, row = [], array("i"), len(self.plan)
         for deputy in targets:
             for rpi, _ in ranked:
                 aem, payload, fields = self._relayed[rpi]
                 orders.append(RelayOrder(rpi=rpi, aem=aem, payload=payload, deputy_id=deputy))
-                entry = self._entry_ids.setdefault((deputy, rpi), len(self.plan_entries))
-                if entry == len(self.plan_entries):
-                    self.plan_entries.append({"deputy": deputy, **fields})
-                self.plan_t.append(t)
-                self.plan_entry.append(entry)
+                entries.append(self.plan.intern((deputy, rpi), {"deputy": deputy, **fields},
+                                                row + len(entries)))
+        self.plan.repeat((t,), entries)
         return orders
 
     def _eligible(self, record: HarvestRecord) -> tuple[int, int]:
@@ -277,18 +270,6 @@ class AttackerServer:
         edges = self._plan_edges
         i = bisect_right(edges, t)
         return edges[i] if self.policy.target_zones and i < len(edges) else math.inf
-
-    def repeat_plan(self, t: int, times: range) -> None:
-        """Record that the ticks at `times` (t + step, t + 2 * step, ...) repeat
-        the relay plan of tick t, the last planned: tick t's rows, when it
-        planned any, are appended again for each of them, in the same order."""
-        planned, first = self._planned
-        if planned != t:
-            return
-        entries = self.plan_entry[first:]
-        self.plan_entry.extend(entries * len(times))
-        ticks = np.arange(times.start, times.stop, times.step, dtype=np.int64)
-        self.plan_t.frombytes(np.repeat(ticks, len(entries)).tobytes())
 
     def rebroadcast(self, order: RelayOrder, tx_power: int) -> Emission:
         """Emission a deputy makes for one plan entry, under the attacker's MAC."""
@@ -321,7 +302,7 @@ class AttackerServer:
         hits: list[list[tuple]] = [[] for _ in published]  # (t, x, y, row, mac)
         for kind, group in log.group(published_frame, rows).items():
             for row in group.tolist():
-                link = log.links[log.link[row]]
+                link = log.keys[log.key[row]]
                 hit = (log.t[row], link.rx[0], link.rx[1], row, link.mac)
                 for pos, _interval in index[kind.rpi]:
                     hits[pos].append(hit)
@@ -329,7 +310,7 @@ class AttackerServer:
         dossiers = []
         for pos in sorted(range(len(published)), key=lambda i: published[i].tek.key.hex()):
             # by time, then x, then y, then row: the order the pinned dossiers hold
-            sightings = [{"t": t, "x": x, "y": y, "rssi": log.rssi[row], "mac": mac}
+            sightings = [{"t": t, "x": x, "y": y, "rssi": log.value[row], "mac": mac}
                          for t, x, y, row, mac in sorted(hits[pos])]
             dossiers.append({"tek_hex": published[pos].tek.key.hex(), "sightings": sightings})
         return dossiers

@@ -68,7 +68,7 @@ def _summarize(result: RunResult) -> None:
     print(f"notifications: {len(rows)} ({false_pos} with no genuine contact)")
     if result.attacker is not None:
         print(f"attacker: {len(result.attacker.db)} harvested frames, "
-              f"{len(result.attacker.plan_t)} relay decisions, "
+              f"{len(result.attacker.plan)} relay decisions, "
               f"{len(result.dossiers)} dossiers")
 
 

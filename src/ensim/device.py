@@ -35,7 +35,7 @@ world's log. Matching is an index join over the rows it is given: the
 scan log decodes each distinct payload once (`radio.ScanLog.kind`), the
 one published-identifier join (`published_kind`: is the frame's identifier
 in `crypto.identifier_index`, built once per run?) keeps the links that can
-match and groups their rows by frame (`radio.ScanLog.group`), the metadata
+match and groups their rows by frame (`radio.RowLog.group`), the metadata
 is decrypted once per distinct frame and matching key, and the window and
 attenuation tests run as column operations. Re-identification makes the
 same join (`attacker.AttackerServer.reidentify`). A run hands matching only
@@ -97,8 +97,8 @@ class DeviceState:
     @property
     def sightings(self) -> np.ndarray:
         """Every row of `log` this device heard, in log order, found when read
-        (`ScanLog.rows_of` over the links it is the receiver of)."""
-        return self.log.rows_of(link_id for link_id, link in enumerate(self.log.links)
+        (`RowLog.rows_of` over the links it is the receiver of)."""
+        return self.log.rows_of(link_id for link_id, link in enumerate(self.log.keys)
                                 if link.receiver == self.id)
 
 
@@ -165,7 +165,7 @@ def diagnose_and_upload(state: DeviceState, server, t: int) -> list:
 
 
 def published_kind(log: ScanLog, index: dict):
-    """The published-identifier join as a `ScanLog.group` key: link id -> its frame's
+    """The published-identifier join as a `RowLog.group` key: link id -> its frame's
     `Gaen` kind (`ScanLog.kind`) when its identifier is in `index`, else None."""
     def key(link_id: int) -> Optional[beacon.Gaen]:
         kind = log.kind(link_id)
@@ -211,7 +211,7 @@ def match_exposures(state: DeviceState, published_teks, params: MatchingParams, 
             if close.any():
                 if direct is None:
                     links, of_row = np.unique(link_col[group], return_inverse=True)
-                    direct = np.array([log.links[i].direct for i in links.tolist()])[of_row]
+                    direct = np.array([log.keys[i].direct for i in links.tolist()])[of_row]
                 matched_rows[pos].append(group[close])
                 direct_rows[pos].append(group[close & direct])
                 best = float(att[close].min())

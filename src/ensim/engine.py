@@ -7,9 +7,9 @@ injections; the attacker takes in the deputy links first heard this tick,
 which is all a relay plan needs, and fixes each new relay candidate's
 window then. Then its repeats: every later tick before the next change
 sends the same emissions over the same links, and only `t` and the noise
-differ, so the world delivers them in one step and the attacker extends
-the tick's plan rows over them (`AttackerServer.repeat_plan`, as the world
-extends the tick's scan rows; no entry is made or copied). One rule ends a
+differ, so the world delivers them in one step and the loop repeats the
+tick's relay plan rows over them (`RowLog.repeat`, as the world repeats
+its scan rows; no entry is made or copied). One rule ends a
 span: the next change is the earliest of the next identifier
 rotation (every `crypto.INTERVAL_SECONDS`), waypoint, diagnosis, injection,
 the end of the run and the next time at which the relay plan could differ
@@ -21,7 +21,7 @@ snapshot's identifier index is built once and shared by every device's
 matching and the attacker's re-identification, which make one join
 (`device.published_kind`) over the frames the log decodes once per
 distinct payload (`ScanLog.kind`). Only the devices' rows of links that
-pass it are split by receiver (`ScanLog.rows_of`, then `ScanLog.group`,
+pass it are split by receiver (`RowLog.rows_of`, then `RowLog.group`,
 the one grouping of the log's rows), and each device matches its share.
 A device's `sightings`, every row it heard, is found in the log only if
 something reads it.
@@ -41,12 +41,12 @@ cross-field checks; the value types they build do not check themselves. An
 absent key takes the default of the value type or function that owns it;
 anything invalid raises ScenarioError naming the field before the run starts.
 
-`events.jsonl` and `attack_plan.jsonl` are both row logs, written by one
-batch loop (`radio.write_lines`), the one layout of their lines, with one
-`orjson` call per number column per batch: a scan row's key is its link
-and its value its rssi; a plan row's key is its entry and its value its
-`age_s`. Each writer hands it one dict of fields per key, in line order,
-and the value's name and place. `dossiers.json` is one guarded
+`events.jsonl` and `attack_plan.jsonl` are both `radio.RowLog`s, written by
+one batch loop (`radio.write_lines`), the one layout of their lines, with
+one `orjson` call per number column per batch: a scan row's key is its link
+and its value its rssi; a plan row's key is its entry and the value written
+its `age_s`. Each writer hands it the log's keys as dicts of fields, in line
+order, and the value's name and place. `dossiers.json` is one guarded
 `orjson` call per dossier, which hands a dossier it cannot vouch for to
 `json.dumps(indent=2)`.
 
@@ -383,7 +383,7 @@ class RunResult:
 
 def harvested_owners(server: AttackerServer) -> set:
     """The nodes a deputy harvested a frame of straight from their own broadcast."""
-    links = [server.log.links[link_id] for link_id in server.harvest_links]
+    links = [server.log.keys[link_id] for link_id in server.harvest_links]
     return {link.emitter for link in links if link.direct}
 
 
@@ -422,6 +422,7 @@ def run_scenario(cfg: ScenarioConfig) -> RunResult:
                                       tx_power=devices[nid].tx_power, relay=False))
         if server is not None:
             positions = {d: world.position(d, t) for d in deputies}
+            first = len(server.plan)  # this tick's plan rows, repeated over its span
             for order in server.select_relays(t, positions):
                 emissions.append(server.rebroadcast(
                     order, tx_power=node_by_id[order.deputy_id].tx_power))
@@ -445,7 +446,7 @@ def run_scenario(cfg: ScenarioConfig) -> RunResult:
         if end > t + tick:
             world.step(t + tick, emissions, ticks=(end - t) // tick - 1)
             if server is not None:
-                server.repeat_plan(t, range(t + tick, end, tick))
+                server.plan.repeat(range(t + tick, end, tick), server.plan.key[first:])
         t = end
 
     return _result(cfg, world, devices, deputies, server, diag)
@@ -460,7 +461,7 @@ def _result(cfg: ScenarioConfig, world: World, devices: dict, deputies: list,
     index = crypto.identifier_index(published_teks)
 
     # only the devices' rows of links that carry a published identifier can match
-    receiver = [link.receiver for link in log.links]
+    receiver = [link.receiver for link in log.keys]
     published_frame = device_mod.published_kind(log, index)
     matchable = log.group(receiver.__getitem__, log.rows_of(
         link_id for link_id, nid in enumerate(receiver) if nid in devices and published_frame(link_id)))
@@ -531,10 +532,9 @@ def write_attack_plan(server: Optional[AttackerServer], path) -> None:
     if server is None:
         Path(path).write_text("")
         return
-    t = np.frombuffer(server.plan_t, dtype=np.int64)
-    entry = np.frombuffer(server.plan_entry, dtype=np.int32)
-    harvest_t = np.array([fields["harvest_t"] for fields in server.plan_entries], dtype=np.int64)
-    write_lines(path, t, entry, t - harvest_t[entry], server.plan_entries, "age_s", 1)
+    t, entry, _ = server.plan.columns()
+    harvest_t = np.array([fields["harvest_t"] for fields in server.plan.keys], dtype=np.int64)
+    write_lines(path, t, entry, t - harvest_t[entry], server.plan.keys, "age_s", 1)
 
 
 def _dossiers_json(dossiers: list) -> bytes:

@@ -6,26 +6,27 @@ emitter, delivered once per scanning node in range. Path loss is computed
 once per geometry: the world keeps each emission's deliveries (link ids
 and noiseless rssi) and resets them at each waypoint time of any node. A
 step delivers a span of ticks that send the same emissions between two
-waypoint times at once, in one loop that writes the rows of as many whole
-ticks as fit in one `NoiseAhead` refill and adds their noise. Identical
-(config, injections) always produce identical event logs. Noise comes
-from the world's own seeded generator: the values `Random.gauss` would
-give one delivery at a time, in row order, are drawn ahead in bulk
+waypoint times at once, in one loop that repeats one tick's rows over as
+many whole ticks as fit in one `NoiseAhead` refill and adds their noise.
+Identical (config, injections) always produce identical event logs. Noise
+comes from the world's own seeded generator: the values `Random.gauss`
+would give one delivery at a time, in row order, are drawn ahead in bulk
 (`NoiseAhead`).
 
 Every delivery, radio-made or injected, is one row of the world's
-`ScanLog`: its time, a link id and its rssi, the one float that is matched,
-harvested and written, however the rssi was given. A link is what all
-hearings of one frame by one receiver at one place share (receiver,
-emitter, relay flag, MAC, payload, rx position), stored once. Only
+`ScanLog`, a `RowLog` (the one row log; the relay plan is another): its
+time, a link id and its rssi, the one float that is matched, harvested and
+written, however the rssi was given. A link is what all hearings of one
+frame by one receiver at one place share (receiver, emitter, relay flag,
+MAC, payload, rx position), stored once. Only
 `World.step` writes rows whose link has an emitter; `ScanLog.append` logs
 every hearing from outside the radio, so only the radio makes a hearing
 direct. Devices, the attacker and the event-log writer read the rows they
 need from this one log, by row number; nothing else is kept per event. The
 log decodes each distinct payload once (`ScanLog.kind`), for the harvest
 and matching alike. Every reader that splits rows by receiver, frame or
-published key does so with `ScanLog.group`, handed only the rows it may use
-(`ScanLog.rows_of`). `write_lines` is the one layout of a line of the event
+published key does so with `RowLog.group`, handed only the rows it may use
+(`RowLog.rows_of`). `write_lines` is the one layout of a line of the event
 log or the relay plan: it renders each key's fields (a link's or a plan
 entry's dict) around the value with two `json.dumps` calls, once, and a
 batch of rows' numbers with one `orjson` call per column, byte for byte as
@@ -143,82 +144,75 @@ class Link(NamedTuple):
     rx: tuple
 
     @property
+    def ident(self) -> tuple:
+        """What a log tells it apart by: its fields with `repr(rx)` in place of `rx`."""
+        return self[:5] + (repr(self.rx),)
+
+    @property
     def direct(self) -> bool:
         """Heard straight from its emitter's broadcast: neither relayed nor injected."""
         return self.emitter is not None and not self.relay
 
 
-class ScanLog:
-    """Append-only columnar log of scan events, read by row number.
+class RowLog:
+    """Append-only columnar log of rows, read by row number.
 
-    A row is three columns, 20 bytes in all, and nothing else: `t`, `link`
-    (an index into `links`) and `rssi`, a float64. Links are interned when
-    first heard; `first` holds each link's first row, so link ids run in the
-    order of first hearings.
+    A row is three columns, 20 bytes in all, and nothing else: `t`, `key` (an
+    index into `keys`) and `value`, a float64 (a log never given values keeps
+    it empty: 12 bytes a row). Keys are interned by an ident on their first
+    row, which `first` holds, so key ids run in the order of first use;
+    `repeat` appends one tick's rows at each of a run of ticks.
 
     Readers hold row numbers, not rows: `group` splits rows by a key of their
-    links (it is the only grouping of rows), `rows_of` picks the rows of some
-    links, and `columns()` hands out numpy views of the columns without
-    copying, to gather a group's times and rssi from. A view pins its
+    keys (it is the only grouping of rows), `rows_of` picks the rows of some
+    keys, and `columns()` hands out numpy views of the columns without
+    copying, to gather a group's times and values from. A view pins its
     column, so none may be held across an append.
     """
 
     def __init__(self):
-        self.links: list[Link] = []
+        self.keys: list = []
         self.first = array("q")
-        self._ids: dict = {}  # link fields with repr(rx) in place of rx -> link id
+        self._ids: dict = {}  # ident -> key id
         self.t = array("q")
-        self.link = array("i")
-        self.rssi = array("d")
-        self._kinds: dict = {}  # payload -> the kind of its frame
+        self.key = array("i")
+        self.value = array("d")
 
-    def intern(self, link: Link, row: int) -> int:
-        """The id of `link`; a new link is first heard on `row`."""
-        key = link[:5] + (repr(link.rx),)
-        link_id = self._ids.get(key)
-        if link_id is None:
-            link_id = self._ids[key] = len(self.links)
-            self.links.append(link)
+    def intern(self, ident, key, row: int) -> int:
+        """The id of the key named by `ident`; a new one is `key`, first used on `row`."""
+        key_id = self._ids.get(ident)
+        if key_id is None:
+            key_id = self._ids[ident] = len(self.keys)
+            self.keys.append(key)
             self.first.append(row)
-        return link_id
+        return key_id
 
-    def append(self, receiver: str, sighting: Sighting) -> int:
-        """Log a hearing from outside the radio, its rssi as a float, as the next
-        row and return the row. Its link has no emitter and is no relay: rows
-        that have an emitter are written by `World.step` alone."""
-        row = len(self.link)
-        self.t.append(sighting.time)
-        self.rssi.append(sighting.rssi)
-        link = Link(receiver, None, False, sighting.mac, sighting.payload, sighting.rx_location)
-        self.link.append(self.intern(link, row))
-        return row
-
-    def kind(self, link_id: int) -> beacon.Kind:
-        """Link `link_id`'s frame kind, decoded (without its MAC) once per distinct payload."""
-        payload = self.links[link_id].payload
-        kind = self._kinds.get(payload)
-        if kind is None:
-            kind = self._kinds[payload] = beacon.decode(payload, "").kind
-        return kind
+    def repeat(self, times, keys: array, values: Optional[array] = None) -> None:
+        """Append one tick's rows, key ids `keys` with `values` (none for a log
+        without values), at each of `times` in turn."""
+        self.key.extend(keys * len(times))
+        if values is not None:
+            self.value.extend(values * len(times))
+        self.t.frombytes(np.repeat(np.array(times, dtype=np.int64), len(keys)).tobytes())
 
     def columns(self):
-        """(t, link, rssi) as numpy views of the columns."""
-        return (np.frombuffer(self.t, dtype=np.int64), np.frombuffer(self.link, dtype=np.int32),
-                np.frombuffer(self.rssi, dtype=np.float64))
+        """(t, key, value) as numpy views of the columns."""
+        return (np.frombuffer(self.t, dtype=np.int64), np.frombuffer(self.key, dtype=np.int32),
+                np.frombuffer(self.value, dtype=np.float64))
 
     def group(self, key, rows) -> dict:
-        """`rows` (row numbers) split by `key(link_id)` of each row's link:
+        """`rows` (row numbers) split by `key(key_id)` of each row's key:
         {key: row numbers in the order of `rows`}, in the order in which the
-        keys first come up among the rows' link ids. Rows whose key is None are
+        keys first come up among the rows' key ids. Rows whose key is None are
         left out.
 
-        `key` is called once per link the rows contain; the split is one stable
-        sort of a per-row code, the narrowest unsigned dtype that holds one code
-        per key and a last one for None (a stable sort of 8- or 16-bit codes is
-        a radix sort).
+        `key` is called once per key id the rows contain; the split is one
+        stable sort of a per-row code, the narrowest unsigned dtype that holds
+        one code per key and a last one for None (a stable sort of 8- or
+        16-bit codes is a radix sort).
         """
         of_row = self.columns()[1][rows]
-        heard = np.zeros(len(self.links), dtype=bool)
+        heard = np.zeros(len(self.keys), dtype=bool)
         heard[of_row] = True
         present = np.flatnonzero(heard)
         keys = list(map(key, present.tolist()))
@@ -226,23 +220,50 @@ class ScanLog:
         distinct.pop(None, None)
         codes = dict(zip(distinct, range(len(distinct))))
         none = codes[None] = len(distinct)  # the last code
-        of_link = np.full(len(self.links), none, dtype=np.min_scalar_type(none))
-        of_link[present] = list(map(codes.__getitem__, keys))
-        of_row = of_link[of_row]
+        of_key = np.full(len(self.keys), none, dtype=np.min_scalar_type(none))
+        of_key[present] = list(map(codes.__getitem__, keys))
+        of_row = of_key[of_row]
         bounds = [0, *np.cumsum(np.bincount(of_row, minlength=none + 1)).tolist()]
         order = np.asarray(rows, dtype=np.int64)[np.argsort(of_row, kind="stable")]
         return {k: order[bounds[i]:bounds[i + 1]] for i, k in enumerate(distinct)}
 
-    def rows_of(self, link_ids) -> np.ndarray:
-        """The row numbers, in log order, of the rows whose link is one of
-        `link_ids`: one pass of a per-link mask over the link column, so a
+    def rows_of(self, key_ids) -> np.ndarray:
+        """The row numbers, in log order, of the rows whose key is one of
+        `key_ids`: one pass of a per-key mask over the key column, so a
         reader can hand `group` only the rows it may use."""
-        keep = np.zeros(len(self.links), dtype=bool)
-        keep[np.fromiter(link_ids, dtype=np.int64)] = True
+        keep = np.zeros(len(self.keys), dtype=bool)
+        keep[np.fromiter(key_ids, dtype=np.int64)] = True
         return np.flatnonzero(keep[self.columns()[1]])
 
     def __len__(self) -> int:
-        return len(self.link)
+        return len(self.key)
+
+
+class ScanLog(RowLog):
+    """A `RowLog` of hearings: its keys are links, named by `Link.ident`, its values rssi."""
+
+    def __init__(self):
+        super().__init__()
+        self._kinds: dict = {}  # payload -> the kind of its frame
+
+    def append(self, receiver: str, sighting: Sighting) -> int:
+        """Log a hearing from outside the radio, its rssi as a float, as the next
+        row and return the row. Its link has no emitter and is no relay: rows
+        that have an emitter are written by `World.step` alone."""
+        row = len(self)
+        self.t.append(sighting.time)
+        self.value.append(sighting.rssi)
+        link = Link(receiver, None, False, sighting.mac, sighting.payload, sighting.rx_location)
+        self.key.append(self.intern(link.ident, link, row))
+        return row
+
+    def kind(self, link_id: int) -> beacon.Kind:
+        """Link `link_id`'s frame kind, decoded (without its MAC) once per distinct payload."""
+        payload = self.keys[link_id].payload
+        kind = self._kinds.get(payload)
+        if kind is None:
+            kind = self._kinds[payload] = beacon.decode(payload, "").kind
+        return kind
 
 
 def propagate(tx_power: float, distance: float, path_loss: PathLoss,
@@ -347,11 +368,10 @@ class World:
             rx = positions[sid]
             rssi = propagate(em.tx_power, math.hypot(rx[0] - ex, rx[1] - ey), pl, range_max)
             if rssi is not None:
-                heard.append((sid, rx))
+                heard.append(Link(sid, emitter, em.relay, em.mac, em.payload, rx))
                 rssis.append(rssi)
         intern = self.events.intern
-        return array("i", [intern(Link(sid, emitter, em.relay, em.mac, em.payload, rx), row + i)
-                           for i, (sid, rx) in enumerate(heard)]), rssis
+        return array("i", [intern(link.ident, link, row + i) for i, link in enumerate(heard)]), rssis
 
     def next_waypoint_change(self, t: float) -> float:
         """The first waypoint time of any node after t (inf when none is left):
@@ -368,12 +388,13 @@ class World:
         two waypoint times of any node; trajectories are piecewise constant)
         and kept; the span may not leave t's epoch. One tick's rows are the
         deliveries in emission order, then scanner order, and a new link is
-        interned on the row of its first tick. One loop writes the span in
-        chunks of whole ticks, at most 2 * NOISE_CHUNK_PAIRS rows (or one
-        tick), each followed by its noise, the next values of the world's
-        gaussian sequence in row order, in one numpy add: `propagate`'s
-        value plus the noise, so results are bit-identical to computing each
-        delivery of each tick from scratch.
+        interned on the row of its first tick. One loop repeats the tick's
+        rows over the span (`RowLog.repeat`) in chunks of whole ticks, at
+        most 2 * NOISE_CHUNK_PAIRS rows (or one tick), each followed by its
+        noise, the next values of the world's gaussian sequence in row
+        order, in one numpy add: `propagate`'s value plus the noise, so
+        results are bit-identical to computing each delivery of each tick
+        from scratch.
         """
         tick = self.config.tick
         last = t + (ticks - 1) * tick
@@ -400,12 +421,9 @@ class World:
         noisy = n > 0 and self.config.path_loss.noise_sigma > 0
         for done in range(0, ticks, per):
             m, at = min(per, ticks - done), len(log)
-            log.link.extend(ids * m)
-            log.rssi.extend(noiseless * m)
-            times = np.arange(t + done * tick, t + (done + m) * tick, tick, dtype=np.int64)
-            log.t.frombytes(np.repeat(times, n).tobytes())
+            log.repeat(range(t + done * tick, t + (done + m) * tick, tick), ids, noiseless)
             if noisy:  # a view pins the column, so none outlives this statement
-                np.frombuffer(log.rssi, dtype=np.float64)[at:] += self._noise.take(m * n)
+                np.frombuffer(log.value, dtype=np.float64)[at:] += self._noise.take(m * n)
         return range(start, len(log))
 
     def inject(self, receiver_id: str, sighting: Sighting) -> None:
@@ -422,7 +440,7 @@ def write_event_log(log: ScanLog, path) -> None:
     its value is its rssi, written before the link's last three fields."""
     fields = ({"receiver": receiver, "emitter": emitter, "relay": relay, "mac": mac,
                "rx_x": rx[0], "rx_y": rx[1], "payload_hex": payload.hex()}
-              for receiver, emitter, relay, mac, payload, rx in log.links)
+              for receiver, emitter, relay, mac, payload, rx in log.keys)
     write_lines(path, *log.columns(), fields, "rssi", 3)
 
 

@@ -22,8 +22,8 @@ def decisions(server):
     if server is None:
         return []
     out = []
-    for t, entry in zip(server.plan_t, server.plan_entry):
-        fields = {**server.plan_entries[entry], "t": t}
+    for t, entry in zip(server.plan.t, server.plan.key):
+        fields = {**server.plan.keys[entry], "t": t}
         fields["age_s"] = t - fields["harvest_t"]
         assert sorted(fields) == sorted(PLAN_KEYS)
         out.append({key: fields[key] for key in PLAN_KEYS})

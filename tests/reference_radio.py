@@ -79,8 +79,8 @@ def events(log, rows=None):
     """`rows` of `log` (every row when None), in the order given, as ScanEvents."""
     out = []
     for row in range(len(log)) if rows is None else map(int, rows):
-        link = log.links[log.link[row]]
-        sighting = Sighting(link.payload, link.mac, log.rssi[row], log.t[row], link.rx)
+        link = log.keys[log.key[row]]
+        sighting = Sighting(link.payload, link.mac, log.value[row], log.t[row], link.rx)
         out.append(ScanEvent(link.receiver, sighting, link.emitter, link.relay))
     return out
 

@@ -102,13 +102,13 @@ def test_criterion_04_hospital_replay_false_positives(acceptance_record, hospita
 def test_criterion_05_remote_attacker_refutation(acceptance_record, hospital_run):
     result, _ = hospital_run
     deputies = set(result.deputies)
-    plan = result.attacker  # one row per decision per tick, each naming its entry
-    decisions = len(plan.plan_t)
+    plan = result.attacker.plan  # one row per decision per tick, each naming its entry
+    decisions = len(plan)
     sources_ok = decisions > 0 and all(
         e["source_deputy"] in deputies and e["deputy"] in deputies
-        for e in map(plan.plan_entries.__getitem__, plan.plan_entry))
+        for e in map(plan.keys.__getitem__, plan.key))
     # every row has a link, and every link a row: its first hearing
-    relay_links = [link for link in result.world.events.links if link.relay]
+    relay_links = [link for link in result.world.events.keys if link.relay]
     emissions_ok = bool(relay_links) and {link.emitter for link in relay_links} <= deputies
     server_placeless = not any(
         hasattr(result.attacker, attr) for attr in ("location", "position", "x", "y", "trajectory"))
@@ -180,9 +180,9 @@ def test_criterion_08_reidentification(acceptance_record, tmp_path):
     t_col = log.columns()[0]
     truth = set()
     for link_id, rows in log.group(lambda link_id: link_id if (
-            log.links[link_id].receiver in result.deputies
-            and log.links[link_id].emitter == victim) else None, np.arange(len(log))).items():
-        link = log.links[link_id]
+            log.keys[link_id].receiver in result.deputies
+            and log.keys[link_id].emitter == victim) else None, np.arange(len(log))).items():
+        link = log.keys[link_id]
         truth |= {(t, link.rx[0], link.rx[1], link.mac) for t in t_col[rows].tolist()}
     dossiers = json.loads((tmp_path / "dossiers.json").read_text())
     assert [d["tek_hex"] for d in dossiers] == [published[0].tek.key.hex()]

@@ -47,14 +47,22 @@ def harvest(server, dev, t, deputy="hosp", loc=(0.0, 0.0), rssi=-40.0, mac=None)
     server.deputy_on_scan(deputy, Sighting(frame.payload, mac or frame.mac, rssi, t, loc))
 
 
+def plan_span(server, t, deputies, times=()):
+    """Plan tick t and repeat its rows at each of `times`, as `engine.run_scenario`
+    does: the plan rows from the plan's length before `select_relays` on."""
+    first = len(server.plan)
+    orders = server.select_relays(t, deputies)
+    server.plan.repeat(times, server.plan.key[first:])
+    return orders
+
+
 def plan(server, deputies):
     """Plan a tick repeated over three more and a tick on its own: the writer
     puts each row's `t` and `age_s` into its entry's text, so a repeated row is
     written the same way as a planned one."""
-    server.select_relays(600, deputies)
-    server.repeat_plan(600, range(601, 604))
-    server.select_relays(700, deputies)
-    assert list(dict.fromkeys(server.plan_t)) == [600, 601, 602, 603, 700]
+    plan_span(server, 600, deputies, range(601, 604))
+    plan_span(server, 700, deputies)
+    assert list(dict.fromkeys(server.plan.t)) == [600, 601, 602, 603, 700]
 
 
 def written(server, dossiers, tmp_path):
@@ -118,17 +126,18 @@ def test_tick_7_span_writes_each_tick_as_planned_on_its_own(tmp_path):
         for seed, t in ((4, 0), (5, 3)):
             harvest(server, DeviceState(id=f"d{seed}", rng=random.Random(seed)), t)
     spanned.select_relays(14, deputies)
-    entries = spanned.plan_entries
+    entries = spanned.plan.keys
     before = [dict(entry) for entry in entries]
-    spanned.repeat_plan(14, range(21, 70, 7))
+    spanned.plan.repeat(range(21, 70, 7), spanned.plan.key[0:])
     ticks = range(14, 70, 7)
     for t in ticks:
         ticked.select_relays(t, deputies)
 
-    assert spanned.plan_entries is entries and entries == before  # no entry made or changed
-    assert len(entries) == 4 and ticked.plan_entries == entries
-    assert list(spanned.plan_t) == list(ticked.plan_t) == [t for t in ticks for _ in range(4)]
-    assert list(spanned.plan_entry) == list(ticked.plan_entry) == [0, 1, 2, 3] * len(ticks)
+    assert spanned.plan.keys is entries and entries == before  # no entry made or changed
+    assert len(entries) == 4 and ticked.plan.keys == entries
+    assert list(spanned.plan.t) == list(ticked.plan.t) == [t for t in ticks for _ in range(4)]
+    assert list(spanned.plan.key) == list(ticked.plan.key) == [0, 1, 2, 3] * len(ticks)
+    assert list(spanned.plan.first) == list(ticked.plan.first) == [0, 1, 2, 3]
     text = assert_same(spanned, [], tmp_path)
     assert text == assert_same(ticked, [], tmp_path / "ticked")
     lines = text["attack_plan.jsonl"].splitlines()
@@ -277,19 +286,17 @@ def test_one_tick_groups_between_widened_groups_cross_batches(tmp_path, monkeypa
         harvest(server, DeviceState(id=f"d{seed}", rng=random.Random(seed)), t)
     t, sizes = 14, []  # the rows of each span
     for run in (1, 300, 40, 1, 2, 560, 5):
-        rows = len(server.plan_t)
-        server.select_relays(t, deputies)
-        if run > 1:
-            server.repeat_plan(t, range(t + 7, t + 7 * run, 7))
-        sizes.append(len(server.plan_t) - rows)
+        rows = len(server.plan)
+        plan_span(server, t, deputies, range(t + 7, t + 7 * run, 7))
+        sizes.append(len(server.plan) - rows)
         t += 7 * run
         for one in range(t, t + 7 * 20, 7):  # ticks planned one by one
-            rows = len(server.plan_t)
+            rows = len(server.plan)
             server.select_relays(one, deputies)
-            sizes.append(len(server.plan_t) - rows)
+            sizes.append(len(server.plan) - rows)
         t += 7 * 20
     assert max(sizes) > 2 * WRITE_BATCH_ROWS and sizes.count(4) > 100
-    assert sum(sizes) == len(server.plan_t) > 4 * WRITE_BATCH_ROWS
+    assert sum(sizes) == len(server.plan) > 4 * WRITE_BATCH_ROWS
     batches = rendered_batches(monkeypatch)
     assert_same(server, [], tmp_path)
     assert sum(batches) == sum(sizes) and max(batches) <= WRITE_BATCH_ROWS  # memory: one batch
@@ -302,12 +309,11 @@ def test_group_wider_than_a_batch(tmp_path, monkeypatch):
     server = server_with(max_relays_per_deputy=None)
     for seed in range(30):
         harvest(server, DeviceState(id=f"d{seed}", rng=random.Random(100 + seed)), seed)
-    server.select_relays(100, deputies)
-    server.repeat_plan(100, range(101, 103))
-    server.select_relays(200, deputies)
-    assert len(server.plan_entries) == 1200
-    assert list(server.plan_entry) == list(range(1200)) * 4
-    assert Counter(server.plan_t) == {100: 1200, 101: 1200, 102: 1200, 200: 1200}
+    plan_span(server, 100, deputies, range(101, 103))
+    plan_span(server, 200, deputies)
+    assert len(server.plan.keys) == 1200
+    assert list(server.plan.key) == list(range(1200)) * 4
+    assert Counter(server.plan.t) == {100: 1200, 101: 1200, 102: 1200, 200: 1200}
     batches = rendered_batches(monkeypatch)
     assert_same(server, [], tmp_path)
     assert batches == [WRITE_BATCH_ROWS] * 4 + [4 * 1200 - 4 * WRITE_BATCH_ROWS]
@@ -318,9 +324,9 @@ def test_entry_text_with_format_characters(tmp_path):
     server = server_with(max_relays_per_deputy=None)
     for i, deputy in enumerate(('100% {0}', '{"t": 1, "age_s": 2}', '\u00fc\u2028"%s"\\', "\U0001f600")):
         harvest(server, DeviceState(id=f"d{i}", rng=random.Random(200 + i)), i, deputy=deputy)
-    server.select_relays(600, {'{%d} "f\u00e4b"': (1000.0, 0.0), ', "age_s": 5, ': (1001.0, 0.0)})
-    server.repeat_plan(600, range(601, 610))
-    server.select_relays(700, {"%%": (1000.0, 0.0)})
+    plan_span(server, 600, {'{%d} "f\u00e4b"': (1000.0, 0.0), ', "age_s": 5, ': (1001.0, 0.0)},
+              range(601, 610))
+    plan_span(server, 700, {"%%": (1000.0, 0.0)})
     text = assert_same(server, [], tmp_path)["attack_plan.jsonl"]
     assert '"deputy": ", \\"age_s\\": 5, "' in text
 
@@ -343,17 +349,16 @@ def test_repeat_after_a_tick_that_planned_nothing_adds_no_row():
     server = server_with()
     harvest(server, DeviceState(id="victim", rng=random.Random(9)), 0)
     factory = {"fac": (1000.0, 0.0)}
-    server.select_relays(600, factory)
-    server.repeat_plan(600, range(601, 603))
-    rows = list(zip(server.plan_t, server.plan_entry))
+    plan_span(server, 600, factory, range(601, 603))
+    rows = list(zip(server.plan.t, server.plan.key))
     assert rows == [(600, 0), (601, 0), (602, 0)]
 
-    assert server.select_relays(700, {"fac": (0.0, 0.0)}) == []  # no deputy in a target zone
-    server.repeat_plan(700, range(701, 710))
-    last = server.plan_entries[0]["deadline_t"]
-    assert server.select_relays(last + 1, factory) == []  # targets, but no live candidate
-    server.repeat_plan(last + 1, range(last + 2, last + 9))
-    assert list(zip(server.plan_t, server.plan_entry)) == rows
+    # no deputy in a target zone
+    assert plan_span(server, 700, {"fac": (0.0, 0.0)}, range(701, 710)) == []
+    last = server.plan.keys[0]["deadline_t"]
+    # targets, but no live candidate
+    assert plan_span(server, last + 1, factory, range(last + 2, last + 9)) == []
+    assert list(zip(server.plan.t, server.plan.key)) == rows
 
 
 def test_pair_planned_in_two_spans_is_one_entry_rendered_once(tmp_path, monkeypatch):
@@ -363,11 +368,11 @@ def test_pair_planned_in_two_spans_is_one_entry_rendered_once(tmp_path, monkeypa
     server = server_with()
     harvest(server, DeviceState(id="victim", rng=random.Random(10)), 0)
     plan(server, {"fac1": (1000.0, 0.0), "fac2": (1001.0, 0.0)})
-    assert len(server.plan_entries) == 2 and list(server.plan_entry) == [0, 1] * 5
+    assert len(server.plan.keys) == 2 and list(server.plan.key) == [0, 1] * 5
     calls, dumps = [], json.dumps
     monkeypatch.setattr(json, "dumps", lambda *args, **kw: calls.append(args) or dumps(*args, **kw))
     engine.write_attack_plan(server, tmp_path / "attack_plan.jsonl")
-    assert len(calls) == 2 * len(server.plan_entries)
+    assert len(calls) == 2 * len(server.plan.keys)
     monkeypatch.undo()
     want = "".join(json.dumps(d) + "\n" for d in reference_artifacts.decisions(server))
     assert (tmp_path / "attack_plan.jsonl").read_text() == want

@@ -49,7 +49,7 @@ def test_run_summary_counts_what_the_run_wrote(tmp_path, capsys, monkeypatch):
         r"attacker: (\d+) harvested frames, (\d+) relay decisions", capsys.readouterr().out).groups())
     [result] = runs
     lines = (tmp_path / "o" / "attack_plan.jsonl").read_text().splitlines()
-    assert decisions == len(lines) == len(result.attacker.plan_t) > len(result.attacker.plan_entries)
+    assert decisions == len(lines) == len(result.attacker.plan) > len(result.attacker.plan.keys)
     assert harvested == len(result.attacker.db) > 0
 
 

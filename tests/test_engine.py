@@ -241,26 +241,26 @@ class TestAttackStructure:
     def test_relay_decisions_consume_only_deputy_uploads(self):
         result = run_scenario(ScenarioConfig.from_dict(scenarios.hospital_replay()))
         deputies = set(result.deputies)
-        plan = result.attacker
-        assert plan.plan_t
-        for e in plan.plan_entry:
-            entry = plan.plan_entries[e]
+        plan = result.attacker.plan
+        assert len(plan)
+        for e in plan.key:
+            entry = plan.keys[e]
             assert entry["source_deputy"] in deputies
             assert entry["deputy"] in deputies
 
     def test_every_relay_emission_originates_from_deputy(self):
         result = run_scenario(ScenarioConfig.from_dict(scenarios.hospital_replay()))
         # every row has a link, and every link a row: its first hearing
-        relay_links = [link for link in result.world.events.links if link.relay]
+        relay_links = [link for link in result.world.events.keys if link.relay]
         assert relay_links
         assert {link.emitter for link in relay_links} <= set(result.deputies)
 
     def test_window_respected_in_plan(self):
         result = run_scenario(ScenarioConfig.from_dict(scenarios.hospital_replay()))
-        plan = result.attacker
-        assert plan.plan_t
-        for t, e in zip(plan.plan_t, plan.plan_entry):
-            assert t <= plan.plan_entries[e]["deadline_t"]
+        plan = result.attacker.plan
+        assert len(plan)
+        for t, e in zip(plan.t, plan.key):
+            assert t <= plan.keys[e]["deadline_t"]
 
     def test_relay_machinery_is_blind(self, monkeypatch):
         # no diagnosis ever happens: the whole harvest+tamper+relay pipeline
@@ -273,7 +273,7 @@ class TestAttackStructure:
         for node in raw["nodes"]:
             node.pop("diagnosed_at", None)
         result = run_scenario(ScenarioConfig.from_dict(raw))
-        assert any(link.relay for link in result.world.events.links)
+        assert any(link.relay for link in result.world.events.keys)
         assert result.notification_rows == []
 
 
@@ -313,11 +313,11 @@ class TestInjection:
         result = run_scenario(ScenarioConfig.from_dict(raw))
         dev = result.devices["b"]
         log, rows = dev.log, dev.sightings.tolist()
-        macs = {log.links[log.link[row]].mac for row in rows}
+        macs = {log.keys[log.key[row]].mac for row in rows}
         assert "AB:B1:E9:9E:1B:BA" in macs
-        hits = [row for row in rows if log.links[log.link[row]].mac == "AB:B1:E9:9E:1B:BA"]
+        hits = [row for row in rows if log.keys[log.key[row]].mac == "AB:B1:E9:9E:1B:BA"]
         assert len(hits) == 1
-        assert log.rssi[hits[0]] == -12.0
+        assert log.value[hits[0]] == -12.0
 
     def _with_deputy(self, injections):
         """small_scenario with a deputy "d" out of everyone's range, an attack
@@ -325,7 +325,7 @@ class TestInjection:
         raw = small_scenario()
         result = run_scenario(ScenarioConfig.from_dict(raw))
         log = result.world.events
-        payload = next(link.payload for link in log.links if link.emitter == "a")
+        payload = next(link.payload for link in log.keys if link.emitter == "a")
         raw["nodes"].append({"id": "d", "deputy": True, "trajectory": [[0, 1000.0, 0.0]]})
         raw["attack"] = {"target_zones": []}
         raw["injections"] = [{"t": 3, "receiver": receiver, "payload_hex": payload.hex(),
@@ -346,7 +346,7 @@ class TestInjection:
         # 2**53 + 1 has no float; the column holds the nearest, 2**53
         result = self._with_deputy([("d", 9007199254740993)])
         log = result.world.events
-        row, = [row for row in range(len(log)) if log.links[log.link[row]].mac == self.INJECTED_MAC]
+        row, = [row for row in range(len(log)) if log.keys[log.key[row]].mac == self.INJECTED_MAC]
         assert log.columns()[2][row].item() == 9007199254740992.0  # what matching reads
         record = result.attacker.record(row)
         assert type(record.rssi) is float and record.rssi == 9007199254740992.0
@@ -396,7 +396,7 @@ class TestDeterminism:
         r1 = run_scenario(ScenarioConfig.from_dict(small_scenario(seed=1)))
         r2 = run_scenario(ScenarioConfig.from_dict(small_scenario(seed=2)))
         def contents(log):
-            return [column.tobytes() for column in log.columns()], log.links
+            return [column.tobytes() for column in log.columns()], log.keys
 
         assert contents(r1.world.events) != contents(r2.world.events)
 
@@ -441,7 +441,7 @@ class TestComputeOnce:
         assert calls["regenerate_day"] == len(result.published) == 1
         # each distinct payload of the run is decoded once, however many devices
         # heard it (each frame here is heard by two)
-        distinct_payloads = {link.payload for link in result.world.events.links}
+        distinct_payloads = {link.payload for link in result.world.events.keys}
         assert calls["decode"] == len(distinct_payloads) == len(result.devices) * intervals
         # b and c decrypt each of a's frames once; a hears only unpublished keys
         assert calls["decrypt_aem"] == 2 * intervals
@@ -459,7 +459,7 @@ class TestComputeOnce:
         monkeypatch.setattr(beacon, "decode", counted)
         result = run_scenario(ScenarioConfig.from_dict(getattr(scenarios, name)()))
         assert result.attacker.harvest_links and result.published
-        distinct_payloads = {link.payload for link in result.world.events.links}
+        distinct_payloads = {link.payload for link in result.world.events.keys}
         assert set(calls) == distinct_payloads
         assert sum(calls.values()) == len(distinct_payloads)
 
@@ -473,8 +473,8 @@ class TestComputeOnce:
 
         monkeypatch.setattr(beacon, "encode_gaen", counted)
         result = run_scenario(ScenarioConfig.from_dict(scenarios.targeted_replay()))
-        plan = result.attacker
-        relayed = {plan.plan_entries[e]["rpi_hex"] for e in plan.plan_entry}
-        assert len(plan.plan_t) > len(relayed) > 0
+        plan = result.attacker.plan
+        relayed = {plan.keys[e]["rpi_hex"] for e in plan.key}
+        assert len(plan) > len(relayed) > 0
         device_intervals = sum(len(dev.mac_history) for dev in result.devices.values())
         assert calls["encode_gaen"] == device_intervals + len(relayed)

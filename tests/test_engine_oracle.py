@@ -11,7 +11,8 @@ an interval, a short replay horizon, no cap on relays per deputy, and an
 attack with no target zones. Every artifact must match byte for byte, and
 the attacker's two artifacts must also be what reference_artifacts.py writes
 for the tick-by-tick run: one `json.dumps` per relay decision, one
-`json.dump(indent=2)` of the dossiers.
+`json.dump(indent=2)` of the dossiers. The scan log's and the relay plan's
+rows (their columns, keys and first rows) must match byte for byte too.
 """
 
 import copy
@@ -122,6 +123,12 @@ def assert_same_run(raw, tmp_path):
     for a, b in zip(got.world.events.columns(), want.world.events.columns()):
         assert a.view(np.uint8).tobytes() == b.view(np.uint8).tobytes()
     assert got.world.events.first == want.world.events.first
+    if want.attacker is not None:  # the plan's rows, not only the text they write
+        got_plan, want_plan = got.attacker.plan, want.attacker.plan
+        for a, b in zip(got_plan.columns(), want_plan.columns()):
+            assert a.view(np.uint8).tobytes() == b.view(np.uint8).tobytes()
+        assert list(map(repr, got_plan.keys)) == list(map(repr, want_plan.keys))
+        assert got_plan.first == want_plan.first
     assert got.world._rng.getstate() == want.world._rng.getstate()
     return got
 
@@ -130,7 +137,7 @@ def assert_same_run(raw, tmp_path):
 def test_spans_write_what_ticks_write(name, tmp_path):
     got = assert_same_run(CASES[name], tmp_path)
     if name.startswith(("tick7", "noisy", "latency", "window")):
-        assert got.attacker.plan_t  # the attack relays, so the plan is compared too
+        assert len(got.attacker.plan)  # the attack relays, so the plan is compared too
 
 
 @st.composite

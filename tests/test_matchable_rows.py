@@ -31,7 +31,7 @@ VISITOR = "visitor0"  # diagnosed; its frames are harvested and relayed to the w
 def reference_rows(result) -> list:
     """`result.notification_rows` as matching over every row each device heard gives them."""
     log = result.world.events
-    every = log.group(lambda link_id: log.links[link_id].receiver, np.arange(len(log)))
+    every = log.group(lambda link_id: log.keys[link_id].receiver, np.arange(len(log)))
     teks = [e.tek for e in result.published]
     rows = []
     for nid in sorted(result.devices):
@@ -40,7 +40,7 @@ def reference_rows(result) -> list:
         assert np.array_equal(dev.sightings, heard)
         state = SimpleNamespace(sightings=reference_radio.sightings(log, heard),
                                 tek_history=dev.tek_history, current_tek=dev.current_tek)
-        direct = [log.links[log.link[row]].direct for row in heard.tolist()]
+        direct = [log.keys[log.key[row]].direct for row in heard.tolist()]
         for note in reference_matching.match_exposures(state, teks, result.config.matching, direct):
             rows.append({
                 "device_id": nid,
@@ -60,7 +60,7 @@ def reference_dossiers(result) -> list:
     if server is None:
         return []
     log = server.log
-    kept = [row for row in range(len(log)) if log.link[row] in server.harvest_links]
+    kept = [row for row in range(len(log)) if log.key[row] in server.harvest_links]
     return reference_matching.reidentify(
         SimpleNamespace(db=list(map(server.record, kept)), policy=server.policy), result.published)
 
@@ -75,7 +75,7 @@ def assert_matches_every_row(raw):
 def payload_of(node_id) -> str:
     """The payload of `node_id`'s first broadcast in the default scenario."""
     log = engine.run_scenario(engine.ScenarioConfig.from_dict(scenario())).world.events
-    return next(link.payload for link in log.links if link.emitter == node_id).hex()
+    return next(link.payload for link in log.keys if link.emitter == node_id).hex()
 
 
 def _inject(t, receiver, payload_hex):
@@ -113,7 +113,7 @@ def test_edge_cases(name):
 def test_relayed_published_identifiers_match():
     result = assert_matches_every_row(scenario())
     log = result.world.events
-    relayed = [log.links[log.link[row]].relay for row in range(len(log))]
+    relayed = [log.keys[log.key[row]].relay for row in range(len(log))]
     assert any(relayed)
     assert {r["device_id"] for r in result.notification_rows} & {"worker0", "worker1"}
 
@@ -147,9 +147,9 @@ def allowed_rows(result) -> set:
         kind = beacon.decode(link.payload, link.mac).kind
         return isinstance(kind, beacon.Gaen) and kind.rpi in published
 
-    keep = {link_id for link_id, link in enumerate(log.links) if carries_published(link)
+    keep = {link_id for link_id, link in enumerate(log.keys) if carries_published(link)
             and (link.receiver in result.devices or link_id in harvested)}
-    return {row for row in range(len(log)) if log.link[row] in keep}
+    return {row for row in range(len(log)) if log.key[row] in keep}
 
 
 @pytest.mark.parametrize("name", ["tick7_float_waypoints", "injections_first_and_last_tick",

@@ -109,7 +109,7 @@ def test_match_exposures_equals_reference(world):
 
     log = _world_of(sightings, {"rx": "app"}).events
     receiver.log = log
-    every = log.group(lambda link_id: log.links[link_id].receiver, np.arange(len(log)))
+    every = log.group(lambda link_id: log.keys[link_id].receiver, np.arange(len(log)))
     assert np.array_equal(receiver.sightings, every.get("rx", NO_ROWS))
     assert reference_radio.same(reference_radio.sightings(receiver.log, receiver.sightings), stored)
     assert match_exposures(receiver, published, params, index=index) == expected

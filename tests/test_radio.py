@@ -1,17 +1,21 @@
 import math
+from array import array
 from random import Random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ensim.beacon import encode_gaen
 from ensim.radio import (
     MIN_DISTANCE_M,
     NOISE_CHUNK_PAIRS,
     Emission,
+    Link,
     NoiseAhead,
     NodeSpec,
     PathLoss,
+    RowLog,
     ScanLog,
     Sighting,
     World,
@@ -39,13 +43,13 @@ def make_world(nodes, duration=60, seed=0, radio_range_max=50.0, noise_sigma=0.0
 def heard(log, rows):
     """(receiver, emitter, t, rssi) of each of `rows`, read from the columns and links."""
     t_col, link_col, rssi_col = log.columns()
-    return [(log.links[link_id].receiver, log.links[link_id].emitter, t, rssi) for link_id, t, rssi
+    return [(log.keys[link_id].receiver, log.keys[link_id].emitter, t, rssi) for link_id, t, rssi
             in zip(link_col[rows].tolist(), t_col[rows].tolist(), rssi_col[rows].tolist())]
 
 
 def contents(log):
     """Each column's bytes and the links: everything a log holds."""
-    return [column.tobytes() for column in log.columns()], log.links
+    return [column.tobytes() for column in log.columns()], log.keys
 
 
 def still(nid, x, y, **kw):
@@ -212,8 +216,8 @@ class TestStep:
         em = Emission("e", self.payload(), "ee:ee:ee:ee:ee:ee", 0)
         for t in range(4):
             w.step(t, [em])
-        assert len(w.events.links) == 3
-        assert w.events.link.tolist() == [0, 1, 0, 2]
+        assert len(w.events.keys) == 3
+        assert w.events.key.tolist() == [0, 1, 0, 2]
         write_event_log(w.events, tmp_path / "events.jsonl")
         lines = (tmp_path / "events.jsonl").read_text().splitlines()
         assert [line[line.index('"rx_x"'):line.index(', "payload_hex"')] for line in lines] == [
@@ -265,7 +269,7 @@ def every(log):
 
 class TestGroup:
     def receiver(self, log):
-        return lambda link_id: log.links[link_id].receiver
+        return lambda link_id: log.keys[link_id].receiver
 
     def test_parts_in_log_order(self):
         log = logged(("a", b"1"), ("b", b"1"), ("a", b"1"), ("b", b"1"), ("b", b"1"), ("a", b"1"))
@@ -273,8 +277,8 @@ class TestGroup:
 
     def test_none_keys_dropped(self):
         log = logged(("a", b"1"), ("b", b"1"), ("c", b"1"), ("a", b"1"))
-        groups = log.group(lambda link_id: None if log.links[link_id].receiver == "b" else
-                           log.links[link_id].receiver, every(log))
+        groups = log.group(lambda link_id: None if log.keys[link_id].receiver == "b" else
+                           log.keys[link_id].receiver, every(log))
         assert parts(groups) == {"a": [0, 3], "c": [2]}
         assert log.group(lambda link_id: None, every(log)) == {}
 
@@ -284,7 +288,7 @@ class TestGroup:
         groups = log.group(self.receiver(log), every(log))
         assert list(groups) == ["a", "b"]
         assert parts(groups) == {"a": [0, 2, 3, 5], "b": [1, 4]}
-        by_payload = log.group(lambda link_id: log.links[link_id].payload, every(log))
+        by_payload = log.group(lambda link_id: log.keys[link_id].payload, every(log))
         assert parts(by_payload) == {b"1": [0, 1, 3, 4], b"2": [2, 5]}
 
     def test_rows_subset(self):
@@ -293,7 +297,7 @@ class TestGroup:
 
         def key(link_id):
             calls.append(link_id)
-            return log.links[link_id].receiver
+            return log.keys[link_id].receiver
 
         groups = log.group(key, np.array([1, 3, 4, 5]))
         assert parts(groups) == {"b": [1, 4], "a": [3, 5]}
@@ -323,12 +327,64 @@ class TestGroup:
         assert all(rows.tolist() == [k] for k, rows in groups.items())
 
 
+# links that compare equal in pairs but are written differently: rx 0.0 and
+# -0.0, int and float
+LINKS = [Link(receiver, "e", relay, "ee:ee:ee:ee:ee:ee", b"p", rx)
+         for receiver in ("a", "b") for relay in (False, True)
+         for rx in ((0.0, 0.0), (-0.0, 0.0), (0, 0.0), (0.0, -0.0))]
+
+
+class TestRowLog:
+    @settings(max_examples=100, deadline=None)
+    @given(template=st.lists(st.tuples(st.integers(0, len(LINKS) - 1), st.floats(width=64)),
+                             max_size=50),
+           t=st.integers(0, 10**6), k=st.integers(0, 20), valued=st.booleans())
+    def test_repeat_is_appending_tick_by_tick(self, template, t, k, valued):
+        """One tick's rows, interned as `World.step` interns them, repeated at
+        each of `times` in one call, are the columns that appending each row of
+        each tick on its own gives; key ids run in order of first use, `first`
+        holds each key's first row, and a log given no values keeps none."""
+        times = range(t, t + 7 * k, 7)
+        repeated, appended = RowLog(), RowLog()
+        for log in (repeated, appended):
+            ids = array("i", [log.intern(LINKS[i].ident, LINKS[i], row)
+                              for row, (i, _) in enumerate(template)])
+        values = array("d", [value for _, value in template])
+        repeated.repeat(times, ids, values if valued else None)
+        for time in times:
+            for key_id, value in zip(ids, values):
+                appended.t.append(time)
+                appended.key.append(key_id)
+                if valued:
+                    appended.value.append(value)
+
+        assert len(repeated) == len(appended) == len(template) * k
+        for a, b in zip(repeated.columns(), appended.columns()):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        first_use = {}  # ident -> (link, first row of the template)
+        for row, (i, _) in enumerate(template):
+            first_use.setdefault(LINKS[i].ident, (LINKS[i], row))
+        assert list(map(repr, repeated.keys)) == [repr(link) for link, _ in first_use.values()]
+        assert list(repeated.first) == [row for _, row in first_use.values()]
+        assert ids.tolist() == [list(first_use).index(LINKS[i].ident) for i, _ in template]
+        if not valued:
+            assert len(repeated.value) == 0 and len(repeated.columns()[2]) == 0
+
+    def test_signed_zero_rx_links_are_separate_keys(self):
+        log = RowLog()
+        zero, negative = LINKS[0], LINKS[1]
+        assert zero == negative and zero.ident != negative.ident
+        ids = [log.intern(link.ident, link, row) for row, link in enumerate((zero, negative, zero))]
+        assert ids == [0, 1, 0]
+        assert log.keys[1].rx == (-0.0, 0.0) and list(log.first) == [0, 1]
+
+
 class TestInject:
     def test_injected_sighting_present_once(self):
         w = make_world([still("a", 0, 0, app=True)])
         s = Sighting(encode_gaen(bytes(16), bytes(4)), "AB:B1:E9:9E:1B:BA", -12.0, 3, (0.0, 0.0))
         w.inject("a", s)
-        links = [w.events.links[link_id] for link_id in w.events.link]
+        links = [w.events.keys[link_id] for link_id in w.events.key]
         hits = [link for link in links if link.receiver == "a"]
         assert len(hits) == 1
         assert hits[0].mac == "AB:B1:E9:9E:1B:BA"

@@ -146,7 +146,7 @@ def assert_same_log(got, want):
     (told apart by repr, as 0 and 0.0 are) and the same first hearings."""
     for a, b in zip(got.events.columns(), want.events.columns()):
         assert a.tobytes() == b.tobytes()
-    assert list(map(repr, got.events.links)) == list(map(repr, want.events.links))
+    assert list(map(repr, got.events.keys)) == list(map(repr, want.events.keys))
     assert got.events.first == want.events.first
 
 
@@ -347,7 +347,7 @@ def test_scan_log_readers_match_per_event_routing(run):
     index = crypto.identifier_index(published)
     assert ref.same(server.reidentify(entries, index=index), reference_matching.reidentify(
         SimpleNamespace(db=route.db, policy=policy), entries))
-    receivers = fast.events.group(lambda link_id: fast.events.links[link_id].receiver,
+    receivers = fast.events.group(lambda link_id: fast.events.keys[link_id].receiver,
                                   np.arange(len(fast.events)))
     for nid, dev in devices.items():
         dev.log = fast.events
