@@ -54,11 +54,26 @@ Gates, with k = 20 seeds of m rows each (m is the same on every seed):
    less the honest one is within 4 standard errors (their variances added)
    of Δ / (10·n).
 
-The notification rate, P(X >= duration_threshold / tick), is not gated:
-it is a binomial tail in p, and no tolerance for it is derived here.
+Notification rate, reported and not gated. A device is notified of a key
+when its close matched rows of that key's identifiers fall on at least
+c = ceil(duration_threshold / tick) distinct ticks (`device.match_exposures`
+counts distinct ticks times tick). The static pair's b hears one row of a's
+one key a tick, all inside the key's windows, so its close ticks are the
+close-row count X ~ Binomial(m, p(d)) above, and
+
+    P(notified) = P(X >= c) = sum_{k=c..m} C(m, k) · p^k · (1 - p)^(m - k).
+
+With m = 1800 and c = 900 this tail is about 0 at p <= 1/4, 1 at p >= 3/4,
+and 0.509 at p = 1/2, where it moves by about 34 per unit of p. An error in
+p as small as gate 1 allows (4 standard errors, 0.011 at p = 1/2) moves it
+by 0.36, more than the 0.11 standard error of a fraction over 20 seeds, so
+no tolerance is derived. `test_notification_rate_report`
+prints each case's notified fraction over the seeds next to this tail
+(`pytest tests/test_closed_forms.py -rP` shows it).
 """
 
 import copy
+import math
 from functools import lru_cache
 from statistics import NormalDist
 
@@ -121,8 +136,9 @@ def distance_at(p: float, name: str, sigma: float, masked: bool) -> float:
 
 
 def close_rows(raw: dict, receiver: str) -> tuple:
-    """(the receiver's rows, how many of them are close): each row's claimed
-    power is decrypted from its frame under the published key of its identifier."""
+    """(the receiver's rows, how many of them are close, whether it was
+    notified): each row's claimed power is decrypted from its frame under the
+    published key of its identifier."""
     cfg = ScenarioConfig.from_dict(raw)
     result = run_scenario(cfg)
     log, published = result.world.events, result.published
@@ -137,39 +153,42 @@ def close_rows(raw: dict, receiver: str) -> tuple:
         close += int((att <= cfg.matching.attenuation_threshold).sum())
         matched += len(group)
     assert matched == len(rows) > 0  # every row carries a published identifier
-    return len(rows), close
+    notified = any(row["device_id"] == receiver for row in result.notification_rows)
+    return len(rows), close, notified
 
 
 @lru_cache(maxsize=None)
 def measure(name: str, sigma: float, masked: bool) -> dict:
-    """{p: (d, rows per seed, per-seed close counts)} over P_GRID and SEEDS."""
+    """{p: (d, rows per seed, per-seed close counts, seeds notified)} over
+    P_GRID and SEEDS."""
     out = {}
     for p in P_GRID:
         d = distance_at(p, name, sigma, masked)
         raw, receiver = scene(name, d, masked)
         raw["world"]["path_loss"]["noise_sigma"] = sigma
-        sizes, counts = [], []
+        sizes, counts, notified = [], [], 0
         for seed in SEEDS:
             run = copy.deepcopy(raw)
             run["seed"] = seed
-            m, close = close_rows(run, receiver)
+            m, close, note = close_rows(run, receiver)
             sizes.append(m)
             counts.append(close)
+            notified += note
         assert len(set(sizes)) == 1
-        out[p] = (d, sizes[0], np.array(counts, dtype=float))
+        out[p] = (d, sizes[0], np.array(counts, dtype=float), notified)
     return out
 
 
 @pytest.mark.parametrize("name, sigma, masked", CASES)
 def test_close_fraction_is_p_of_d(name, sigma, masked):
-    for p, (_d, m, counts) in measure(name, sigma, masked).items():
+    for p, (_d, m, counts, _notified) in measure(name, sigma, masked).items():
         n = len(counts) * m
         assert abs(counts.sum() / n - p) <= Z_BOUND * (p * (1 - p) / n) ** 0.5, p
 
 
 @pytest.mark.parametrize("name, sigma, masked", CASES)
 def test_per_seed_counts_spread_as_binomial(name, sigma, masked):
-    for p, (_d, m, counts) in measure(name, sigma, masked).items():
+    for p, (_d, m, counts, _notified) in measure(name, sigma, masked).items():
         assert len(counts) == 20  # the quantiles are chi2(19)'s
         statistic = (len(counts) - 1) * counts.var(ddof=1) / (m * p * (1 - p))
         assert CHI2_19_LOW <= statistic <= CHI2_19_HIGH, (p, statistic)
@@ -180,7 +199,7 @@ def log_d50(name: str, sigma: float, masked: bool) -> tuple:
     and its variance."""
     scale = sigma / (10 * exponent())
     estimates, weights = [], []
-    for p, (d, m, counts) in measure(name, sigma, masked).items():
+    for p, (d, m, counts, _notified) in measure(name, sigma, masked).items():
         f = counts.sum() / (len(counts) * m)
         z = PHI.inv_cdf(1 - p)
         estimates.append(np.log10(d) - scale * PHI.inv_cdf(1 - f))
@@ -199,3 +218,24 @@ def test_mask_multiplies_the_50_percent_distance(sigma):
         Z_BOUND * honest_var ** 0.5)
     assert abs((masked - honest) - delta / (10 * exponent())) <= Z_BOUND * (
         honest_var + masked_var) ** 0.5
+
+
+def binomial_tail(m: int, p: float, c: int) -> float:
+    """P(X >= c) for X ~ Binomial(m, p), 0 < p < 1, summed in log space."""
+    def log_pmf(k):
+        return (math.lgamma(m + 1) - math.lgamma(k + 1) - math.lgamma(m - k + 1)
+                + k * math.log(p) + (m - k) * math.log1p(-p))
+
+    return math.fsum(math.exp(log_pmf(k)) for k in range(c, m + 1))
+
+
+@pytest.mark.parametrize("sigma", SIGMAS)
+def test_notification_rate_report(sigma):
+    raw, _ = scene("static_pair", 1.0, False)
+    tick, threshold = raw["world"]["tick"], raw["matching"]["duration_threshold"]
+    c = -(-threshold // tick)
+    print(f"static_pair, sigma {sigma}: notified fraction over {len(SEEDS)} seeds "
+          f"vs P(X >= {c}), X ~ Binomial(m, p)")
+    for p, (d, m, _counts, notified) in measure("static_pair", sigma, False).items():
+        print(f"  p {p:.2f}  d {d:6.3f} m  rows {m}  notified {notified / len(SEEDS):.2f}  "
+              f"tail {binomial_tail(m, p, c):.4f}")

@@ -168,10 +168,14 @@ def test_benchmark_and_bundled_configs_parse():
 
 
 def test_bundled_files_match_builders():
-    # scenarios/*.json are generated; keep them in sync with the builders
+    # scenarios/ holds exactly the builders as scripts/make_scenarios.py writes them
+    folder = REPO / "scenarios"
+    assert sorted(p.name for p in folder.iterdir()) == sorted(
+        f"{name}.json" for name in scenarios.BUILDERS), "run scripts/make_scenarios.py"
     for name, builder in scenarios.BUILDERS.items():
-        on_disk = json.loads((REPO / "scenarios" / f"{name}.json").read_text())
-        assert on_disk == builder(), f"{name}: run scripts/make_scenarios.py"
+        on_disk = (folder / f"{name}.json").read_text()
+        assert on_disk == json.dumps(builder(), indent=2) + "\n", (
+            f"{name}: run scripts/make_scenarios.py")
 
 
 class TestBaselineRun:

@@ -10,6 +10,7 @@ from ensim.beacon import encode_gaen
 from ensim.radio import (
     MIN_DISTANCE_M,
     NOISE_CHUNK_PAIRS,
+    TWOPI,
     Emission,
     Link,
     NoiseAhead,
@@ -247,6 +248,25 @@ class TestNoiseAhead:
         drained = np.array([reference.gauss(0.0, sigma) for _ in range(len(ahead))])
         assert ahead.view(np.int64).tolist() == drained.view(np.int64).tolist()
         assert rng.getstate() == reference.getstate()
+
+
+def test_numpy_cos_and_sin_are_math_cos_and_sin():
+    """`NoiseAhead._draw` takes numpy's float64 cos and sin where `Random.gauss`
+    takes `math`'s; the two must agree bit for bit on every angle it makes."""
+    k = np.random.default_rng(0).integers(0, 1 << 53, size=1 << 20, dtype=np.int64)
+    edges = [0, 1, (1 << 53) - 1] + [(q << 51) + d for q in (1, 2, 3) for d in (-2, -1, 0, 1, 2)]
+    angles = np.concatenate((k, edges)) * 2.0 ** -53 * TWOPI  # u * TWOPI, as _draw makes it
+    listed = angles.tolist()
+    for ufunc, reference in ((np.cos, math.cos), (np.sin, math.sin)):
+        got = ufunc(angles).view(np.int64)
+        want = np.fromiter(map(reference, listed), float, len(listed)).view(np.int64)
+        off = np.flatnonzero(got != want)
+        assert len(off) == 0, (
+            f"np.{ufunc.__name__} differs from math.{reference.__name__} on {len(off)} angles "
+            f"(first {listed[off[0]]!r}): the noisy bits move, so TestNoiseAhead, "
+            "tests/test_radio_oracle.py, tests/data/golden_digests_noisy.json, "
+            "perfbench/digests.json and the low-repeat digests "
+            "(tests/test_low_repeat_probe.py) no longer hold")
 
 
 def logged(*rows):
