@@ -16,16 +16,22 @@ exactly in expectation.
 Each membership is drawn as `rng.random(n) < alpha` would draw it, word for
 word, without the doubles: with PCG64, numpy's `random()` is
 `(raw >> 11) * 2**-53` on one raw 64-bit word, so the comparison is done on
-the raw words (see `_members`), 2**19 at a time. This relies on
+the raw words (see `_members`), 2**17 at a time. This relies on
 `default_rng` being PCG64 and on its 53-bit `random()`; a numpy that changed
 either would fail the pinned `coverage.csv` digests and the float-draw
 oracle in the tests.
+
+`sweep` runs its cells on a pool of threads, one per usable CPU: numpy
+releases the GIL while it draws and gathers, which is most of a cell. Each
+cell has its own model and its own generator, seeded from its place in the
+grid, so the reports, and `coverage.csv`, do not depend on the pool's size.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+import os
 from typing import NamedTuple
 
 import numpy as np
@@ -66,13 +72,15 @@ class VisibilityReport(NamedTuple):
         return self.attacker_known / self.infected_total if self.infected_total else 0.0
 
 
-# raw words per chunk: 4 MiB, so a membership draw holds n bytes plus one chunk
-# (8n up to n = 2**19, as the doubles did). Not smaller: freeing a block this
-# large raises glibc's dynamic mmap and trim thresholds above a cell's arrays,
-# which then stay on the heap from cell to cell. With 2**15-word chunks the
-# heap was trimmed after every cell and faulted back in (about 800 minor faults
-# a cell at n = 500,000), and the sweep was no faster than with doubles.
-_CHUNK = 1 << 19
+# raw words per chunk: 1 MiB, so a membership draw holds n bytes plus one chunk
+# (8n up to n = 2**17). `sweep` runs one cell per CPU, each with its own chunk:
+# on the bundled sweep (n = 500,000) with two cells in flight, paper_suite's
+# peak RSS rose about 5 MB with 2**19-word chunks and 1.4 MB with 2**18, and
+# stayed under the one-cell-at-a-time peak with 2**17. Larger chunks are faster
+# on one CPU: freeing a block of 2**18 words or more raises glibc's dynamic mmap
+# and trim thresholds above a cell's arrays, which then stay on the heap; at
+# 2**17 about 350 pages a cell are trimmed and faulted back in (2**15: 490).
+_CHUNK = 1 << 17
 
 
 def _members(rng: np.random.Generator, n: int, alpha: float) -> np.ndarray:
@@ -102,13 +110,17 @@ def _draw(model: PopulationModel):
     sc = _members(rng, model.n, model.alpha_sc)
     cd = _members(rng, model.n, model.alpha_cd)
     infected = _members(rng, model.n, model.infected_fraction)
-    a = rng.integers(0, model.n, model.n_contacts)
+    # int32 draws the values int64 would, leaving the same state, for n < 2**31;
+    # b reaches 2n - 2, which fits while 2n < 2**31 (SWEEP_FIELDS caps n at 10**7)
+    a = rng.integers(0, model.n, model.n_contacts, dtype=np.int32)
     # offset trick keeps endpoints distinct and uniform; 1 <= a + 1 + r <= 2n - 2,
     # so mod n is subtracting n where it reaches n: in unsigned words b - n wraps
     # above b exactly where b < n, so the minimum of the two is b mod n
-    b = a + 1 + rng.integers(0, model.n - 1, model.n_contacts)
-    words = b.view(np.uint64)
-    np.minimum(words, words - np.uint64(model.n), out=words)
+    b = rng.integers(0, model.n - 1, model.n_contacts, dtype=np.int32)
+    b += a
+    b += 1
+    words = b.view(np.uint32)
+    np.minimum(words, words - np.uint32(model.n), out=words)
     return sc, cd, infected, a, b
 
 
@@ -163,21 +175,32 @@ def visibility_from_run(infected_ids, deputy_ids, published_owner_ids, harvested
     )
 
 
+def _cpus() -> int:
+    """The CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no sched_getaffinity on this platform
+        return os.cpu_count() or 1
+
+
+# cell (i, j) of a sweep is seeded seed * 1,000,003 + i * AXIS_MAX + j, so the
+# cells of a grid draw apart while each axis has at most AXIS_MAX values
+AXIS_MAX = 1009
 _DEFAULT = PopulationModel._field_defaults  # a NamedTuple's class attributes are its fields
 
 
 def sweep(alphas_sc, alphas_cd, n=_DEFAULT["n"], n_contacts=_DEFAULT["n_contacts"],
           seed=_DEFAULT["seed"], one_sided_quality=_DEFAULT["one_sided_quality"]) -> list[CoverageReport]:
-    """One coverage report per grid point, deterministic per-cell seeding."""
-    reports = []
-    for i, a_sc in enumerate(alphas_sc):
-        for j, a_cd in enumerate(alphas_cd):
-            cell_seed = seed * 1_000_003 + i * 1009 + j
-            reports.append(simulate_coverage(PopulationModel(
-                n=n, alpha_sc=a_sc, alpha_cd=a_cd, n_contacts=n_contacts,
-                seed=cell_seed, one_sided_quality=one_sided_quality,
-            )))
-    return reports
+    """One coverage report per grid point, in grid order, deterministic per-cell seeding."""
+    # imported here: it takes about 2 ms, and every import of ensim would pay it
+    from concurrent.futures import ThreadPoolExecutor
+
+    models = [PopulationModel(n=n, alpha_sc=a_sc, alpha_cd=a_cd, n_contacts=n_contacts,
+                              seed=seed * 1_000_003 + i * AXIS_MAX + j,
+                              one_sided_quality=one_sided_quality)
+              for i, a_sc in enumerate(alphas_sc) for j, a_cd in enumerate(alphas_cd)]
+    with ThreadPoolExecutor(max(1, min(len(models), _cpus()))) as pool:
+        return list(pool.map(simulate_coverage, models))
 
 
 def write_sweep_csv(reports, path) -> None:

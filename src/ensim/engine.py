@@ -258,8 +258,10 @@ SCENARIO_FIELDS = {
     "attack": optional(_attack),
     "injections": list_of(obj(INJECTION_FIELDS, InjectionSpec)),
 }
-# a sweep with an empty axis has no grid point
-ALPHAS = _check(bool, "a non-empty list of numbers in [0, 1]", list_of(number(0, 1)))
+# a sweep with an empty axis has no grid point; with more than AXIS_MAX
+# alphas_cd two of its cells would share a seed (both axes take the one cap)
+ALPHAS = _check(lambda v: 0 < len(v) <= coverage_mod.AXIS_MAX,
+                f"a list of 1 to {coverage_mod.AXIS_MAX} numbers in [0, 1]", list_of(number(0, 1)))
 SWEEP_FIELDS = {  # all but schema_version, kind and name are arguments of coverage.sweep
     "schema_version": const(SCHEMA_VERSION),
     "kind": required(const("sweep")),
@@ -267,7 +269,8 @@ SWEEP_FIELDS = {  # all but schema_version, kind and name are arguments of cover
     "seed": required(integer(0)),
     "alphas_sc": required(ALPHAS),
     "alphas_cd": required(ALPHAS),
-    # bounded so the population and the contact list fit in memory
+    # bounded so the population and the contact list fit in memory once per CPU
+    # (coverage.sweep runs a cell per CPU), and the endpoints in int32 (2n < 2**31)
     "n": integer(2, 10**7),
     "n_contacts": integer(1, 10**7),
     "one_sided_quality": number(0, 1),

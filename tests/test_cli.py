@@ -174,6 +174,10 @@ INVALID_CONFIGS = {
     # no grid point: exited 0 with a header-only coverage.csv
     "sweep alphas_sc []": ("sweep", [(("alphas_sc",), [])], "'alphas_sc'"),
     "sweep alphas_cd []": ("sweep", [(("alphas_cd",), [])], "'alphas_cd'"),
+    # cell (i, j) is seeded seed * 1,000,003 + i * 1009 + j: (0, 1009) drew what (1, 0) drew
+    "sweep 1010 alphas_cd": ("sweep", [(("alphas_sc",), [0.5, 0.5]), (("alphas_cd",), [0.5] * 1010)],
+                             "'alphas_cd'"),
+    "sweep 1010 alphas_sc": ("sweep", [(("alphas_sc",), [0.5] * 1010)], "'alphas_sc'"),
     "sweep n 'x'": ("sweep", [(("n",), "x")], "'n'"),
     "sweep seed -1": ("sweep", [(("seed",), -1)], "'seed'"),
     "top-level []": ("scenario", [((), [])], "'config' must be a JSON object"),
@@ -203,6 +207,12 @@ def test_invalid_config_exits_2_naming_field(case, tmp_path, capsys):
     rc = main(["run", str(cfg), "--out", str(tmp_path / "o")])
     assert rc == 2
     assert expected in capsys.readouterr().err
+
+
+def test_longest_alphas_load():
+    raw = dict(SMALL_SWEEP, alphas_sc=[0.5] * 1009, alphas_cd=[i / 1008 for i in range(1009)])
+    params = engine.load_config(raw).params
+    assert len(params["alphas_sc"]) == len(params["alphas_cd"]) == 1009
 
 
 def test_longest_duration_runs(tmp_path):

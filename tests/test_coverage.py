@@ -1,8 +1,12 @@
+import concurrent.futures
 import math
+import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from ensim import coverage
 from ensim.coverage import (
     CoverageReport,
     PopulationModel,
@@ -108,6 +112,63 @@ class TestSweep:
         lines = out.read_text().strip().splitlines()
         assert lines[0] == "alpha_sc,alpha_cd,sc_coverage,attacker_coverage,n_contacts,seed"
         assert len(lines) == 5
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**64 - 1), st.one_of(st.integers(1, 10**7), st.just(2**31 - 1)),
+       st.integers(0, 3000))
+def test_int32_endpoints_are_the_int64_draws(seed, k, m):
+    # `_draw` takes contact endpoints as int32, relying on this
+    rng32, rng64 = np.random.default_rng(seed), np.random.default_rng(seed)
+    assert np.array_equal(rng32.integers(0, k, m, dtype=np.int32), rng64.integers(0, k, m))
+    assert rng32.bit_generator.state == rng64.bit_generator.state
+
+
+class TestSweepPool:
+    # fractions of 0 and 1 skip their words; interior ones draw them
+    GRIDS = [([0.0, 0.3, 1.0], [1.0, 0.45, 0.0, 0.8]), ([0.5], [0.0, 1.0]), ([0.2], [0.7])]
+
+    @pytest.fixture
+    def pools(self, monkeypatch):
+        """The worker counts of the pools `sweep` makes."""
+        sizes = []
+
+        class Recorded(concurrent.futures.ThreadPoolExecutor):
+            def __init__(self, max_workers, **kw):
+                sizes.append(max_workers)
+                super().__init__(max_workers, **kw)
+
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Recorded)
+        return sizes
+
+    @pytest.mark.parametrize("cpus", [1, 2, 5])
+    @pytest.mark.parametrize("alphas_sc, alphas_cd", GRIDS)
+    def test_reports_are_each_cell_in_grid_order(self, cpus, alphas_sc, alphas_cd, pools, monkeypatch):
+        monkeypatch.setattr(coverage, "_cpus", lambda: cpus)
+        want = [simulate_coverage(PopulationModel(
+                    n=3_001, alpha_sc=a_sc, alpha_cd=a_cd, n_contacts=4_000,
+                    seed=9 * 1_000_003 + i * 1009 + j, one_sided_quality=0.5))
+                for i, a_sc in enumerate(alphas_sc) for j, a_cd in enumerate(alphas_cd)]
+        got = sweep(alphas_sc, alphas_cd, n=3_001, n_contacts=4_000, seed=9, one_sided_quality=0.5)
+        assert got == want
+        assert pools == [min(len(want), cpus)]
+
+    def test_a_failing_cell_raises_its_error(self, monkeypatch):
+        monkeypatch.setattr(coverage, "_cpus", lambda: 2)
+        outcome = []
+
+        def run():
+            try:
+                # n = 1 leaves no partner to draw: integers(0, 0) raises
+                outcome.append(sweep([0.2, 0.5], [0.5, 1.0, 0.0], n=1, n_contacts=10))
+            except ValueError as e:
+                outcome.append(e)
+
+        worker = threading.Thread(target=run, daemon=True)
+        worker.start()
+        worker.join(timeout=60)
+        assert outcome, "sweep did not return"
+        assert isinstance(outcome[0], ValueError) and "high" in str(outcome[0])
 
 
 class TestInfectedVisibility:
