@@ -33,13 +33,13 @@ under: that is the MAC linkage a side database of MACs joins on.
 
 The relay plan (`plan`) is a `radio.RowLog`, as the scan log is: each
 relay decision on each tick is one row, its time and its entry (the row's
-key); it has no values. An identifier's first relay makes its masked AEM,
-its payload and its line fields together: every field of an
-attack_plan.jsonl line but `t`, `deputy` and `age_s`, all fixed per
-identifier. A (deputy, identifier) pair's entry is the deputy followed by
-those fields, interned by the pair the first time it is planned. The run
-loop extends a tick's plan rows over the ticks that repeat it with
-`RowLog.repeat`, as `World.step` extends a tick's scan rows.
+key); it has no values. A relay candidate's masked AEM, its payload and
+its line fields (every field of an attack_plan.jsonl line but `t`,
+`deputy` and `age_s`, all fixed per identifier) are made when `_take`
+files it, beside its window. A (deputy, identifier) pair's entry is the
+deputy followed by those fields, interned by the pair the first time it
+is planned. The run loop extends a tick's plan rows over the ticks that
+repeat it with `RowLog.repeat`, as `World.step` extends a tick's scan rows.
 """
 
 from __future__ import annotations
@@ -136,16 +136,14 @@ class AttackerServer:
         # the relay plan, one row per decision per tick: its key is its entry, the
         # line's fields but `t` and `age_s`, interned by (deputy, identifier)
         self.plan = RowLog()
-        # first in-zone hearing per identifier and the first and last time it may
-        # be relayed, fixed then (`_eligible`). First hearing is what matters: it
-        # starts the upload clock, and the relay deadline depends only on the
-        # slot, which repeats hearings share.
-        self._relay_candidates: dict[bytes, tuple[HarvestRecord, int, int]] = {}
+        # per identifier, its first in-zone hearing, the first and last time it
+        # may be relayed (`_eligible`), its masked aem, its payload and its plan
+        # entry fields but the deputy, all made then. First hearing is what
+        # matters: it starts the upload clock, and the relay deadline depends
+        # only on the slot, which repeats hearings share.
+        self._relay_candidates: dict[bytes, tuple[HarvestRecord, int, int, bytes, bytes, dict]] = {}
         # sorted times at which a candidate can start or stop changing the plan
         self._plan_edges: list[int] = []
-        # (masked aem, payload, plan entry fields but the deputy) per identifier,
-        # made when it is first relayed
-        self._relayed: dict[bytes, tuple[bytes, bytes, dict]] = {}
 
     # -- deputy side ------------------------------------------------------
 
@@ -181,9 +179,15 @@ class AttackerServer:
         self.harvest_links.add(link_id)
         if (isinstance(kind, beacon.Gaen) and kind.rpi not in self._relay_candidates
                 and self._in_harvest_zone(link.rx)):
+            pol, rpi = self.policy, kind.rpi
             record = self.record(self.log.first[link_id])
             lo, hi = self._eligible(record)
-            self._relay_candidates[kind.rpi] = (record, lo, hi)
+            aem = kind.aem if pol.tamper_mask is None else tamper(kind.aem, pol.tamper_mask)
+            self._relay_candidates[rpi] = (record, lo, hi, aem, beacon.encode_gaen(rpi, aem), {
+                "rpi_hex": rpi.hex(), "aem_hex": aem.hex(),
+                "tampered": pol.tamper_mask is not None, "source_deputy": record.deputy_id,
+                "harvest_t": record.time, "harvest_x": record.location[0],
+                "harvest_y": record.location[1], "deadline_t": self.relay_deadline(record)})
             insort(self._plan_edges, max(lo, record.time + 1))
             insort(self._plan_edges, hi + 1)
 
@@ -212,8 +216,9 @@ class AttackerServer:
         return slot_end(record.time) + self.policy.replay_horizon
 
     def select_relays(self, t: int, deputy_positions: dict) -> list[RelayOrder]:
-        """Relay plan for time t. Each decision is appended to the plan as one
-        row; a (deputy, identifier) pair planned for the first time gets its entry."""
+        """Relay plan for time t: the candidates whose window holds t, freshest
+        first. Each decision is appended to the plan as one row; a (deputy,
+        identifier) pair planned for the first time gets its entry."""
         pol = self.policy
         if not pol.target_zones:
             return []
@@ -224,28 +229,15 @@ class AttackerServer:
         if not targets:
             return []
 
-        candidates = [(rpi, r) for rpi, (r, lo, hi) in self._relay_candidates.items()
-                      if lo <= t <= hi]
+        ranked = [(rpi, c) for rpi, c in self._relay_candidates.items() if c[1] <= t <= c[2]]
         # freshest first hearing first; ties broken by identifier bytes
-        ranked = sorted(candidates, key=lambda kv: (-kv[1].time, kv[0]))
+        ranked.sort(key=lambda kv: (-kv[1][0].time, kv[0]))
         if pol.max_relays_per_deputy is not None:
             ranked = ranked[:pol.max_relays_per_deputy]
 
-        for rpi, record in ranked:
-            if rpi not in self._relayed:
-                aem = record.frame.kind.aem
-                if pol.tamper_mask is not None:
-                    aem = tamper(aem, pol.tamper_mask)
-                self._relayed[rpi] = (aem, beacon.encode_gaen(rpi, aem), {
-                    "rpi_hex": rpi.hex(), "aem_hex": aem.hex(),
-                    "tampered": pol.tamper_mask is not None, "source_deputy": record.deputy_id,
-                    "harvest_t": record.time, "harvest_x": record.location[0],
-                    "harvest_y": record.location[1], "deadline_t": self.relay_deadline(record)})
-
         orders, entries, row = [], array("i"), len(self.plan)
         for deputy in targets:
-            for rpi, _ in ranked:
-                aem, payload, fields = self._relayed[rpi]
+            for rpi, (_, _, _, aem, payload, fields) in ranked:
                 orders.append(RelayOrder(rpi=rpi, aem=aem, payload=payload, deputy_id=deputy))
                 entries.append(self.plan.intern((deputy, rpi), {"deputy": deputy, **fields},
                                                 row + len(entries)))

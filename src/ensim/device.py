@@ -1,9 +1,9 @@
 """Honest device state machine: key rotation, broadcast, storage, matching.
 
 A device exists only for a node with the app (`NodeSpec.app`) and
-broadcasts on every tick. The advertised frame is computed once per
-(identifier, MAC, tx power) and reused on every tick of its 10-minute
-interval; only key rotation or a power change re-encrypts.
+broadcasts on every tick. Its advertised frame is made where its identifier
+and MAC rotate, once per 10-minute interval, and returned on every tick of
+that interval; a device's power is fixed for the run.
 
 Matching semantics:
 
@@ -85,14 +85,11 @@ class DeviceState:
     tek_history: list = field(default_factory=list)
     log: ScanLog = field(default_factory=ScanLog)  # holds what it heard (`sightings`)
     mac_history: list = field(default_factory=list)  # (interval, mac) ground truth
-    # cached per-interval broadcast state
+    # per-interval broadcast state, made when the identifier rotates
     _interval: int = -1
-    _mac: str = ""
     _rpik: bytes = b""
     _aemk: bytes = b""
-    _rpi: bytes = b""
     _frame: Optional[beacon.BeaconFrame] = None
-    _frame_key: tuple = ()  # (rpi, mac, tx_power) the cached frame was built from
 
     @property
     def sightings(self) -> np.ndarray:
@@ -110,6 +107,8 @@ def _random_mac(rng: Random) -> str:
 
 def _roll_keys(state: DeviceState, t: int) -> None:
     interval = crypto.interval_number(t)
+    if interval == state._interval:
+        return
     day_start = crypto.day_start_interval(interval)
     if state.current_tek is None or state.current_tek.rolling_start != day_start:
         if state.current_tek is not None:
@@ -118,26 +117,19 @@ def _roll_keys(state: DeviceState, t: int) -> None:
         state.current_tek = crypto.new_tek(state.rng, day_start)
         state._rpik = crypto.derive_rpik(state.current_tek)
         state._aemk = crypto.derive_aemk(state.current_tek)
-        state._interval = -1
-    if interval != state._interval:
-        # identifier and MAC rotate together, on the same boundary
-        state._interval = interval
-        state._rpi = crypto.generate_rpi(state._rpik, interval).rpi
-        state._mac = _random_mac(state.rng)
-        state.mac_history.append((interval, state._mac))
+    # identifier and MAC rotate together, on the same boundary, and the frame with them
+    state._interval = interval
+    rpi = crypto.generate_rpi(state._rpik, interval).rpi
+    mac = _random_mac(state.rng)
+    state.mac_history.append((interval, mac))
+    aem = crypto.encrypt_aem(state._aemk, rpi, crypto.Metadata(tx_power=state.tx_power))
+    state._frame = beacon.BeaconFrame(mac=mac, payload=beacon.encode_gaen(rpi, aem),
+                                      kind=beacon.Gaen(rpi, aem))
 
 
 def broadcast_current(state: DeviceState, t: int) -> beacon.BeaconFrame:
     """The frame this device advertises at time t."""
     _roll_keys(state, t)
-    key = (state._rpi, state._mac, state.tx_power)
-    if state._frame_key != key:
-        meta = crypto.Metadata(tx_power=state.tx_power)
-        aem = crypto.encrypt_aem(state._aemk, state._rpi, meta)
-        payload = beacon.encode_gaen(state._rpi, aem)
-        state._frame = beacon.BeaconFrame(mac=state._mac, payload=payload,
-                                          kind=beacon.Gaen(state._rpi, aem))
-        state._frame_key = key
     return state._frame
 
 

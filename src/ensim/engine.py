@@ -375,11 +375,11 @@ class RunResult:
         return {n.id for n in self.config.world.nodes if n.infected_at is not None}
 
     def visibility(self) -> coverage_mod.VisibilityReport:
+        owner = self.tek_owner
         return coverage_mod.visibility_from_run(
             infected_ids=self.infected_ids,
             deputy_ids=set(self.deputies),
-            published_owner_ids={self.tek_owner[e.tek.key] for e in self.published
-                                 if e.tek.key in self.tek_owner},
+            published_owner_ids={owner[e.tek.key] for e in self.published if e.tek.key in owner},
             harvested_owner_ids=self.harvested_owners,
         )
 

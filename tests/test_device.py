@@ -59,15 +59,38 @@ class TestBroadcast:
         meta = crypto.decrypt_aem(aemk, frame.kind.rpi, frame.kind.aem)
         assert meta.tx_power == -4
 
-    def test_power_change_within_interval_reencrypts(self):
-        dev = make_device(tx_power=0)
+    def test_one_frame_per_interval(self, monkeypatch):
+        encrypt_aem, calls = crypto.encrypt_aem, []
+
+        def counted(*args):
+            calls.append(args)
+            return encrypt_aem(*args)
+
+        monkeypatch.setattr(crypto, "encrypt_aem", counted)
+        dev = make_device()
         f1 = broadcast_current(dev, 0)
-        assert broadcast_current(dev, 1) is f1  # one frame per interval
-        dev.tx_power = -4
-        f2 = broadcast_current(dev, 2)
-        aemk = crypto.derive_aemk(dev.current_tek)
-        assert (f2.kind.rpi, f2.mac) == (f1.kind.rpi, f1.mac)
-        assert crypto.decrypt_aem(aemk, f2.kind.rpi, f2.kind.aem).tx_power == -4
+        assert all(broadcast_current(dev, t) is f1 for t in range(1, 600))
+        f2 = broadcast_current(dev, 600)
+        assert f2 is not f1 and broadcast_current(dev, 1199) is f2
+        assert len(calls) == len(dev.mac_history) == 2
+
+    def test_schedule_across_day_boundaries(self):
+        dev = make_device()
+        day_keys, frames = {}, []
+        for t in range(0, 2 * 86400 + 3600 + 1, crypto.INTERVAL_SECONDS):
+            frame = broadcast_current(dev, t)
+            assert broadcast_current(dev, t + crypto.INTERVAL_SECONDS - 1) is frame
+            day_keys.setdefault(t // 86400, dev.current_tek)
+            frames.append(frame)
+            if t == 86400:
+                assert dev.tek_history == [day_keys[0]]
+        assert dev.tek_history == [day_keys[0], day_keys[1]]
+        for interval, frame in enumerate(frames):
+            day = crypto.regenerate_day(day_keys[interval // crypto.INTERVALS_PER_DAY])
+            assert frame.kind.rpi == day[interval % crypto.INTERVALS_PER_DAY].rpi
+        macs = [frame.mac for frame in frames]
+        assert all(a != b for a, b in zip(macs, macs[1:]))
+        assert dev.mac_history == list(enumerate(macs))
 
     def test_daily_tek_rotation(self):
         dev = make_device()

@@ -467,6 +467,30 @@ class TestComputeOnce:
         assert set(calls) == distinct_payloads
         assert sum(calls.values()) == len(distinct_payloads)
 
+    def test_each_frame_made_once(self, monkeypatch):
+        # a device's frame is made when its identifier rotates, a relay
+        # candidate's when it is harvested; every lazy_student candidate is relayed
+        calls = Counter()
+
+        def count(module, name):
+            fn = getattr(module, name)
+
+            def counted(*args):
+                calls[name] += 1
+                return fn(*args)
+
+            monkeypatch.setattr(module, name, counted)
+
+        count(crypto, "encrypt_aem")
+        count(beacon, "encode_gaen")
+        result = run_scenario(ScenarioConfig.from_dict(scenarios.lazy_student()))
+        device_intervals = sum(len(dev.mac_history) for dev in result.devices.values())
+        candidates = result.attacker._relay_candidates
+        assert calls["encrypt_aem"] == device_intervals
+        assert calls["encode_gaen"] == device_intervals + len(candidates)
+        plan = result.attacker.plan
+        assert {plan.keys[e]["rpi_hex"] for e in plan.key} == {rpi.hex() for rpi in candidates}
+
     def test_relay_encodes_each_identifier_once(self, monkeypatch):
         calls = Counter()
         encode_gaen = beacon.encode_gaen

@@ -149,7 +149,7 @@ def test_reidentify_equals_reference(world, collect_all):
     server = AttackerServer(policy, log=world.events, deputies=deputies)
     server.catch_up()
     assert same(list(map(server.record, server.db.tolist())), route.db)
-    candidates = {rpi: record for rpi, (record, _lo, _hi) in server._relay_candidates.items()}
+    candidates = {rpi: record for rpi, (record, *_) in server._relay_candidates.items()}
     assert same(candidates, route.candidates)
     assert same(server.reidentify(entries), expected)
 
