@@ -42,11 +42,11 @@ absent key takes the default of the value type or function that owns it;
 anything invalid raises ScenarioError naming the field before the run starts.
 
 `events.jsonl` and `attack_plan.jsonl` are both `radio.RowLog`s, written by
-one batch loop (`radio.write_lines`), the one layout of their lines, with
-one `orjson` call per number column per batch: a scan row's key is its link
-and its value its rssi; a plan row's key is its entry and the value written
-its `age_s`. Each writer hands it the log's keys as dicts of fields, in line
-order, and the value's name and place. `dossiers.json` is one guarded
+one batch loop (`radio.write_lines`), the one layout of their lines: a scan
+row's key is its link and its value its rssi; a plan row's key is its entry
+and the value written its `age_s`. Each writer hands it the log's keys as
+dicts of fields, in line order, each key's first row, and the value's name
+and place. `dossiers.json` is one guarded
 `orjson` call per dossier, which hands a dossier it cannot vouch for to
 `json.dumps(indent=2)`.
 
@@ -537,7 +537,7 @@ def write_attack_plan(server: Optional[AttackerServer], path) -> None:
         return
     t, entry, _ = server.plan.columns()
     harvest_t = np.array([fields["harvest_t"] for fields in server.plan.keys], dtype=np.int64)
-    write_lines(path, t, entry, t - harvest_t[entry], server.plan.keys, "age_s", 1)
+    write_lines(path, t, entry, t - harvest_t[entry], server.plan.first, server.plan.keys, "age_s", 1)
 
 
 def _dossiers_json(dossiers: list) -> bytes:

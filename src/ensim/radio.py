@@ -29,11 +29,16 @@ log decodes each distinct payload once (`ScanLog.kind`), for the harvest
 and matching alike. Every reader that splits rows by receiver, frame or
 published key does so with `RowLog.group`, handed only the rows it may use
 (`RowLog.rows_of`). `write_lines` is the one layout of a line of the event
-log or the relay plan: it renders each key's fields (a link's or a plan
-entry's dict) around the value with two `json.dumps` calls, once, and a
-batch of rows' numbers with one `orjson` call per column, byte for byte as
-`json.dumps` would; the few numbers orjson lays out otherwise
-(`orjson_writes_as_json`) go to `json.dumps`.
+log or the relay plan. It renders each key's line but `t` (a link's or a
+plan entry's fields, with the value of the key's first row) with one
+`json.dumps` call, once, and cuts it around the value. A batch of rows
+that all hold their key's first value, bit for bit, as every row of a
+link does at noise 0, is written from those lines, each behind its `t`,
+rendered once per run of rows of one tick. Any other batch is written
+from the text around each row's value and the batch's values, rendered
+with one `orjson` call, byte for byte as `json.dumps` would; the few
+numbers orjson lays out otherwise (`orjson_writes_as_json`) go to
+`json.dumps`.
 
 The world is advanced by a single owner; parallelism belongs across
 independent runs, not within one.
@@ -45,7 +50,6 @@ import json
 import math
 from array import array
 from bisect import bisect_right
-from itertools import repeat
 from operator import itemgetter
 from random import Random
 from typing import NamedTuple, Optional
@@ -453,52 +457,75 @@ def write_event_log(log: ScanLog, path) -> None:
     fields = ({"receiver": receiver, "emitter": emitter, "relay": relay, "mac": mac,
                "rx_x": rx[0], "rx_y": rx[1], "payload_hex": payload.hex()}
               for receiver, emitter, relay, mac, payload, rx in log.keys)
-    write_lines(path, *log.columns(), fields, "rssi", 3)
+    write_lines(path, *log.columns(), log.first, fields, "rssi", 3)
 
 
-def write_lines(path, t: np.ndarray, key: np.ndarray, value: np.ndarray, fields, name: str,
-                tail: int) -> None:
+def write_lines(path, t: np.ndarray, key: np.ndarray, value: np.ndarray, first, fields,
+                name: str, tail: int) -> None:
     """Write the rows of the columns `t`, `key` and `value` to `path`,
     WRITE_BATCH_ROWS at a time (see `render_lines`): row i as
     `json.dumps({"t": t[i], **head, name: value[i], **end})`, where `end` is
     the last `tail` fields of `fields[key[i]]` (its line's fields in line order
-    but `t` and the value) and `head` the others, each rendered once per key.
-    `name`, a plain key, is written as it is."""
-    heads, tails = [], []
-    for line in fields:
+    but `t` and the value) and `head` the others. `first` holds a row number
+    of each key (a `RowLog`'s `first`), and `name` is a plain key, written as
+    it is.
+
+    Each key's line but `t` is rendered once, by one `json.dumps` call with
+    the value of its row in `first` in the value's place: that text whole is
+    the key's body, and cut around the value it is the key's head and tail.
+    The cut is at the first `, "<name>": `, which can only be the value's
+    key, as a `"` inside a JSON string is escaped; the value's text ends at
+    the next `, `, which no number's text holds."""
+    sep = f', "{name}": '
+    first_values = value[np.asarray(first, dtype=np.int64)]
+    bodies, heads, tails = [], [], []
+    for line, at_first in zip(fields, first_values.tolist()):
         items = list(line.items())
-        head, end = json.dumps(dict(items[:-tail])), json.dumps(dict(items[-tail:]))
-        heads.append(", " + head[1:-1] + f', "{name}": ')
-        tails.append(", " + end[1:] + "\n")
-    heads, tails = np.array(heads, dtype=object), np.array(tails, dtype=object)
+        text = json.dumps(dict(items[:-tail] + [(name, at_first)] + items[-tail:]))
+        cut = text.index(sep) + len(sep)
+        bodies.append(", " + text[1:] + "\n")
+        heads.append(", " + text[1:cut])
+        tails.append(text[text.index(", ", cut):] + "\n")
+    bits = first_values.view(np.int64)
+    texts = [np.array(column, dtype=object) for column in (bodies, heads, tails)]
     with open(path, "w") as fh:
         for start in range(0, len(key), WRITE_BATCH_ROWS):
             rows = slice(start, start + WRITE_BATCH_ROWS)
-            fh.write(render_lines(t[rows], key[rows], value[rows], heads, tails))
+            fh.write(render_lines(t[rows], key[rows], value[rows], bits, *texts))
 
 
-def render_lines(t: np.ndarray, key: np.ndarray, value: np.ndarray,
-                 heads: np.ndarray, tails: np.ndarray) -> str:
+def render_lines(t: np.ndarray, key: np.ndarray, value: np.ndarray, bits: np.ndarray,
+                 bodies: np.ndarray, heads: np.ndarray, tails: np.ndarray) -> str:
     """The JSON lines of a non-empty batch of rows, byte for byte as one
-    `json.dumps` per line writes them: row i is `'{"t": '`, `t[i]`,
-    `heads[key[i]]`, `value[i]` and `tails[key[i]]`, where `heads` and `tails`
-    (object arrays) hold each key's text around its value, the last number
-    but one of its line, and `tails` ends the line.
+    `json.dumps` per line writes them. A line starts with `'{"t": '` and its
+    `t`, one text per run of rows of one `t`. When every row of the batch
+    holds its key's value in `bits`, bit for bit (0.0 and -0.0 are two
+    values), row i's line goes on with `bodies[key[i]]`, the key's line but
+    `t`; otherwise with `heads[key[i]]`, `value[i]` and `tails[key[i]]`, the
+    key's text before and after the value, the last number but one of its
+    line. `bodies`, `heads` and `tails` are object arrays.
 
-    The `t` and `value` columns are each rendered by one `orjson.dumps` call;
-    a value orjson would write otherwise (outside `orjson_writes_as_json`)
-    goes to `json.dumps`.
+    The runs' `t`, and the values of a batch written the second way, are
+    each rendered by one `orjson.dumps` call; a value orjson would write
+    otherwise (outside `orjson_writes_as_json`) goes to `json.dumps`.
     """
     n = len(key)
+    starts = np.flatnonzero(np.concatenate(([True], t[1:] != t[:-1])))
+    times = np.array(['{"t": ' + text for text in _texts(t[starts])], dtype=object)
+    time_text = np.repeat(times, np.diff(np.append(starts, n))).tolist()
+    if (value.view(np.int64) == bits[key]).all():
+        flat = [None] * (2 * n)
+        flat[0::2] = time_text
+        flat[1::2] = bodies[key].tolist()
+        return "".join(flat)
     value_text = _texts(value)
     for i in np.flatnonzero(~orjson_writes_as_json(value)).tolist():
         value_text[i] = json.dumps(value[i].item())
-    flat = [None] * (5 * n)
-    flat[0::5] = repeat('{"t": ', n)
-    flat[1::5] = _texts(t)
-    flat[2::5] = heads[key].tolist()
-    flat[3::5] = value_text
-    flat[4::5] = tails[key].tolist()
+    flat = [None] * (4 * n)
+    flat[0::4] = time_text
+    flat[1::4] = heads[key].tolist()
+    flat[2::4] = value_text
+    flat[3::4] = tails[key].tolist()
     return "".join(flat)
 
 

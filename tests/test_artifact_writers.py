@@ -10,7 +10,11 @@ renderer could get wrong: NaN, infinities, -0.0, numbers at the ends of
 orjson's window, int coordinates, quoted, non-ASCII and DEL text, ticks of
 7 s, plans whose lines cross batches, and empty dossiers. The line rule
 both row logs share, `radio.write_lines`, is also checked on its own, on
-drawn keys, values and field counts, against one `json.dumps` per line.
+drawn keys and field counts, ticks of several rows whose `t` may fall or
+reach either end of int64, and values drawn from a small pool per key (0.0
+and -0.0, NaN, int64), so that batches of rows holding their key's first
+value and batches that do not both come up, against one `json.dumps` per
+line.
 """
 
 import json
@@ -363,8 +367,9 @@ def test_repeat_after_a_tick_that_planned_nothing_adds_no_row():
 
 def test_pair_planned_in_two_spans_is_one_entry_rendered_once(tmp_path, monkeypatch):
     """Each (deputy, identifier) pair planned in two separate spans has one
-    entry, and its text is rendered once, with two `json.dumps` calls (the
-    text around `age_s`), however many lines it is written on."""
+    entry, and its text is rendered once, with one `json.dumps` call (its
+    line with its first row's `age_s` in place), however many lines it is
+    written on."""
     server = server_with()
     harvest(server, DeviceState(id="victim", rng=random.Random(10)), 0)
     plan(server, {"fac1": (1000.0, 0.0), "fac2": (1001.0, 0.0)})
@@ -372,7 +377,7 @@ def test_pair_planned_in_two_spans_is_one_entry_rendered_once(tmp_path, monkeypa
     calls, dumps = [], json.dumps
     monkeypatch.setattr(json, "dumps", lambda *args, **kw: calls.append(args) or dumps(*args, **kw))
     engine.write_attack_plan(server, tmp_path / "attack_plan.jsonl")
-    assert len(calls) == 2 * len(server.plan.keys)
+    assert [args[0]["deputy"] for args in calls] == ["fac1", "fac2"]
     monkeypatch.undo()
     want = "".join(json.dumps(d) + "\n" for d in reference_artifacts.decisions(server))
     assert (tmp_path / "attack_plan.jsonl").read_text() == want
@@ -390,11 +395,21 @@ FIELD_VALUES = st.one_of(FIELD_TEXT, st.booleans(), st.none(), st.integers(-2 **
 PLAIN_KEY = st.from_regex(r"[a-z_]{1,8}", fullmatch=True).filter(lambda k: k != "t")
 
 
+# the ends of int64 and their neighbours, for `t`
+INT64_ENDS = (-2 ** 63, -2 ** 63 + 1, 2 ** 63 - 2, 2 ** 63 - 1)
+
+
 @st.composite
 def row_logs(draw):
-    """(batch, t, key, value, fields, name, tail) for `radio.write_lines` with
-    WRITE_BATCH_ROWS set to `batch`: one dict of 2-9 fields per key, more rows
-    than a batch holds, and a value column of int64 or float64."""
+    """(batch, t, key, value, first, fields, name, tail) for `radio.write_lines`
+    with WRITE_BATCH_ROWS set to `batch`: one dict of 2-9 fields per key,
+    more rows than a batch holds, in ticks of 1-5 rows whose `t` mostly rises
+    but may fall or jump to either end of int64, and a value column of int64
+    or float64. Each key's values come from a pool of 1-3 numbers (or of 0.0
+    and -0.0, or of NaN and a number), so rows that hold their key's first
+    value, bit for bit, and rows that do not share batches. Key ids run in
+    the order of first use, and `first` holds each key's first row, as in a
+    `RowLog`."""
     name = draw(PLAIN_KEY)
     names = draw(st.lists(FIELD_TEXT.filter(lambda k: k not in ("t", name)),
                           min_size=2, max_size=9, unique=True))
@@ -403,16 +418,24 @@ def row_logs(draw):
     tail = draw(st.integers(1, len(names) - 1))
     batch = draw(st.sampled_from([1, 3, 16]))
     if draw(st.booleans()):
-        numbers, dtype = st.integers(-2 ** 63, 2 ** 63 - 1), np.int64
+        numbers, dtype, odd = st.integers(-2 ** 63, 2 ** 63 - 1), np.int64, st.nothing()
     else:
         numbers = st.one_of(st.floats(), st.sampled_from(NUMBER_EDGES + (math.nan, math.inf, -math.inf)))
-        dtype = np.float64
-    value = np.array(draw(st.lists(numbers, min_size=batch + 1, max_size=batch + 40)), dtype=dtype)
-    t0 = draw(st.integers(-2 ** 63, 2 ** 63 - 1 - 7 * len(value)))
-    t = t0 + draw(st.sampled_from([1, 7])) * np.arange(len(value), dtype=np.int64)
-    key = np.array(draw(st.lists(st.integers(0, len(fields) - 1), min_size=len(value),
-                                 max_size=len(value))), dtype=np.int32)
-    return batch, t, key, value, fields, name, tail
+        dtype, odd = np.float64, st.sampled_from([[0.0, -0.0], [math.nan, -61.5]])
+    pools = [draw(st.one_of(st.lists(numbers, min_size=1, max_size=3), odd)) for _ in fields]
+    sizes = draw(st.lists(st.integers(1, 5), min_size=batch + 1, max_size=batch + 12))
+    steps = draw(st.lists(st.one_of(st.sampled_from([1, 1, 7, -7]), st.integers(-2 ** 64, 2 ** 64)),
+                          min_size=len(sizes) - 1, max_size=len(sizes) - 1))
+    times = [draw(st.one_of(st.sampled_from(INT64_ENDS), st.integers(-2 ** 63, 2 ** 63 - 1)))]
+    for step in steps:
+        times.append(min(max(times[-1] + step, INT64_ENDS[0]), INT64_ENDS[-1]))
+    t = np.repeat(np.array(times, dtype=np.int64), sizes)
+    drawn = draw(st.lists(st.integers(0, len(fields) - 1), min_size=len(t), max_size=len(t)))
+    value = np.array([draw(st.sampled_from(pools[k])) for k in drawn], dtype=dtype)
+    used = list(dict.fromkeys(drawn))  # keys in the order of first use
+    key = np.array([used.index(k) for k in drawn], dtype=np.int32)
+    first = [drawn.index(k) for k in used]
+    return batch, t, key, value, first, [fields[k] for k in used], name, tail
 
 
 @settings(max_examples=100, deadline=None)
@@ -420,12 +443,12 @@ def row_logs(draw):
 def test_write_lines_is_one_json_dumps_per_line(log):
     """Every line is `json.dumps({"t": t, **head, name: value, **end})`, where
     `end` is the key's last `tail` fields and `head` the others."""
-    batch, t, key, value, fields, name, tail = log
+    batch, t, key, value, first, fields, name, tail = log
     want = []
     for i in range(len(key)):
         items = list(fields[key[i]].items())
         line = {"t": t[i].item(), **dict(items[:-tail]), name: value[i].item(), **dict(items[-tail:])}
         want.append(json.dumps(line) + "\n")
     with tempfile.TemporaryDirectory() as tmp, mock.patch.object(radio, "WRITE_BATCH_ROWS", batch):
-        radio.write_lines(Path(tmp) / "log.jsonl", t, key, value, fields, name, tail)
+        radio.write_lines(Path(tmp) / "log.jsonl", t, key, value, first, fields, name, tail)
         assert (Path(tmp) / "log.jsonl").read_text() == "".join(want)

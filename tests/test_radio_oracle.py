@@ -26,7 +26,10 @@ Numbers the radio never makes are written through logs built with
 `ScanLog.append`: any float, NaN and infinities included, the ends of the
 window in which write_event_log takes orjson's text, a tie between two
 shortest decimals, and injected ints (written as the floats the column
-holds), after enough rows that they land in a later batch.
+holds), after enough rows that they land in a later batch. At noise 0 a
+link's rows hold one rssi until its emitter moves, which keeps the link (it
+holds the receiver's place only), or an injected row repeats the link with
+another rssi; such rows are written per row, not from the link's line.
 """
 
 import math
@@ -227,6 +230,44 @@ def test_int_to_float_waypoint_is_a_move():
         write_event_log(fast.events, got)
         ref.reference_write_event_log(slow.events, want)
         assert got.read_bytes() == want.read_bytes()
+
+
+def test_noiseless_link_with_a_new_rssi_is_written_per_row():
+    """At noise 0 a link's rows mostly hold its first rssi, and such lines are
+    written from the link's one cached line. Two kinds of row break that and
+    must be written per row: a static receiver hearing an emitter that moves
+    keeps its link (a link holds the receiver's place, not the emitter's)
+    with a new rssi, and an injected row can repeat an injected link with
+    another rssi. At batches of 1 and 3 rows and the default, the log is
+    what the one-json.dumps-per-line writer writes."""
+    nodes = (NodeSpec(id="rx", trajectory=((0, 0.0, 0.0),), app=True),
+             NodeSpec(id="walker", trajectory=((0, 3.0, 0.0), (3, 6.0, 0.0), (5, 3.0, 0.0)),
+                      app=True))
+    config = WorldConfig(nodes=nodes, tick=1, duration=8)
+    fast, slow = World(config), World(config)
+    slow.events = []
+    emissions = [Emission("walker", PAYLOADS[0], MACS[0], 0)]
+    injected = {2: -50.0, 4: -70.0, 7: -70.0}  # one link, whose later rows differ
+    for t, k in ((0, 3), (3, 2), (5, 3)):
+        rows = fast.step(t, emissions, ticks=k)
+        want = [e for tick in range(t, t + k) for e in ref.reference_step(slow, tick, emissions)]
+        assert ref.events(fast.events, rows) == want
+        heard = ("rx", Sighting(PAYLOADS[1], MACS[1], injected[t + k - 1], t + k - 1, (0.0, 0.0)))
+        fast.inject(*heard)
+        slow.events.append(ref.appended(*heard))
+    _, key, value = fast.events.columns()
+    assert len(fast.events.keys) == 2  # the walker's link and the injected one
+    first_value = value[np.frombuffer(fast.events.first, dtype=np.int64)][key]
+    at_6m = radio.propagate(0, 6.0, config.path_loss, config.radio_range_max)
+    assert value[value != first_value].tolist() == [at_6m, at_6m, -70.0, -70.0]
+    with tempfile.TemporaryDirectory() as tmp:
+        want = Path(tmp) / "want.jsonl"
+        ref.reference_write_event_log(slow.events, want)
+        for batch in (1, 3, radio.WRITE_BATCH_ROWS):
+            got = Path(tmp) / f"got{batch}.jsonl"
+            with mock.patch.object(radio, "WRITE_BATCH_ROWS", batch):
+                write_event_log(fast.events, got)
+            assert got.read_bytes() == want.read_bytes()
 
 
 E2E_TICK = 300  # two ticks per 10-minute interval: identifiers rotate during a run
