@@ -22,6 +22,7 @@ from ensim.radio import (
     World,
     WorldConfig,
     attenuation,
+    math_log,
     propagate,
     write_event_log,
 )
@@ -264,6 +265,30 @@ def test_numpy_cos_and_sin_are_math_cos_and_sin():
         assert len(off) == 0, (
             f"np.{ufunc.__name__} differs from math.{reference.__name__} on {len(off)} angles "
             f"(first {listed[off[0]]!r}): the noisy bits move, so TestNoiseAhead, "
+            "tests/test_radio_oracle.py, tests/data/golden_digests_noisy.json, "
+            "perfbench/digests.json and the low-repeat digests "
+            "(tests/test_low_repeat_probe.py) no longer hold")
+
+
+def test_math_log_is_math_log():
+    """`NoiseAhead._draw` takes the log of 1 - u with `math_log` where
+    `Random.gauss` takes `math.log`; the two must agree bit for bit on every
+    value it makes, at every length, a lone value included."""
+    k = np.random.default_rng(1).integers(0, 1 << 53, size=1 << 20, dtype=np.int64)
+    u = np.concatenate((k, [0, 1, (1 << 53) - 1])) * 2.0 ** -53
+    values = 1.0 - u  # as _draw makes them
+
+    def math_log_bits(x):
+        return np.fromiter(map(math.log, x.tolist()), float, len(x)).view(np.int64)
+
+    # first the values on which numpy's own float64 log kernel differs from
+    # math.log, if any, then the draw's
+    hard = np.concatenate((values[np.log(values).view(np.int64) != math_log_bits(values)], values))
+    for x in [values] + [hard[:n] for n in range(1, 18)]:
+        off = np.flatnonzero(math_log(x).view(np.int64) != math_log_bits(x))
+        assert len(off) == 0, (
+            f"math_log differs from math.log on {len(off)} of {len(x)} values "
+            f"(first {x[off[0]]!r}): the noisy bits move, so TestNoiseAhead, "
             "tests/test_radio_oracle.py, tests/data/golden_digests_noisy.json, "
             "perfbench/digests.json and the low-repeat digests "
             "(tests/test_low_repeat_probe.py) no longer hold")

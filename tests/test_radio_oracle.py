@@ -5,9 +5,10 @@ the straightforward joins in reference_matching.py).
 
 Generated worlds move nodes across several waypoints (some at the same tick),
 mix tx powers per emission, let deputies relay, may make a node both app and
-deputy, place pairs exactly at the radio range and closer than
-MIN_DISTANCE_M, draw noise or not (with odd draw counts per tick, so the
-generator's cached second gaussian carries across ticks), may overflow rssi
+deputy, place pairs exactly at the radio range (on an axis and on a
+diagonal) and closer than MIN_DISTANCE_M, sometimes with a range at or
+below MIN_DISTANCE_M, draw noise or not (with odd draw counts per tick, so
+the generator's cached second gaussian carries across ticks), may overflow rssi
 to infinity, inject sightings with an int, NaN, infinite or signed-zero rssi
 (so a batch of the log mixes rssi values that compare equal but are written
 differently), and use ids and MACs with quotes or non-ASCII characters and
@@ -58,9 +59,13 @@ MACS = ("aa:aa:aa:aa:aa:aa", 'ma"c', "ñ:01", "f0:0d:00:00:00:01")
 PAYLOADS = (encode_gaen(bytes(16), bytes(4)), b"", bytes(range(31)))
 TX_POWERS = (-8, 0, 4)
 RANGE = 10
-# 0 and 10 are exactly RANGE apart; 0, 0.0 and 0.004 are co-located or closer than
-# MIN_DISTANCE_M; int and float zero give the same distance but write differently
-COORDS = (0, 0.0, 0.004, 3, 6.0, 10, -10.0)
+# radio ranges: mostly RANGE, sometimes MIN_DISTANCE_M, where only co-located or
+# nearer nodes hear each other, or below it, where none do
+RANGES = (RANGE, RANGE, radio.MIN_DISTANCE_M, radio.MIN_DISTANCE_M / 2)
+# 0 and 10 are exactly RANGE apart, and so are (0, 0) and (6.0, 8) on a diagonal
+# (math.hypot gives 10.0); 0, 0.0, -0.0 and 0.004 are co-located or closer than
+# MIN_DISTANCE_M; int and float zero and -0.0 give the same distance but write differently
+COORDS = (0, 0.0, -0.0, 0.004, 3, 6.0, 8, 10, -10.0)
 DURATION = 8
 WAYPOINT_TIMES = (0, 2, 3, 5)
 # 0, 0.0 and -0.0 compare equal but are written differently
@@ -92,7 +97,7 @@ def radio_runs(draw):
         # an exponent this large overflows rssi to +-inf, which the log writes as json does
         path_loss=PathLoss(exponent=draw(st.sampled_from([2.0, 2.0, 1e308])),
                            noise_sigma=draw(st.sampled_from([0.0, 4.0]))),
-        radio_range_max=RANGE,
+        radio_range_max=draw(st.sampled_from(RANGES)),
         tick=1,
         duration=DURATION,
         seed=draw(st.integers(0, 3)),
@@ -297,7 +302,8 @@ def log_runs(draw):
                               tx_power=draw(st.sampled_from(TX_POWERS))))
     config = WorldConfig(nodes=tuple(nodes),
                          path_loss=PathLoss(noise_sigma=draw(st.sampled_from([0.0, 4.0]))),
-                         radio_range_max=RANGE, tick=E2E_TICK, duration=E2E_TICK * E2E_TICKS,
+                         radio_range_max=draw(st.sampled_from(RANGES)),
+                         tick=E2E_TICK, duration=E2E_TICK * E2E_TICKS,
                          seed=draw(st.integers(0, 3)))
     deputies = [n.id for n in nodes if n.deputy]
     relays = [[(draw(st.sampled_from(deputies)), draw(st.integers(0, 99)),
