@@ -11,8 +11,10 @@ temporary directory that is deleted afterwards. The event log alone is
 about 230 bytes per event, so check free disk space before large runs, or
 pass `--run-only`, which writes nothing (its write_s reads `-`).
 One row is printed per run: the scan events, the links of the scan log
-(`radio.Link`), the run and write seconds, and the child's maximum
-resident set size.
+(`radio.Link`), the `World.step` calls (each a span of identical ticks,
+counted through a wrapper on the class in the child, as perfbench's tracer
+counts them), the run and write seconds, and the child's maximum resident
+set size.
 """
 
 from __future__ import annotations
@@ -33,8 +35,16 @@ def probe(nodes: int, seconds: int, run_only: bool, results) -> None:
     `write_s` is None when `run_only` skips writing the artifacts."""
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
     import workloads
-    from ensim import engine
+    from ensim import engine, radio
 
+    steps, step = 0, radio.World.step
+
+    def counted(world, *args, **kwargs):
+        nonlocal steps
+        steps += 1
+        return step(world, *args, **kwargs)
+
+    radio.World.step = counted
     workloads.CROWD_NODES = nodes
     workloads.CROWD_DURATION_S = seconds
     cfg = engine.ScenarioConfig.from_dict(workloads.crowd(workloads.DEFAULT_SEED))
@@ -48,7 +58,7 @@ def probe(nodes: int, seconds: int, run_only: bool, results) -> None:
             engine.write_outputs(result, out)
             write_s = round(time.perf_counter() - start, 2)
     results.put({"nodes": nodes, "seconds": seconds, "events": len(result.world.events),
-                 "links": len(result.world.events.keys),
+                 "links": len(result.world.events.keys), "steps": steps,
                  "run_s": round(run_s, 2), "write_s": write_s,
                  "max_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024)})
 
@@ -61,7 +71,7 @@ def main() -> None:
                     help="run the scenario but write no artifacts (no event log)")
     args = ap.parse_args()
     ctx = multiprocessing.get_context("spawn")
-    print("nodes  seconds     events    links  run_s  write_s  max_rss_mb")
+    print("nodes  seconds     events    links   steps  run_s  write_s  max_rss_mb")
     for nodes in args.nodes:
         results = ctx.Queue()
         child = ctx.Process(target=probe, args=(nodes, args.seconds, args.run_only, results))
@@ -72,7 +82,8 @@ def main() -> None:
         row = results.get()
         write_s = "-" if row["write_s"] is None else f"{row['write_s']:.2f}"
         print(f"{row['nodes']:5d}  {row['seconds']:7d}  {row['events']:9d}  {row['links']:7d}  "
-              f"{row['run_s']:5.2f}  {write_s:>7}  {row['max_rss_mb']:10d}", flush=True)
+              f"{row['steps']:6d}  {row['run_s']:5.2f}  {write_s:>7}  {row['max_rss_mb']:10d}",
+              flush=True)
 
 
 if __name__ == "__main__":

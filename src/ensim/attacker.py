@@ -23,22 +23,24 @@ its deputies' rows of the world's log (on its own, rows that
 run goes on it looks only at each deputy link's first hearing, once: it
 reads the link's frame kind from the log (`ScanLog.kind`, one decode per
 distinct payload), keeps or drops the link and offers the hearing as a
-relay candidate, whose relay window is decided then, once: `select_relays`
-filters the stored windows, and `next_plan_change` looks up the next of
-their edges in one sorted list. `db` (the kept links' rows) is read when
-asked, and `record` reads one row as a HarvestRecord. `reidentify` splits
+relay candidate: the row of its first hearing, never a copy of it, and its
+relay window, decided then, once. `select_relays` filters the stored
+windows, and `next_plan_change` looks up the next of their edges in one
+sorted list. `db` (the kept links' rows) is read when asked, and `record`
+reads one row as a HarvestRecord, the upload view. `reidentify` splits
 only the rows of kept links that pass matching's published-identifier join
 (`device.published_kind`). Each dossier sighting keeps the MAC it was heard
 under: that is the MAC linkage a side database of MACs joins on.
 
 The relay plan (`plan`) is a `radio.RowLog`, as the scan log is: each
 relay decision on each tick is one row, its time and its entry (the row's
-key); it has no values. A relay candidate's masked AEM, its payload and
-its line fields (every field of an attack_plan.jsonl line but `t`,
-`deputy` and `age_s`, all fixed per identifier) are made when `_take`
-files it, beside its window. A (deputy, identifier) pair's entry is the
-deputy followed by those fields, interned by the pair the first time it
-is planned. The run loop extends a tick's plan rows over the ticks that
+key); it has no values. A relay candidate's payload (AEM masked when
+tampering) and its line fields (every field of an attack_plan.jsonl line
+but `t`, `deputy` and `age_s`, all fixed per identifier and read from its
+row) are made when `_take` files it. A relay order is a deputy and the
+payload it re-emits; a (deputy, identifier) pair's entry is the deputy
+followed by those fields, interned by the pair the first time it is
+planned. The run loop extends a tick's plan rows over the ticks that
 repeat it with `RowLog.repeat`, as `World.step` extends a tick's scan rows.
 """
 
@@ -103,9 +105,7 @@ class HarvestRecord(NamedTuple):
 
 
 class RelayOrder(NamedTuple):
-    rpi: bytes
-    aem: bytes  # already masked when the policy tampers
-    payload: bytes  # the advertising bytes carrying rpi and aem
+    payload: bytes  # the harvested identifier's advertising bytes, its aem masked when tampering
     deputy_id: str
 
 
@@ -136,12 +136,12 @@ class AttackerServer:
         # the relay plan, one row per decision per tick: its key is its entry, the
         # line's fields but `t` and `age_s`, interned by (deputy, identifier)
         self.plan = RowLog()
-        # per identifier, its first in-zone hearing, the first and last time it
-        # may be relayed (`_eligible`), its masked aem, its payload and its plan
-        # entry fields but the deputy, all made then. First hearing is what
-        # matters: it starts the upload clock, and the relay deadline depends
-        # only on the slot, which repeats hearings share.
-        self._relay_candidates: dict[bytes, tuple[HarvestRecord, int, int, bytes, bytes, dict]] = {}
+        # per identifier, the row of its first in-zone hearing (read, never
+        # copied), the first and last time it may be relayed, its payload and its
+        # plan entry fields but the deputy, all made then (`_take`). First hearing
+        # is what matters: it starts the upload clock, and the relay deadline
+        # depends only on the slot, which repeats hearings share.
+        self._relay_candidates: dict[bytes, tuple[int, int, int, bytes, dict]] = {}
         # sorted times at which a candidate can start or stop changing the plan
         self._plan_edges: list[int] = []
 
@@ -179,16 +179,21 @@ class AttackerServer:
         self.harvest_links.add(link_id)
         if (isinstance(kind, beacon.Gaen) and kind.rpi not in self._relay_candidates
                 and self._in_harvest_zone(link.rx)):
-            pol, rpi = self.policy, kind.rpi
-            record = self.record(self.log.first[link_id])
-            lo, hi = self._eligible(record)
+            pol, rpi, row = self.policy, kind.rpi, self.log.first[link_id]
+            heard = self.log.t[row]
+            # relayable once uploaded, up to the deadline, and inside the relay window
+            deadline = slot_end(heard) + pol.replay_horizon
+            lo, hi = heard + pol.relay_latency, deadline
+            if pol.relay_window is not None:
+                start = slot_start(heard)
+                lo, hi = max(lo, start + pol.relay_window[0]), min(hi, start + pol.relay_window[1])
             aem = kind.aem if pol.tamper_mask is None else tamper(kind.aem, pol.tamper_mask)
-            self._relay_candidates[rpi] = (record, lo, hi, aem, beacon.encode_gaen(rpi, aem), {
+            self._relay_candidates[rpi] = (row, lo, hi, beacon.encode_gaen(rpi, aem), {
                 "rpi_hex": rpi.hex(), "aem_hex": aem.hex(),
-                "tampered": pol.tamper_mask is not None, "source_deputy": record.deputy_id,
-                "harvest_t": record.time, "harvest_x": record.location[0],
-                "harvest_y": record.location[1], "deadline_t": self.relay_deadline(record)})
-            insort(self._plan_edges, max(lo, record.time + 1))
+                "tampered": pol.tamper_mask is not None, "source_deputy": link.receiver,
+                "harvest_t": heard, "harvest_x": link.rx[0], "harvest_y": link.rx[1],
+                "deadline_t": deadline})
+            insort(self._plan_edges, max(lo, heard + 1))
             insort(self._plan_edges, hi + 1)
 
     def _in_harvest_zone(self, location) -> bool:
@@ -212,9 +217,6 @@ class AttackerServer:
 
     # -- server side ------------------------------------------------------
 
-    def relay_deadline(self, record: HarvestRecord) -> int:
-        return slot_end(record.time) + self.policy.replay_horizon
-
     def select_relays(self, t: int, deputy_positions: dict) -> list[RelayOrder]:
         """Relay plan for time t: the candidates whose window holds t, freshest
         first. Each decision is appended to the plan as one row; a (deputy,
@@ -230,29 +232,20 @@ class AttackerServer:
             return []
 
         ranked = [(rpi, c) for rpi, c in self._relay_candidates.items() if c[1] <= t <= c[2]]
-        # freshest first hearing first; ties broken by identifier bytes
-        ranked.sort(key=lambda kv: (-kv[1][0].time, kv[0]))
+        # freshest first hearing first; ties (one tick's hearings) broken by
+        # identifier bytes, never by the order the tick's hearings were logged in
+        ranked.sort(key=lambda kv: (-kv[1][4]["harvest_t"], kv[0]))
         if pol.max_relays_per_deputy is not None:
             ranked = ranked[:pol.max_relays_per_deputy]
 
         orders, entries, row = [], array("i"), len(self.plan)
         for deputy in targets:
-            for rpi, (_, _, _, aem, payload, fields) in ranked:
-                orders.append(RelayOrder(rpi=rpi, aem=aem, payload=payload, deputy_id=deputy))
+            for rpi, (_, _, _, payload, fields) in ranked:
+                orders.append(RelayOrder(payload=payload, deputy_id=deputy))
                 entries.append(self.plan.intern((deputy, rpi), {"deputy": deputy, **fields},
                                                 row + len(entries)))
         self.plan.repeat((t,), entries)
         return orders
-
-    def _eligible(self, record: HarvestRecord) -> tuple[int, int]:
-        """The first and last time at which `record` may be relayed: once it is
-        uploaded, up to its relay deadline, and inside the relay window."""
-        pol = self.policy
-        lo, hi = record.time + pol.relay_latency, self.relay_deadline(record)
-        if pol.relay_window is not None:
-            start = slot_start(record.time)
-            lo, hi = max(lo, start + pol.relay_window[0]), min(hi, start + pol.relay_window[1])
-        return lo, hi
 
     def next_plan_change(self, t: int) -> float:
         """The first time after t at which `select_relays` could choose otherwise

@@ -67,7 +67,7 @@ def _summarize(result: RunResult) -> None:
           f"{len(result.published)} published keys")
     print(f"notifications: {len(rows)} ({false_pos} with no genuine contact)")
     if result.attacker is not None:
-        print(f"attacker: {len(result.attacker.db)} harvested frames, "
+        print(f"attacker: {len(result.attacker.db)} harvested hearings, "
               f"{len(result.attacker.plan)} relay decisions, "
               f"{len(result.dossiers)} dossiers")
 

@@ -14,7 +14,8 @@ span: the next change is the earliest of the next identifier
 rotation (every `crypto.INTERVAL_SECONDS`), waypoint, diagnosis, injection,
 the end of the run and the next time at which the relay plan could differ
 (`AttackerServer.next_plan_change`, which counts the candidates heard on
-the tick itself).
+the tick itself). The world holds only the app and deputy nodes: scenery
+neither sends nor hears, so its waypoints end no span.
 
 No event is routed one by one. When the run ends, the published-key
 snapshot's identifier index is built once and shared by every device's
@@ -391,7 +392,7 @@ def harvested_owners(server: AttackerServer) -> set:
 
 
 def run_scenario(cfg: ScenarioConfig) -> RunResult:
-    world = World(cfg.world)
+    world = World(cfg.world._replace(nodes=tuple(n for n in cfg.world.nodes if n.app or n.deputy)))
     node_by_id = world.nodes
     devices = {
         n.id: DeviceState(id=n.id, rng=_node_rng(cfg.world.seed, n.id), tx_power=n.tx_power,

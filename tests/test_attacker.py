@@ -8,7 +8,7 @@ from ensim import beacon, crypto
 from ensim.attacker import (
     AttackPolicy,
     AttackerServer,
-    HarvestRecord,
+    RelayOrder,
     Zone,
     slot_end,
     tamper,
@@ -31,6 +31,11 @@ def make_server(**kw):
     kw.setdefault("harvest_zones", (HOSPITAL,))
     kw.setdefault("target_zones", (FACTORY,))
     return AttackerServer(AttackPolicy(**kw))
+
+
+def relayed(server, order):
+    """The harvested frame kind a relay order re-emits (rpi and possibly masked aem)."""
+    return beacon.decode(order.payload, server.policy.relay_mac).kind
 
 
 class TestTamper:
@@ -110,7 +115,7 @@ class TestSelectRelays:
         server.deputy_on_scan("hosp", s)
         orders = server.select_relays(600, {"hosp": (0.0, 0.0), "fac": (1000.0, 0.0)})
         assert [o.deputy_id for o in orders] == ["fac"]
-        assert orders[0].rpi == beacon.decode(s.payload, s.mac).kind.rpi
+        assert relayed(server, orders[0]).rpi == beacon.decode(s.payload, s.mac).kind.rpi
 
     def test_expired_excluded(self):
         # heard at the end of its slot: productive until slot_end + 2 h; 5 min past that is out
@@ -169,8 +174,22 @@ class TestSelectRelays:
         s, _ = gaen_sighting(0, loc=(0.0, 0.0))
         server.deputy_on_scan("hosp", s)
         orders = server.select_relays(600, {"fac": (1000.0, 0.0)})
-        original = beacon.decode(s.payload, s.mac).kind.aem
-        assert orders[0].aem == tamper(original, mask)
+        original = beacon.decode(s.payload, s.mac).kind
+        assert relayed(server, orders[0]) == beacon.Gaen(original.rpi, tamper(original.aem, mask))
+
+    @pytest.mark.parametrize("smaller_first", [False, True])
+    def test_same_tick_tie_goes_to_the_smaller_identifier(self, smaller_first):
+        # two identifiers first heard on one tick: the plan ranks them by identifier
+        # bytes, whichever order the tick's hearings were logged in
+        sightings = sorted((gaen_sighting(0, seed=seed)[0] for seed in (1, 2)),
+                           key=lambda s: beacon.decode(s.payload, s.mac).kind.rpi,
+                           reverse=not smaller_first)
+        server = make_server(max_relays_per_deputy=1)
+        for s in sightings:
+            server.deputy_on_scan("hosp", s)
+        [order] = server.select_relays(600, {"fac": (1000.0, 0.0)})
+        heard = [beacon.decode(s.payload, s.mac).kind.rpi for s in sightings]
+        assert relayed(server, order).rpi == min(heard) != max(heard)
 
 
 HEARINGS = st.lists(st.tuples(
@@ -193,7 +212,7 @@ class TestNextPlanChange:
     TARGETS = {"fac": (1000.0, 0.0), "fac2": (1001.0, 1.0), "hosp1": (0.0, 0.0)}
 
     def orders(self, server, t):
-        return [(o.deputy_id, o.rpi, o.aem) for o in server.select_relays(t, self.TARGETS)]
+        return [(o.deputy_id, o.payload) for o in server.select_relays(t, self.TARGETS)]
 
     @settings(max_examples=100, deadline=None)
     @given(POLICIES, st.lists(st.tuples(st.integers(1, 1500), HEARINGS), min_size=1, max_size=10))
@@ -231,8 +250,9 @@ class TestRebroadcast:
         assert em.node_id == "fac"
         assert em.relay is True
         assert em.mac == server.policy.relay_mac
+        assert RelayOrder._fields == ("payload", "deputy_id")
         kind = beacon.decode(em.payload, em.mac).kind
-        assert type(kind) is beacon.Gaen and kind == beacon.Gaen(orders[0].rpi, orders[0].aem)
+        assert type(kind) is beacon.Gaen and kind == beacon.decode(s.payload, s.mac).kind
 
     def test_server_has_no_location(self):
         server = make_server()

@@ -46,7 +46,7 @@ def test_run_summary_counts_what_the_run_wrote(tmp_path, capsys, monkeypatch):
                         lambda cfg: runs.append(engine.run_scenario(cfg)) or runs[-1])
     assert main(["run", "hospital_replay", "--out", str(tmp_path / "o")]) == 0
     harvested, decisions = map(int, re.search(
-        r"attacker: (\d+) harvested frames, (\d+) relay decisions", capsys.readouterr().out).groups())
+        r"attacker: (\d+) harvested hearings, (\d+) relay decisions", capsys.readouterr().out).groups())
     [result] = runs
     lines = (tmp_path / "o" / "attack_plan.jsonl").read_text().splitlines()
     assert decisions == len(lines) == len(result.attacker.plan) > len(result.attacker.plan.keys)

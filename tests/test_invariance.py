@@ -15,7 +15,10 @@ and nothing else:
     without noise, changes no notification and moves every dossier
     sighting by the same offset. The configs it runs on have coordinates
     that are multiples of 1/8, so every shifted coordinate and every
-    difference of two is exact.
+    difference of two is exact;
+  * moving scenery (nodes with neither app nor deputy), with or without
+    noise, changes no artifact byte and no `World.step` call: scenery
+    neither sends nor hears, so its waypoints end no span of the run.
 
 The attack-off, bystander and translation relations are checked on the
 bundled configs and on small drawn ones (`scenes`): noiseless, with a tick of 1 or 7 s, 2-6 nodes
@@ -36,6 +39,7 @@ from hypothesis import given, settings, strategies as st
 
 from ensim import scenarios
 from ensim.engine import ScenarioConfig, run_scenario, write_outputs
+from ensim.radio import World
 from test_engine_oracle import _injection, _node, scenario
 
 ATTACK_SCENARIOS = ("lazy_student", "hospital_replay", "targeted_replay", "reidentification",
@@ -200,3 +204,31 @@ def test_translation_moves_places_only(name, dx, dy):
 @given(scenes())
 def test_drawn_translation_moves_places_only(raw):
     assert_translation_moves_places_only(raw, 1024.0, -4096.0)
+
+
+@pytest.mark.parametrize("noise_sigma", [0.0, 4.0])
+def test_moving_scenery_changes_nothing(noise_sigma, tmp_path, monkeypatch):
+    raw = scenarios.hospital_replay()
+    raw["world"]["path_loss"]["noise_sigma"] = noise_sigma
+    moved = copy.deepcopy(raw)
+    scenery = [node for node in moved["nodes"] if not (node.get("app") or node.get("deputy"))]
+    assert [node["id"] for node in scenery] == [f"wn{i:02d}" for i in range(5)]
+    for node in scenery:
+        [[_, x, y]] = node["trajectory"]
+        node["trajectory"] += [[137.5, x + 1.5, y], [401, x, y + 1.5], [733, x - 1.5, y]]
+
+    def run(raw, out):
+        """The run's `World.step` calls and the bytes of every artifact it writes."""
+        steps, step = 0, World.step
+
+        def counted(world, *args, **kwargs):
+            nonlocal steps
+            steps += 1
+            return step(world, *args, **kwargs)
+
+        with monkeypatch.context() as m:
+            m.setattr(World, "step", counted)
+            write_outputs(run_scenario(ScenarioConfig.from_dict(raw)), out)
+        return steps, {f.name: f.read_bytes() for f in sorted(out.iterdir())}
+
+    assert run(moved, tmp_path / "moved") == run(raw, tmp_path / "still")

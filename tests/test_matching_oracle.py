@@ -149,7 +149,9 @@ def test_reidentify_equals_reference(world, collect_all):
     server = AttackerServer(policy, log=world.events, deputies=deputies)
     server.catch_up()
     assert same(list(map(server.record, server.db.tolist())), route.db)
-    candidates = {rpi: record for rpi, (record, *_) in server._relay_candidates.items()}
+    # a candidate keeps its first hearing's row; the reference keeps that hearing's record
+    candidates = {rpi: server.record(row)
+                  for rpi, (row, *_) in server._relay_candidates.items()}
     assert same(candidates, route.candidates)
     assert same(server.reidentify(entries), expected)
 

@@ -383,7 +383,9 @@ def test_scan_log_readers_match_per_event_routing(run):
 
     route = ref.reference_route(slow.events, devices, deputies, policy)
     assert engine.harvested_owners(server) == route.owners
-    candidates = {rpi: record for rpi, (record, *_) in server._relay_candidates.items()}
+    # a candidate keeps its first hearing's row; the reference keeps that hearing's record
+    candidates = {rpi: server.record(row)
+                  for rpi, (row, *_) in server._relay_candidates.items()}
     assert ref.same(candidates, route.candidates)
     assert ref.same(list(map(server.record, server.db.tolist())), route.db)
 
