@@ -14,7 +14,7 @@ One row is printed per run: the scan events, the links of the scan log
 (`radio.Link`), the `World.step` calls (each a span of identical ticks,
 counted through a wrapper on the class in the child, as perfbench's tracer
 counts them), the run and write seconds, and the child's maximum resident
-set size.
+set size in MB of 10**6 bytes, as perfbench reports `peak_rss_mb`.
 """
 
 from __future__ import annotations
@@ -60,7 +60,7 @@ def probe(nodes: int, seconds: int, run_only: bool, results) -> None:
     results.put({"nodes": nodes, "seconds": seconds, "events": len(result.world.events),
                  "links": len(result.world.events.keys), "steps": steps,
                  "run_s": round(run_s, 2), "write_s": write_s,
-                 "max_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024)})
+                 "max_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024 / 1e6)})
 
 
 def main() -> None:

@@ -38,10 +38,11 @@ key); it has no values. A relay candidate's payload (AEM masked when
 tampering) and its line fields (every field of an attack_plan.jsonl line
 but `t`, `deputy` and `age_s`, all fixed per identifier and read from its
 row) are made when `_take` files it. A relay order is a deputy and the
-payload it re-emits; a (deputy, identifier) pair's entry is the deputy
-followed by those fields, interned by the pair the first time it is
-planned. The run loop extends a tick's plan rows over the ticks that
-repeat it with `RowLog.repeat`, as `World.step` extends a tick's scan rows.
+payload it re-emits, which the world sends at the deputy's own power; a
+(deputy, identifier) pair's entry is the deputy followed by those fields,
+interned by the pair the first time it is planned. The run loop extends a
+tick's plan rows over the ticks that repeat it with `RowLog.repeat`, as
+`World.step` extends a tick's scan rows.
 """
 
 from __future__ import annotations
@@ -256,15 +257,10 @@ class AttackerServer:
         i = bisect_right(edges, t)
         return edges[i] if self.policy.target_zones and i < len(edges) else math.inf
 
-    def rebroadcast(self, order: RelayOrder, tx_power: int) -> Emission:
-        """Emission a deputy makes for one plan entry, under the attacker's MAC."""
-        return Emission(
-            node_id=order.deputy_id,
-            payload=order.payload,
-            mac=self.policy.relay_mac,
-            tx_power=tx_power,
-            relay=True,
-        )
+    def rebroadcast(self, order: RelayOrder) -> Emission:
+        """Emission a deputy makes for one plan entry, under the attacker's MAC;
+        the world sends it at the deputy's power."""
+        return Emission(order.deputy_id, order.payload, self.policy.relay_mac, relay=True)
 
     # -- analysis over published keys --------------------------------------
 

@@ -27,7 +27,7 @@ def _load_config(ref: str, seed):
     if p.exists():
         try:
             raw = json.loads(p.read_text())
-        except (OSError, ValueError) as e:
+        except (OSError, ValueError, RecursionError) as e:  # RecursionError: nested too deep
             raise ScenarioError(f"config {ref!r} is not valid JSON: {e}") from e
     elif ref in scenarios.BUILDERS:
         raw = scenarios.BUILDERS[ref]()

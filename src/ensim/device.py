@@ -1,9 +1,10 @@
 """Honest device state machine: key rotation, broadcast, storage, matching.
 
 A device exists only for a node with the app (`NodeSpec.app`) and
-broadcasts on every tick. Its advertised frame is made where its identifier
-and MAC rotate, once per 10-minute interval, and returned on every tick of
-that interval; a device's power is fixed for the run.
+broadcasts on every tick. Its frame is the `radio.Emission` the world
+takes, made where its identifier and MAC rotate, once per 10-minute
+interval, and returned on every tick of that interval. The power its
+metadata claims is fixed for the run; the world sends at its node's.
 
 Matching semantics:
 
@@ -53,7 +54,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from . import beacon, crypto
-from .radio import ScanLog, Sighting, attenuation
+from .radio import Emission, ScanLog, Sighting, attenuation
 
 TEK_RETENTION_DAYS = 14
 
@@ -80,7 +81,7 @@ class ExposureNotification(NamedTuple):
 class DeviceState:
     id: str
     rng: Random
-    tx_power: int = 0
+    tx_power: int = 0  # the power its metadata claims
     current_tek: Optional[crypto.TemporaryExposureKey] = None
     tek_history: list = field(default_factory=list)
     log: ScanLog = field(default_factory=ScanLog)  # holds what it heard (`sightings`)
@@ -89,7 +90,7 @@ class DeviceState:
     _interval: int = -1
     _rpik: bytes = b""
     _aemk: bytes = b""
-    _frame: Optional[beacon.BeaconFrame] = None
+    _emission: Optional[Emission] = None
 
     @property
     def sightings(self) -> np.ndarray:
@@ -123,14 +124,14 @@ def _roll_keys(state: DeviceState, t: int) -> None:
     mac = _random_mac(state.rng)
     state.mac_history.append((interval, mac))
     aem = crypto.encrypt_aem(state._aemk, rpi, crypto.Metadata(tx_power=state.tx_power))
-    state._frame = beacon.BeaconFrame(mac=mac, payload=beacon.encode_gaen(rpi, aem),
-                                      kind=beacon.Gaen(rpi, aem))
+    state._emission = Emission(state.id, beacon.encode_gaen(rpi, aem), mac)
 
 
-def broadcast_current(state: DeviceState, t: int) -> beacon.BeaconFrame:
-    """The frame this device advertises at time t."""
+def broadcast_current(state: DeviceState, t: int) -> Emission:
+    """The frame this device advertises at time t, as the world takes it: one
+    object for every tick of an identifier interval."""
     _roll_keys(state, t)
-    return state._frame
+    return state._emission
 
 
 def on_scan(state: DeviceState, sighting: Sighting) -> None:

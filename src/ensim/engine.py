@@ -62,6 +62,7 @@ import csv
 import functools
 import hashlib
 import json
+import re
 import sys
 from bisect import bisect_right
 from dataclasses import dataclass, field
@@ -81,7 +82,6 @@ from .device import DeviceState, MatchingParams
 from .diagnosis import DiagnosisServer
 from .radio import (
     NO_ROWS,
-    Emission,
     NodeSpec,
     PathLoss,
     Sighting,
@@ -125,7 +125,10 @@ def _ranged(kind: str, is_type):
 integer = _ranged("an integer", lambda v: type(v) is int)
 # abs() also rules out nan, infinities and ints too large to become a float
 number = _ranged("a number", lambda v: type(v) in (int, float) and abs(v) <= sys.float_info.max)
-TEXT = _check(lambda v: isinstance(v, str), "a string")
+# node ids are hashed, and names printed and made directories, as UTF-8, which
+# encodes every string but one holding a lone surrogate (JSON's "\ud800")
+TEXT = _check(lambda v: isinstance(v, str) and not re.search("[\ud800-\udfff]", v),
+              "a string UTF-8 can encode")
 # the default output directory is out/<name>, so a name is one plain path component
 NAME = _check(lambda v: v not in ("", ".", "..") and not any(c in v for c in "/\\\0"),
               "a plain file name (not empty, '.' or '..', no '/', '\\' or NUL)", TEXT)
@@ -393,7 +396,6 @@ def harvested_owners(server: AttackerServer) -> set:
 
 def run_scenario(cfg: ScenarioConfig) -> RunResult:
     world = World(cfg.world._replace(nodes=tuple(n for n in cfg.world.nodes if n.app or n.deputy)))
-    node_by_id = world.nodes
     devices = {
         n.id: DeviceState(id=n.id, rng=_node_rng(cfg.world.seed, n.id), tx_power=n.tx_power,
                           log=world.events)
@@ -406,8 +408,8 @@ def run_scenario(cfg: ScenarioConfig) -> RunResult:
 
     diagnoses: dict[int, list] = {}
     for nid in sorted(devices):
-        if node_by_id[nid].diagnosed_at is not None:
-            diagnoses.setdefault(node_by_id[nid].diagnosed_at, []).append(nid)
+        if world.nodes[nid].diagnosed_at is not None:
+            diagnoses.setdefault(world.nodes[nid].diagnosed_at, []).append(nid)
     injections: dict[int, list] = {}
     for inj in cfg.injections:
         injections.setdefault(inj.t, []).append(inj)
@@ -419,17 +421,11 @@ def run_scenario(cfg: ScenarioConfig) -> RunResult:
         for nid in diagnoses.get(t, ()):
             device_mod.diagnose_and_upload(devices[nid], diag, t)
 
-        emissions = []
-        for nid in sorted(devices):
-            frame = device_mod.broadcast_current(devices[nid], t)
-            emissions.append(Emission(node_id=nid, payload=frame.payload, mac=frame.mac,
-                                      tx_power=devices[nid].tx_power, relay=False))
+        emissions = [device_mod.broadcast_current(devices[nid], t) for nid in sorted(devices)]
         if server is not None:
             positions = {d: world.position(d, t) for d in deputies}
             first = len(server.plan)  # this tick's plan rows, repeated over its span
-            for order in server.select_relays(t, positions):
-                emissions.append(server.rebroadcast(
-                    order, tx_power=node_by_id[order.deputy_id].tx_power))
+            emissions += map(server.rebroadcast, server.select_relays(t, positions))
 
         world.step(t, emissions)
         for inj in injections.get(t, ()):

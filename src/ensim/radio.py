@@ -128,10 +128,12 @@ class Sighting(NamedTuple):
 
 
 class Emission(NamedTuple):
+    """A frame on the air: its payload under its MAC, sent by node `node_id`
+    at that node's true power (`NodeSpec.tx_power`), relayed or its own."""
+
     node_id: str
     payload: bytes
     mac: str
-    tx_power: int
     relay: bool = False
 
 
@@ -392,16 +394,17 @@ class World:
     def _deliver(self, em: Emission, row: int) -> tuple:
         """One emission's deliveries at the current positions, in scanner order:
         their link ids (a new link first heard on `row` and on), and their
-        noiseless rssi."""
+        noiseless rssi at its node's power. `math.dist` makes each coordinate
+        a float before it subtracts, so integer coordinates never overflow."""
         pl, range_max, positions = self.config.path_loss, self.config.radio_range_max, self._positions
         emitter = em.node_id
-        ex, ey = positions[emitter]
+        here, tx_power = positions[emitter], self.nodes[emitter].tx_power
         heard, rssis = [], array("d")
         for sid in self._scanner_ids:
             if sid == emitter:
                 continue
             rx = positions[sid]
-            rssi = propagate(em.tx_power, math.hypot(rx[0] - ex, rx[1] - ey), pl, range_max)
+            rssi = propagate(tx_power, math.dist(rx, here), pl, range_max)
             if rssi is not None:
                 heard.append(Link(sid, emitter, em.relay, em.mac, em.payload, rx))
                 rssis.append(rssi)

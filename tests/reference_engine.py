@@ -15,7 +15,7 @@ from ensim import engine
 from ensim.attacker import AttackerServer
 from ensim.device import DeviceState
 from ensim.diagnosis import DiagnosisServer
-from ensim.radio import Emission, Sighting, World
+from ensim.radio import Sighting, World
 
 
 def run_scenario(cfg):
@@ -41,16 +41,11 @@ def run_scenario(cfg):
             if node.diagnosed_at == t:
                 device_mod.diagnose_and_upload(devices[nid], diag, t)
 
-        emissions = []
-        for nid in sorted(devices):
-            frame = device_mod.broadcast_current(devices[nid], t)
-            emissions.append(Emission(node_id=nid, payload=frame.payload, mac=frame.mac,
-                                      tx_power=devices[nid].tx_power, relay=False))
+        emissions = [device_mod.broadcast_current(devices[nid], t) for nid in sorted(devices)]
         if server is not None:
             positions = {d: world.position(d, t) for d in deputies}
             for order in server.select_relays(t, positions):
-                emissions.append(server.rebroadcast(
-                    order, tx_power=node_by_id[order.deputy_id].tx_power))
+                emissions.append(server.rebroadcast(order))
 
         world.step(t, emissions)
         for inj in injections.get(t, ()):

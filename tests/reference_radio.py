@@ -64,7 +64,8 @@ def reference_step(world, t, emissions):
             if d > world.config.radio_range_max:
                 continue
             noise = world._rng.gauss(0.0, pl.noise_sigma) if pl.noise_sigma > 0 else 0.0
-            rssi = propagate(em.tx_power, d, pl, world.config.radio_range_max) + noise
+            tx_power = world.nodes[em.node_id].tx_power
+            rssi = propagate(tx_power, d, pl, world.config.radio_range_max) + noise
             new.append(ScanEvent(
                 receiver_id=sid,
                 sighting=Sighting(em.payload, em.mac, rssi, t, (sx, sy)),

@@ -49,11 +49,12 @@ class TestTamper:
 
     def test_bit_flip_lands_in_decrypted_power(self):
         dev = DeviceState(id="c", rng=random.Random(0), tx_power=0)
-        frame = broadcast_current(dev, 0)
+        em = broadcast_current(dev, 0)
+        kind = beacon.decode(em.payload, em.mac).kind
         mask = bytes([0x00, 0x08, 0x00, 0x00])  # bit 3 of the tx_power byte
-        forged = tamper(frame.kind.aem, mask)
+        forged = tamper(kind.aem, mask)
         aemk = crypto.derive_aemk(dev.current_tek)
-        meta = crypto.decrypt_aem(aemk, frame.kind.rpi, forged)
+        meta = crypto.decrypt_aem(aemk, kind.rpi, forged)
         assert meta.tx_power == 0 ^ 0x08
 
     def test_bad_lengths(self):
@@ -246,10 +247,11 @@ class TestRebroadcast:
         s, _ = gaen_sighting(0, loc=(0.0, 0.0))
         server.deputy_on_scan("hosp", s)
         orders = server.select_relays(600, {"fac": (1000.0, 0.0)})
-        em = server.rebroadcast(orders[0], tx_power=0)
+        em = server.rebroadcast(orders[0])
         assert em.node_id == "fac"
         assert em.relay is True
         assert em.mac == server.policy.relay_mac
+        assert em._fields == ("node_id", "payload", "mac", "relay")  # sent at the deputy's power
         assert RelayOrder._fields == ("payload", "deputy_id")
         kind = beacon.decode(em.payload, em.mac).kind
         assert type(kind) is beacon.Gaen and kind == beacon.decode(s.payload, s.mac).kind

@@ -76,11 +76,13 @@ def test_unknown_scenario_name(tmp_path, capsys):
 
 
 def test_invalid_json(tmp_path, capsys):
-    cfg = tmp_path / "bad.json"
-    cfg.write_text("{nope")
-    rc = main(["run", str(cfg), "--out", str(tmp_path / "o")])
-    assert rc == 2
-    assert "not valid JSON" in capsys.readouterr().err
+    # past its nesting limit json.loads raises RecursionError, not ValueError: a traceback
+    for text in ("{nope", "[" * 10**5 + "]" * 10**5):
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(text)
+        rc = main(["run", str(cfg), "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert "not valid JSON" in capsys.readouterr().err
 
 
 def test_sweep_rejects_scenario_kind(tmp_path, capsys):
@@ -192,6 +194,11 @@ INVALID_CONFIGS = {
     "name with a backslash": ("scenario", [(("name",), "a\\b")], "'name'"),
     # without --out, mkdir raised ValueError (embedded null byte): a traceback
     "name with NUL": ("scenario", [(("name",), "a\0b")], "'name'"),
+    # JSON's "\ud800" is a lone surrogate, which UTF-8 cannot encode: the name's print
+    # and the node id's seed hash raised UnicodeEncodeError, a traceback
+    "name with a lone surrogate": ("scenario", [(("name",), "a\ud800")], "'name'"),
+    "node id with a lone surrogate": ("scenario", [(("nodes", 0, "id"), "\ud800")],
+                                      "'nodes[0].id'"),
     "sweep name '.'": ("sweep", [(("name",), ".")], "'name'"),
     "sweep name '..'": ("sweep", [(("name",), "..")], "'name'"),
     "sweep name 'a/b'": ("sweep", [(("name",), "a/b")], "'name'"),
@@ -251,6 +258,23 @@ def test_accepted_path_loss_extremes_write_finite_rssi(path_loss, tmp_path):
     assert len(lines) == 60 * 3 * 3
     assert all(abs(json.loads(line, parse_constant=not_json)["rssi"]) <= 1.7976931348623157e308
                for line in lines)
+
+
+def test_integer_coordinates_far_apart_run(tmp_path):
+    # a and b are 2 * 10**308 apart, an exact int difference too large for a float: the
+    # distance is infinite, beyond any range; c hears a 1 m away
+    raw = small_scenario(nodes=[
+        {"id": "a", "app": True, "trajectory": [[0, 10**308, 0]]},
+        {"id": "b", "app": True, "trajectory": [[0, -10**308, 0]]},
+        {"id": "c", "app": True, "trajectory": [[0, 10**308, 1]]},
+    ])
+    raw["world"].update(duration=60, radio_range_max=1e308)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(raw))
+    assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 0
+    lines = (tmp_path / "o" / "events.jsonl").read_text().splitlines()
+    assert {json.loads(line)["receiver"] for line in lines} == {"a", "c"}
+    assert len(lines) == 60 * 2
 
 
 def _paths(doc, path=()):

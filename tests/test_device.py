@@ -23,6 +23,11 @@ def sighting_of(frame, t, rssi=-41.0):
     return Sighting(payload=frame.payload, mac=frame.mac, rssi=rssi, time=t, rx_location=(0.0, 0.0))
 
 
+def kind_of(emission):
+    """The frame kind a broadcast's payload decodes to: its identifier and metadata."""
+    return beacon.decode(emission.payload, emission.mac).kind
+
+
 def replay_sightings(emitter, times, rssi=-41.0, emit_t=None):
     """Sightings of the frame the emitter broadcasts at emit_t, replayed at `times`."""
     frame = broadcast_current(emitter, emit_t if emit_t is not None else times[0])
@@ -34,14 +39,14 @@ class TestBroadcast:
         dev = make_device()
         f1 = broadcast_current(dev, 0)
         f2 = broadcast_current(dev, 599)
-        assert f1.kind.rpi == f2.kind.rpi
+        assert kind_of(f1).rpi == kind_of(f2).rpi
         assert f1.mac == f2.mac
 
     def test_rotation_at_interval_boundary(self):
         dev = make_device()
         f1 = broadcast_current(dev, 599)
         f2 = broadcast_current(dev, 600)
-        assert f1.kind.rpi != f2.kind.rpi
+        assert kind_of(f1).rpi != kind_of(f2).rpi
         assert f1.mac != f2.mac
 
     def test_frame_decodes_to_own_rpi(self):
@@ -56,7 +61,7 @@ class TestBroadcast:
         dev = make_device(tx_power=-4)
         frame = broadcast_current(dev, 0)
         aemk = crypto.derive_aemk(dev.current_tek)
-        meta = crypto.decrypt_aem(aemk, frame.kind.rpi, frame.kind.aem)
+        meta = crypto.decrypt_aem(aemk, kind_of(frame).rpi, kind_of(frame).aem)
         assert meta.tx_power == -4
 
     def test_one_frame_per_interval(self, monkeypatch):
@@ -69,6 +74,7 @@ class TestBroadcast:
         monkeypatch.setattr(crypto, "encrypt_aem", counted)
         dev = make_device()
         f1 = broadcast_current(dev, 0)
+        assert (f1.node_id, f1.relay) == (dev.id, False)
         assert all(broadcast_current(dev, t) is f1 for t in range(1, 600))
         f2 = broadcast_current(dev, 600)
         assert f2 is not f1 and broadcast_current(dev, 1199) is f2
@@ -87,7 +93,7 @@ class TestBroadcast:
         assert dev.tek_history == [day_keys[0], day_keys[1]]
         for interval, frame in enumerate(frames):
             day = crypto.regenerate_day(day_keys[interval // crypto.INTERVALS_PER_DAY])
-            assert frame.kind.rpi == day[interval % crypto.INTERVALS_PER_DAY].rpi
+            assert kind_of(frame).rpi == day[interval % crypto.INTERVALS_PER_DAY].rpi
         macs = [frame.mac for frame in frames]
         assert all(a != b for a, b in zip(macs, macs[1:]))
         assert dev.mac_history == list(enumerate(macs))
@@ -227,8 +233,8 @@ class TestMatching:
         for t in range(0, 1200):
             frame = broadcast_current(carrier, t)
             honest.append(sighting_of(frame, t, rssi=-58.0))
-            tampered_aem = bytes(a ^ b for a, b in zip(frame.kind.aem, mask))
-            payload = beacon.encode_gaen(frame.kind.rpi, tampered_aem)
+            tampered_aem = bytes(a ^ b for a, b in zip(kind_of(frame).aem, mask))
+            payload = beacon.encode_gaen(kind_of(frame).rpi, tampered_aem)
             forged.append(Sighting(payload, frame.mac, -58.0, t, (0.0, 0.0)))
         for s in honest:
             on_scan(victim, s)

@@ -1,6 +1,7 @@
 import importlib.util
 import inspect
 import json
+import math
 import os
 import re
 import subprocess
@@ -10,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from ensim import beacon, coverage, crypto, engine, scenarios
+from ensim import beacon, coverage, crypto, device, engine, radio, scenarios
 from ensim.engine import ScenarioConfig, ScenarioError, run_scenario, write_outputs
 
 REPO = Path(__file__).resolve().parents[1]
@@ -259,6 +260,28 @@ class TestAttackStructure:
         assert relay_links
         assert {link.emitter for link in relay_links} <= set(result.deputies)
 
+    def test_rows_are_heard_at_the_senders_true_power(self):
+        # the carrier sends at 3 dBm and every other app node at 0; the factory
+        # deputy re-emits the carrier's frames, which claim 3 dBm, at its own -6
+        power = {"carrier": 3, "dep_factory": -6}
+        raw = scenarios.hospital_replay()
+        raw["world"]["path_loss"]["noise_sigma"] = 0.0
+        for node in raw["nodes"]:
+            node["tx_power"] = power.get(node["id"], 0)
+        cfg = ScenarioConfig.from_dict(raw)
+        nodes = {n.id: n for n in cfg.world.nodes}
+        log = run_scenario(cfg).world.events
+        heard = Counter()
+        for t, link_id, rssi in zip(*(column.tolist() for column in log.columns())):
+            link = log.keys[link_id]
+            ex, ey = nodes[link.emitter].position(t)
+            d = math.hypot(link.rx[0] - ex, link.rx[1] - ey)
+            assert rssi == radio.propagate(power.get(link.emitter, 0), d, cfg.world.path_loss,
+                                           cfg.world.radio_range_max)
+            heard[link.emitter, link.relay] += 1
+        assert heard["carrier", False] and heard["dep_factory", True]
+        assert {emitter for emitter, relay in heard if relay} == {"dep_factory"}
+
     def test_window_respected_in_plan(self):
         result = run_scenario(ScenarioConfig.from_dict(scenarios.hospital_replay()))
         plan = result.attacker.plan
@@ -490,6 +513,25 @@ class TestComputeOnce:
         assert calls["encode_gaen"] == device_intervals + len(candidates)
         plan = result.attacker.plan
         assert {plan.keys[e]["rpi_hex"] for e in plan.key} == {rpi.hex() for rpi in candidates}
+
+    def test_world_steps_the_devices_own_emissions(self, monkeypatch):
+        # a device's frame is the Emission the world takes, not a copy made per step
+        broadcast, step = device.broadcast_current, radio.World.step
+        made, sent = [], []  # both hold their emissions, so no two share an id
+
+        def recorded(state, t):
+            made.append(broadcast(state, t))
+            return made[-1]
+
+        def stepped(world, t, emissions, **kwargs):
+            sent.extend(em for em in emissions if not em.relay)
+            return step(world, t, emissions, **kwargs)
+
+        monkeypatch.setattr(device, "broadcast_current", recorded)
+        monkeypatch.setattr(radio.World, "step", stepped)
+        result = run_scenario(ScenarioConfig.from_dict(scenarios.lazy_student()))
+        assert any(link.relay for link in result.world.events.keys)
+        assert sent and {id(em) for em in sent} == {id(em) for em in made}
 
     def test_relay_encodes_each_identifier_once(self, monkeypatch):
         calls = Counter()

@@ -80,10 +80,11 @@ def worlds(draw):
         else:
             frames = own if source == "own" else carriers[int(source[1])][1]
             frame = frames[interval]
-            aem, mask = frame.kind.aem, draw(st.sampled_from(MASKS))
+            kind = beacon.decode(frame.payload, frame.mac).kind
+            aem, mask = kind.aem, draw(st.sampled_from(MASKS))
             if mask is not None:
                 aem = tamper(aem, mask)
-            payload = beacon.encode_gaen(frame.kind.rpi, aem)
+            payload = beacon.encode_gaen(kind.rpi, aem)
             mac = draw(st.sampled_from([frame.mac, OTHER_MAC]))
         repeats = draw(st.integers(1, 2))  # the same hearing twice on one tick
         rx = draw(st.sampled_from([(float(offset % 7), 0.0), (offset % 7, 0)]))

@@ -133,8 +133,8 @@ class TestStep:
     def test_mutual_reception_at_one_meter(self):
         w = make_world([still("a", 0, 0, app=True), still("b", 1, 0, app=True)])
         ems = [
-            Emission("a", self.payload(), "aa:aa:aa:aa:aa:aa", 0),
-            Emission("b", self.payload(), "bb:bb:bb:bb:bb:bb", 0),
+            Emission("a", self.payload(), "aa:aa:aa:aa:aa:aa"),
+            Emission("b", self.payload(), "bb:bb:bb:bb:bb:bb"),
         ]
         for t in range(5):
             events = heard(w.events, w.step(t, ems))
@@ -144,11 +144,11 @@ class TestStep:
 
     def test_beyond_range_silent(self):
         w = make_world([still("a", 0, 0, app=True), still("b", 100, 0, app=True)])
-        assert len(w.step(0, [Emission("a", self.payload(), "aa:aa:aa:aa:aa:aa", 0)])) == 0
+        assert len(w.step(0, [Emission("a", self.payload(), "aa:aa:aa:aa:aa:aa")])) == 0
 
     def test_non_scanners_hear_nothing(self):
         w = make_world([still("a", 0, 0, app=True), still("c", 1, 0)])
-        events = w.step(0, [Emission("a", self.payload(), "aa:aa:aa:aa:aa:aa", 0)])
+        events = w.step(0, [Emission("a", self.payload(), "aa:aa:aa:aa:aa:aa")])
         assert len(events) == 0
 
     def test_identical_seeds_identical_logs(self):
@@ -158,7 +158,7 @@ class TestStep:
                 seed=seed, noise_sigma=4.0,
             )
             for t in range(30):
-                w.step(t, [Emission("a", self.payload(), "aa:aa:aa:aa:aa:aa", 0)])
+                w.step(t, [Emission("a", self.payload(), "aa:aa:aa:aa:aa:aa")])
             return contents(w.events)
 
         assert run(7) == run(7)
@@ -171,7 +171,7 @@ class TestStep:
         w = make_world([n, still("d", 0, 0, deputy=True)], duration=20)
         rows = []
         for t in range(20):
-            rows += w.step(t, [Emission("m", self.payload(), "cc:cc:cc:cc:cc:cc", 0)])
+            rows += w.step(t, [Emission("m", self.payload(), "cc:cc:cc:cc:cc:cc")])
         assert len(rows) == 1
         (receiver, _, t, _), = heard(w.events, rows)
         assert receiver == "d"
@@ -185,7 +185,7 @@ class TestStep:
             w.step(-1, [])
 
     def test_span_outside_schedule_rejected(self):
-        ems = [Emission("a", self.payload(), "aa:aa:aa:aa:aa:aa", 0)]
+        ems = [Emission("a", self.payload(), "aa:aa:aa:aa:aa:aa")]
         w = make_world([still("a", 0, 0, app=True), still("b", 1, 0, app=True)], duration=10)
         with pytest.raises(ValueError):
             w.step(6, ems, ticks=5)  # the last tick would be at duration
@@ -199,7 +199,7 @@ class TestStep:
     def test_span_across_a_waypoint_change_rejected(self):
         moving = NodeSpec(id="m", trajectory=((0, 0.0, 0.0), (4.5, 2.0, 0.0)), app=True)
         w = make_world([moving, still("b", 1, 0, app=True)], duration=10)
-        ems = [Emission("m", self.payload(), "cc:cc:cc:cc:cc:cc", 0)]
+        ems = [Emission("m", self.payload(), "cc:cc:cc:cc:cc:cc")]
         assert w.next_waypoint_change(0) == w.next_waypoint_change(4) == 4.5
         assert w.next_waypoint_change(4.5) == math.inf
         with pytest.raises(ValueError):
@@ -215,7 +215,7 @@ class TestStep:
         r = NodeSpec(id="r", app=True,
                      trajectory=((0, 0, 0), (1, 0.0, 0.0), (2, 0, 0), (3, -0.0, 0)))
         w = make_world([r, still("e", 1, 0)], duration=4)
-        em = Emission("e", self.payload(), "ee:ee:ee:ee:ee:ee", 0)
+        em = Emission("e", self.payload(), "ee:ee:ee:ee:ee:ee")
         for t in range(4):
             w.step(t, [em])
         assert len(w.events.keys) == 3

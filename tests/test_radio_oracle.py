@@ -4,10 +4,10 @@ routing and the one-json.dumps-per-line writer in reference_radio.py (and
 the straightforward joins in reference_matching.py).
 
 Generated worlds move nodes across several waypoints (some at the same tick),
-mix tx powers per emission, let deputies relay, may make a node both app and
-deputy, place pairs exactly at the radio range (on an axis and on a
-diagonal) and closer than MIN_DISTANCE_M, sometimes with a range at or
-below MIN_DISTANCE_M, draw noise or not (with odd draw counts per tick, so
+give nodes different tx powers (each emission goes out at its node's), let
+deputies relay, may make a node both app and deputy, place pairs exactly at
+the radio range (on an axis and on a diagonal) and closer than
+MIN_DISTANCE_M, sometimes with a range at or below MIN_DISTANCE_M, draw noise or not (with odd draw counts per tick, so
 the generator's cached second gaussian carries across ticks), may overflow rssi
 to infinity, inject sightings with an int, NaN, infinite or signed-zero rssi
 (so a batch of the log mixes rssi values that compare equal but are written
@@ -102,7 +102,7 @@ def radio_runs(draw):
         duration=DURATION,
         seed=draw(st.integers(0, 3)),
     )
-    # app nodes broadcast, deputies relay; each emission at a drawn tx power
+    # app nodes broadcast, deputies relay; each emission at its node's tx power
     senders = [(n.id, False) for n in nodes if n.app] + [(n.id, True) for n in nodes if n.deputy]
     schedule = []
     for _ in range(DURATION):
@@ -110,8 +110,7 @@ def radio_runs(draw):
         for _ in range(draw(st.integers(0, 4)) if senders else 0):
             nid, relay = draw(st.sampled_from(senders))
             emissions.append(Emission(nid, draw(st.sampled_from(PAYLOADS)),
-                                      draw(st.sampled_from(MACS)),
-                                      draw(st.sampled_from(TX_POWERS)), relay))
+                                      draw(st.sampled_from(MACS)), relay))
         schedule.append(emissions)
     injections = []
     for _ in range(draw(st.integers(0, 3))):
@@ -227,7 +226,7 @@ def test_int_to_float_waypoint_is_a_move():
     fast, slow = World(config), World(config)
     slow.events = []
     for t in range(4):
-        emissions = [Emission("b", PAYLOADS[0], MACS[0], 0)]
+        emissions = [Emission("b", PAYLOADS[0], MACS[0])]
         rows = fast.step(t, emissions)
         assert ref.events(fast.events, rows) == ref.reference_step(slow, t, emissions)
     with tempfile.TemporaryDirectory() as tmp:
@@ -251,7 +250,7 @@ def test_noiseless_link_with_a_new_rssi_is_written_per_row():
     config = WorldConfig(nodes=nodes, tick=1, duration=8)
     fast, slow = World(config), World(config)
     slow.events = []
-    emissions = [Emission("walker", PAYLOADS[0], MACS[0], 0)]
+    emissions = [Emission("walker", PAYLOADS[0], MACS[0])]
     injected = {2: -50.0, 4: -70.0, 7: -70.0}  # one link, whose later rows differ
     for t, k in ((0, 3), (3, 2), (5, 3)):
         rows = fast.step(t, emissions, ticks=k)
@@ -307,8 +306,7 @@ def log_runs(draw):
                          seed=draw(st.integers(0, 3)))
     deputies = [n.id for n in nodes if n.deputy]
     relays = [[(draw(st.sampled_from(deputies)), draw(st.integers(0, 99)),
-                draw(st.sampled_from(MASKS)), draw(st.sampled_from([DEFAULT_RELAY_MAC, OTHER_MAC])),
-                draw(st.sampled_from(TX_POWERS)))
+                draw(st.sampled_from(MASKS)), draw(st.sampled_from([DEFAULT_RELAY_MAC, OTHER_MAC])))
                for _ in range(draw(st.integers(0, 2)))] for _ in range(E2E_TICKS)]
     scanners = [n for n in nodes if n.app or n.deputy]
     injections = [(draw(st.integers(0, E2E_TICKS - 1)), draw(st.sampled_from(scanners)).id,
@@ -337,15 +335,12 @@ def _schedule(config, relays, injections):
     frames, schedule = [], []
     for k in range(E2E_TICKS):
         t = k * E2E_TICK
-        emissions = []
-        for nid in sorted(devices):
-            frame = broadcast_current(devices[nid], t)
-            frames.append(frame)
-            emissions.append(Emission(nid, frame.payload, frame.mac, devices[nid].tx_power))
-        for deputy, pick, mask, mac, tx_power in relays[k]:
-            kind = frames[pick % len(frames)].kind
+        emissions = [broadcast_current(devices[nid], t) for nid in sorted(devices)]
+        frames += emissions
+        for deputy, pick, mask, mac in relays[k]:
+            kind = beacon.decode(frames[pick % len(frames)].payload, "").kind
             aem = kind.aem if mask is None else tamper(kind.aem, mask)
-            emissions.append(Emission(deputy, encode_gaen(kind.rpi, aem), mac, tx_power, True))
+            emissions.append(Emission(deputy, encode_gaen(kind.rpi, aem), mac, True))
         injected = [(receiver, Sighting(DECOY if pick < 0 else frames[pick % len(frames)].payload,
                                         mac, rssi, t, nodes[receiver].position(t)))
                     for when, receiver, pick, mac, rssi in injections if when == k]

@@ -44,8 +44,10 @@ def test_a_zone_is_read_in_its_field_order():
 
 def test_emission_is_a_dict_key_by_value():
     payload = bytes(range(31))
-    cache = {Emission("a", payload, "aa:aa:aa:aa:aa:aa", 0): "direct"}
-    assert cache[Emission("a", bytes(payload), "aa:aa:aa:aa:aa:aa", 0, False)] == "direct"
-    assert Emission("a", payload, "aa:aa:aa:aa:aa:aa", 0, True) not in cache
-    assert Emission("a", payload, "aa:aa:aa:aa:aa:aa", -1) not in cache
-    assert hash(Emission("b", payload, "m", 0)) == hash(Emission("b", payload, "m", 0))
+    cache = {Emission("a", payload, "aa:aa:aa:aa:aa:aa"): "direct"}
+    assert cache[Emission("a", bytes(payload), "aa:aa:aa:aa:aa:aa", False)] == "direct"
+    assert Emission("a", payload, "aa:aa:aa:aa:aa:aa", True) not in cache
+    assert Emission("a", payload, "aa:aa:aa:aa:aa:ab") not in cache
+    assert hash(Emission("b", payload, "m")) == hash(Emission("b", payload, "m"))
+    # the power is its node's, not the frame's
+    assert Emission._fields == ("node_id", "payload", "mac", "relay")
