@@ -34,15 +34,18 @@ under: that is the MAC linkage a side database of MACs joins on.
 
 The relay plan (`plan`) is a `radio.RowLog`, as the scan log is: each
 relay decision on each tick is one row, its time and its entry (the row's
-key); it has no values. A relay candidate's payload (AEM masked when
-tampering) and its line fields (every field of an attack_plan.jsonl line
-but `t`, `deputy` and `age_s`, all fixed per identifier and read from its
-row) are made when `_take` files it. A relay order is a deputy and the
-payload it re-emits, which the world sends at the deputy's own power; a
-(deputy, identifier) pair's entry is the deputy followed by those fields,
-interned by the pair the first time it is planned. The run loop extends a
-tick's plan rows over the ticks that repeat it with `RowLog.repeat`, as
-`World.step` extends a tick's scan rows.
+key). It has no values, so a row costs nothing: the log stores a tick's
+entries once per span, with the range of ticks it repeats over. A relay
+candidate's payload (AEM masked when tampering) and its line fields (every
+field of an attack_plan.jsonl line but `t`, `deputy` and `age_s`, all
+fixed per identifier and read from its row) are made when `_take` files
+it. A relay order is a deputy and the payload it re-emits, which the world
+sends at the deputy's own power; a (deputy, identifier) pair's entry is the
+deputy followed by those fields, interned by the pair the first time it is
+planned. The run loop extends a tick's plan rows over the ticks that
+repeat it with `RowLog.repeat`, one span, as `World.step` extends a tick's
+scan rows. The harvest decodes the time and link of just the rows it reads
+from the log's spans (`RowLog.at`, `RowLog.decode`).
 """
 
 from __future__ import annotations
@@ -153,7 +156,7 @@ class AttackerServer:
         row = self.log.append(deputy_id, sighting)
         self._deputies.add(deputy_id)
         self.catch_up()
-        return self.record(row) if self.log.key[row] in self.harvest_links else None
+        return self.record(row) if self.log.at(row)[1] in self.harvest_links else None
 
     def catch_up(self) -> None:
         """Take in each link of the log first heard since the last call whose
@@ -181,7 +184,7 @@ class AttackerServer:
         if (isinstance(kind, beacon.Gaen) and kind.rpi not in self._relay_candidates
                 and self._in_harvest_zone(link.rx)):
             pol, rpi, row = self.policy, kind.rpi, self.log.first[link_id]
-            heard = self.log.t[row]
+            heard = self.log.at(row)[0]
             # relayable once uploaded, up to the deadline, and inside the relay window
             deadline = slot_end(heard) + pol.replay_horizon
             lo, hi = heard + pol.relay_latency, deadline
@@ -203,13 +206,13 @@ class AttackerServer:
 
     def record(self, row: int) -> HarvestRecord:
         """A kept hearing, `row` of the log, as the deputy uploaded it (KeyError if not kept)."""
-        link_id = self.log.key[row]
+        time, link_id = self.log.at(row)
         if link_id not in self.harvest_links:
             raise KeyError(link_id)
         link = self.log.keys[link_id]
         frame = beacon.BeaconFrame(link.mac, link.payload, self.log.kind(link_id))
         return HarvestRecord(frame=frame, rssi=self.log.value[row], location=link.rx,
-                             time=self.log.t[row], deputy_id=link.receiver)
+                             time=time, deputy_id=link.receiver)
 
     @property
     def db(self) -> np.ndarray:
@@ -245,7 +248,7 @@ class AttackerServer:
                 orders.append(RelayOrder(payload=payload, deputy_id=deputy))
                 entries.append(self.plan.intern((deputy, rpi), {"deputy": deputy, **fields},
                                                 row + len(entries)))
-        self.plan.repeat((t,), entries)
+        self.plan.repeat(range(t, t + 1), entries)
         return orders
 
     def next_plan_change(self, t: int) -> float:
@@ -282,9 +285,10 @@ class AttackerServer:
         rows = log.rows_of(link_id for link_id in self.harvest_links if published_frame(link_id))
         hits: list[list[tuple]] = [[] for _ in published]  # (t, x, y, row, mac)
         for kind, group in log.group(published_frame, rows).items():
-            for row in group.tolist():
-                link = log.keys[log.key[row]]
-                hit = (log.t[row], link.rx[0], link.rx[1], row, link.mac)
+            times, link_ids = log.decode(group)
+            for t, link_id, row in zip(times.tolist(), link_ids.tolist(), group.tolist()):
+                link = log.keys[link_id]
+                hit = (t, link.rx[0], link.rx[1], row, link.mac)
                 for pos, _interval in index[kind.rpi]:
                     hits[pos].append(hit)
 

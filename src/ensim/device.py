@@ -172,23 +172,23 @@ def match_exposures(state: DeviceState, published_teks, params: MatchingParams, 
 
     `index` is `crypto.identifier_index(published_teks)`, built here when not
     given; a run builds it once and shares it across devices. `rows` are the
-    rows of `state.log` to match, `state.sightings` when not given, grouped by
-    `published_kind`: a row whose link fails that join is left out, so a run
-    hands over only the device's rows that pass it.
+    rows of `state.log` to match, in log order (`state.sightings` when not
+    given), grouped by `published_kind`: a row whose link fails that join is
+    left out, so a run hands over only the device's rows that pass it.
     """
     if index is None:
         index = crypto.identifier_index(published_teks)
     own = {tek.key for tek in retained_keys(state)}
 
     log = state.log
-    t_col, link_col, rssi_col = log.columns()
+    rssi_col = np.frombuffer(log.value, dtype=np.float64)
     if rows is None:
         rows = state.sightings
-    matched_rows: list[list] = [[] for _ in published_teks]  # close matched rows per key
-    direct_rows: list[list] = [[] for _ in published_teks]  # those of them heard direct
-    min_att: list[Optional[float]] = [None] * len(matched_rows)
+    matched_t: list[list] = [[] for _ in published_teks]  # times of the close matched rows per key
+    direct_t: list[list] = [[] for _ in published_teks]  # those of them heard direct
+    min_att: list[Optional[float]] = [None] * len(matched_t)
     for kind, group in log.group(published_kind(log, index), rows).items():
-        group_t, group_rssi = t_col[group], rssi_col[group]
+        (group_t, group_link), group_rssi = log.decode(group), rssi_col[group]
         direct = None  # per row; links hold one frame, so each is looked at once
         for pos, interval in index[kind.rpi]:
             window_start = interval * crypto.INTERVAL_SECONDS
@@ -203,27 +203,27 @@ def match_exposures(state: DeviceState, published_teks, params: MatchingParams, 
             close = in_window & (att <= params.attenuation_threshold)
             if close.any():
                 if direct is None:
-                    links, of_row = np.unique(link_col[group], return_inverse=True)
+                    links, of_row = np.unique(group_link, return_inverse=True)
                     direct = np.array([log.keys[i].direct for i in links.tolist()])[of_row]
-                matched_rows[pos].append(group[close])
-                direct_rows[pos].append(group[close & direct])
+                matched_t[pos].append(group_t[close])
+                direct_t[pos].append(group_t[close & direct])
                 best = float(att[close].min())
                 min_att[pos] = best if min_att[pos] is None else min(min_att[pos], best)
 
     def duration(parts) -> int:
-        return len(set().union(*(t_col[rows].tolist() for rows in parts))) * params.tick
+        return len(set().union(*(times.tolist() for times in parts))) * params.tick
 
     notifications = []
     for pos, tek in enumerate(published_teks):
         if tek.key in own:
             continue
-        cumulative = duration(matched_rows[pos])
+        cumulative = duration(matched_t[pos])
         if cumulative >= params.duration_threshold:
             notifications.append(ExposureNotification(
                 matched_tek=tek,
                 day=tek.rolling_start // crypto.INTERVALS_PER_DAY,
                 cumulative_duration=cumulative,
                 min_attenuation=min_att[pos],
-                direct_duration=duration(direct_rows[pos]),
+                direct_duration=duration(direct_t[pos]),
             ))
     return notifications

@@ -9,7 +9,8 @@ window then. Then its repeats: every later tick before the next change
 sends the same emissions over the same links, and only `t` and the noise
 differ, so the world delivers them in one step and the loop repeats the
 tick's relay plan rows over them (`RowLog.repeat`, as the world repeats
-its scan rows; no entry is made or copied). One rule ends a
+its scan rows: each is one span, whose entries or links are stored once,
+and no entry is made or copied). One rule ends a
 span: the next change is the earliest of the next identifier
 rotation (every `crypto.INTERVAL_SECONDS`), waypoint, diagnosis, injection,
 the end of the run and the next time at which the relay plan could differ
@@ -446,7 +447,9 @@ def run_scenario(cfg: ScenarioConfig) -> RunResult:
         if end > t + tick:
             world.step(t + tick, emissions, ticks=(end - t) // tick - 1)
             if server is not None:
-                server.plan.repeat(range(t + tick, end, tick), server.plan.key[first:])
+                plan = server.plan
+                entries = plan.decode(np.arange(first, len(plan)))[1]  # this tick's
+                plan.repeat(range(t + tick, end, tick), entries)
         t = end
 
     return _result(cfg, world, devices, deputies, server, diag)
@@ -532,9 +535,9 @@ def write_attack_plan(server: Optional[AttackerServer], path) -> None:
     if server is None:
         Path(path).write_text("")
         return
-    t, entry, _ = server.plan.columns()
-    harvest_t = np.array([fields["harvest_t"] for fields in server.plan.keys], dtype=np.int64)
-    write_lines(path, t, entry, t - harvest_t[entry], server.plan.first, server.plan.keys, "age_s", 1)
+    plan = server.plan
+    harvest_t = np.array([fields["harvest_t"] for fields in plan.keys], dtype=np.int64)
+    write_lines(path, plan, lambda rows, t, entry: t - harvest_t[entry], plan.keys, "age_s", 1)
 
 
 def _dossiers_json(dossiers: list) -> bytes:

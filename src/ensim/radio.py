@@ -6,8 +6,9 @@ emitter, delivered once per scanning node in range. Path loss is computed
 once per geometry: the world keeps each emission's deliveries (link ids
 and noiseless rssi) and resets them at each waypoint time of any node. A
 step delivers a span of ticks that send the same emissions between two
-waypoint times at once, in one loop that repeats one tick's rows over as
-many whole ticks as fit in one `NoiseAhead` refill and adds their noise.
+waypoint times at once: it appends one tick's link ids once, as one span
+of the log over all its ticks, and fills in the rows' rssi in one loop over
+as many whole ticks as fit in one `NoiseAhead` refill, adding their noise.
 Identical (config, injections) always produce identical event logs. Noise
 comes from the world's own seeded generator: the values `Random.gauss`
 would give one delivery at a time, in row order, are drawn ahead in bulk
@@ -19,27 +20,30 @@ and sin.
 Every delivery, radio-made or injected, is one row of the world's
 `ScanLog`, a `RowLog` (the one row log; the relay plan is another): its
 time, a link id and its rssi, the one float that is matched, harvested and
-written, however the rssi was given. A link is what all hearings of one
-frame by one receiver at one place share (receiver, emitter, relay flag,
-MAC, payload, rx position), stored once. Only
-`World.step` writes rows whose link has an emitter; `ScanLog.append` logs
-every hearing from outside the radio, so only the radio makes a hearing
-direct. Devices, the attacker and the event-log writer read the rows they
-need from this one log, by row number; nothing else is kept per event. The
-log decodes each distinct payload once (`ScanLog.kind`), for the harvest
-and matching alike. Every reader that splits rows by receiver, frame or
+written, however the rssi was given. The log stores the times and link ids
+once per span of rows (a `World.step` call, or one hearing from outside
+the radio) and only the rssi per row, 8 bytes. A link is what all hearings
+of one frame by one receiver at one place share (receiver, emitter, relay
+flag, MAC, payload, rx position), stored once. Only `World.step` writes
+rows whose link has an emitter; `ScanLog.append` logs every hearing from
+outside the radio, so only the radio makes a hearing direct. Devices, the
+attacker and the event-log writer read the rows they need from this one
+log, by row number, and decode the times and link ids of those rows alone
+(`RowLog.at`, `RowLog.decode`); nothing else is kept per event. The log
+decodes each distinct payload once (`ScanLog.kind`), for the harvest and
+matching alike. Every reader that splits rows by receiver, frame or
 published key does so with `RowLog.group`, handed only the rows it may use
 (`RowLog.rows_of`). `write_lines` is the one layout of a line of the event
-log or the relay plan. It renders each key's line but `t` (a link's or a
-plan entry's fields, with the value of the key's first row) with one
-`json.dumps` call, once, and cuts it around the value. A batch of rows
-that all hold their key's first value, bit for bit, as every row of a
-link does at noise 0, is written from those lines, each behind its `t`,
-rendered once per run of rows of one tick. Any other batch is written
-from the text around each row's value and the batch's values, rendered
-with one `orjson` call, byte for byte as `json.dumps` would; the few
-numbers orjson lays out otherwise (`orjson_writes_as_json`) go to
-`json.dumps`.
+log or the relay plan, decoded one batch of rows at a time. It renders
+each key's line but `t` (a link's or a plan entry's fields, with the value
+of the key's first row) with one `json.dumps` call, once, and cuts it
+around the value. A batch of rows that all hold their key's first value,
+bit for bit, as every row of a link does at noise 0, is written from those
+lines, each behind its `t`, rendered once per run of rows of one tick. Any
+other batch is written from the text around each row's value and the
+batch's values, rendered with one `orjson` call, byte for byte as
+`json.dumps` would; the few numbers orjson lays out otherwise
+(`orjson_writes_as_json`) go to `json.dumps`.
 
 The world is advanced by a single owner; parallelism belongs across
 independent runs, not within one.
@@ -66,6 +70,10 @@ MIN_DISTANCE_M = 0.01
 # rows rendered and written at once by write_lines, for the event log and the
 # relay plan; 4096 raised the peak memory of writing a dense log by 2-3 MB
 WRITE_BATCH_ROWS = 1 << 10
+# batches write_lines decodes from the spans at once: decoding each batch on
+# its own cost about 9% of relay's run and write in a fresh process, and 16
+# batches of rows' times and key ids are about 200 KB
+WRITE_DECODE_BATCHES = 16
 # gaussian pairs NoiseAhead draws per refill: drawing only what a tick needs
 # leaves numpy's per-call cost dominant when ticks deliver a few dozen events
 NOISE_CHUNK_PAIRS = 1 << 12
@@ -164,27 +172,38 @@ class Link(NamedTuple):
 
 
 class RowLog:
-    """Append-only columnar log of rows, read by row number.
+    """Append-only log of rows, read by row number and stored as spans.
 
-    A row is three columns, 20 bytes in all, and nothing else: `t`, `key` (an
-    index into `keys`) and `value`, a float64 (a log never given values keeps
-    it empty: 12 bytes a row). Keys are interned by an ident on their first
-    row, which `first` holds, so key ids run in the order of first use;
-    `repeat` appends one tick's rows at each of a run of ticks.
+    A span is one tick's key ids (each an index into `keys`) repeated at
+    each tick of a `range` of times: what one `repeat` call appends, or
+    several that go on from one another. It is stored once, however many
+    ticks it covers: its first row number, its range's start and step, its
+    width (key ids a tick) and where its key ids lie in one shared
+    `array("i")` pool, 40 bytes a span and 4 a key id. A row holds only its
+    `value`, a float64 (8 bytes; a log never given values keeps none, so its
+    rows cost nothing). Row r of a span of width w that starts at row r0 is
+    tick (r - r0) // w of its range and key id (r - r0) % w of its block; a
+    span's times are its own, whatever its neighbours hold. Keys are
+    interned by an ident on their first row, which `first` holds, so key ids
+    run in the order of first use.
 
-    Readers hold row numbers, not rows: `group` splits rows by a key of their
-    keys (it is the only grouping of rows), `rows_of` picks the rows of some
-    keys, and `columns()` hands out numpy views of the columns without
-    copying, to gather a group's times and values from. A view pins its
-    column, so none may be held across an append.
+    Readers hold row numbers, not rows: `at` and `decode` give the time and
+    key id of one row or of an array of rows, `group` splits rows by a key of
+    their keys (it is the only grouping of rows) and `rows_of` picks the rows
+    of some keys, span by span. `columns()` builds every row's time and key
+    id, for tests and tools; nothing in a run or its writers does.
     """
 
     def __init__(self):
         self.keys: list = []
         self.first = array("q")
         self._ids: dict = {}  # ident -> key id
-        self.t = array("q")
-        self.key = array("i")
+        # per span: its first row, its first time, its time step, its width and
+        # the offset of its key ids in _pool
+        self._row, self._t0, self._dt = array("q"), array("q"), array("q")
+        self._width, self._at = array("q"), array("q")
+        self._pool = array("i")
+        self._rows = 0
         self.value = array("d")
 
     def intern(self, ident, key, row: int) -> int:
@@ -196,31 +215,89 @@ class RowLog:
             self.first.append(row)
         return key_id
 
-    def repeat(self, times, keys: array, values: Optional[array] = None) -> None:
-        """Append one tick's rows, key ids `keys` with `values` (none for a log
-        without values), at each of `times` in turn."""
-        self.key.extend(keys * len(times))
+    def repeat(self, times: range, keys, values: Optional[array] = None) -> None:
+        """Append one tick's rows, key ids `keys` with `values`, at each of
+        `times` in turn, as one span (none when it has no rows). When the
+        last span has these key ids and its range goes on into `times`, as
+        a step's first tick and the ticks that repeat it do, it takes the
+        rows instead. A log with values takes them here, or (`World.step`)
+        extends `value` with them after the call."""
+        n = len(keys)
+        if not n or not len(times):
+            return
+        # built first, so a time outside int64 raises before the log changes
+        span = array("q", [self._rows, times.start, times.step, n, len(self._pool)])
+        ids = np.asarray(keys, dtype=np.int32).tobytes()
         if values is not None:
             self.value.extend(values * len(times))
-        self.t.frombytes(np.repeat(np.array(times, dtype=np.int64), len(keys)).tobytes())
+        last = len(self._row) - 1
+        goes_on = (last >= 0 and self._width[last] == n and self._dt[last] == times.step
+                   and self._t0[last] + (self._rows - self._row[last]) // n * times.step
+                   == times.start and self._pool[self._at[last]:].tobytes() == ids)
+        if not goes_on:
+            for column, field in zip((self._row, self._t0, self._dt, self._width, self._at), span):
+                column.append(field)
+            self._pool.frombytes(ids)
+        self._rows += len(times) * n
+
+    def at(self, row: int) -> tuple[int, int]:
+        """(t, key id) of row `row`, as Python ints."""
+        if not 0 <= row < self._rows:
+            raise IndexError(f"row {row} of a log of {self._rows}")
+        span = bisect_right(self._row, row) - 1
+        tick, col = divmod(row - self._row[span], self._width[span])
+        return self._t0[span] + tick * self._dt[span], self._pool[self._at[span] + col]
+
+    def decode(self, rows) -> tuple[np.ndarray, np.ndarray]:
+        """(t, key id) of each of `rows`, row numbers in log order (repeats
+        allowed; any order within one span), as int64 and int32 arrays. One
+        `searchsorted` of the spans' first rows among the rows cuts them by
+        span; each span that holds some decodes them with its own fields."""
+        rows = np.asarray(rows, dtype=np.int64)
+        if not len(rows):
+            return NO_ROWS, np.empty(0, dtype=np.int32)
+        lo, hi = int(rows.min()), int(rows.max())
+        if lo < 0 or hi >= self._rows:
+            raise IndexError(f"rows {lo}..{hi} outside a log of {self._rows}")
+        spans = range(bisect_right(self._row, lo) - 1, bisect_right(self._row, hi))
+        if len(spans) == 1:
+            cuts = [0, len(rows)]
+        elif (rows[1:] < rows[:-1]).any():
+            raise IndexError("rows of more than one span must be in log order")
+        else:
+            cuts = [0, *np.searchsorted(rows, self._row[spans.start + 1:spans.stop]).tolist(),
+                    len(rows)]
+        pool = np.frombuffer(self._pool, dtype=np.int32)
+        ts, keys = [], []
+        for span, start, stop in zip(spans, cuts, cuts[1:]):
+            if start < stop:
+                width, at = self._width[span], self._at[span]
+                offset = rows[start:stop] - self._row[span]
+                tick = offset // width
+                ts.append(self._t0[span] + tick * self._dt[span])
+                keys.append(pool[at:at + width][offset - tick * width])
+        if len(ts) == 1:
+            return ts[0], keys[0]
+        return np.concatenate(ts), np.concatenate(keys)
 
     def columns(self):
-        """(t, key, value) as numpy views of the columns."""
-        return (np.frombuffer(self.t, dtype=np.int64), np.frombuffer(self.key, dtype=np.int32),
-                np.frombuffer(self.value, dtype=np.float64))
+        """(t, key, value) of every row: the times and key ids as new int64 and
+        int32 arrays, the values as a numpy view, which pins `value`, so none
+        may be held across an append."""
+        return (*self.decode(np.arange(self._rows)), np.frombuffer(self.value, dtype=np.float64))
 
     def group(self, key, rows) -> dict:
-        """`rows` (row numbers) split by `key(key_id)` of each row's key:
-        {key: row numbers in the order of `rows`}, in the order in which the
-        keys first come up among the rows' key ids. Rows whose key is None are
-        left out.
+        """`rows` (row numbers, in log order) split by `key(key_id)` of each
+        row's key: {key: row numbers in the order of `rows`}, in the order in
+        which the keys first come up among the rows' key ids. Rows whose key
+        is None are left out.
 
-        `key` is called once per key id the rows contain; the split is one
-        stable sort of a per-row code, the narrowest unsigned dtype that holds
-        one code per key and a last one for None (a stable sort of 8- or
-        16-bit codes is a radix sort).
+        `key` is called once per key id the rows contain; only the rows handed
+        over are decoded, and the split is one stable sort of a per-row code,
+        the narrowest unsigned dtype that holds one code per key and a last
+        one for None (a stable sort of 8- or 16-bit codes is a radix sort).
         """
-        of_row = self.columns()[1][rows]
+        of_row = self.decode(rows)[1]
         heard = np.zeros(len(self.keys), dtype=bool)
         heard[of_row] = True
         present = np.flatnonzero(heard)
@@ -238,14 +315,22 @@ class RowLog:
 
     def rows_of(self, key_ids) -> np.ndarray:
         """The row numbers, in log order, of the rows whose key is one of
-        `key_ids`: one pass of a per-key mask over the key column, so a
-        reader can hand `group` only the rows it may use."""
+        `key_ids`: a per-key mask over each span's key ids, whose hits repeat
+        at each of its ticks, so a reader can hand `group` only the rows it
+        may use."""
         keep = np.zeros(len(self.keys), dtype=bool)
         keep[np.fromiter(key_ids, dtype=np.int64)] = True
-        return np.flatnonzero(keep[self.columns()[1]])
+        kept = keep[np.frombuffer(self._pool, dtype=np.int32)]
+        parts = []
+        ends = [*self._row[1:], self._rows]
+        for row, end, width, at in zip(self._row, ends, self._width, self._at):
+            cols = np.flatnonzero(kept[at:at + width])
+            if len(cols):
+                parts.append((np.arange(row, end, width)[:, None] + cols).ravel())
+        return np.concatenate(parts) if parts else NO_ROWS
 
     def __len__(self) -> int:
-        return len(self.key)
+        return self._rows
 
 
 class ScanLog(RowLog):
@@ -259,11 +344,10 @@ class ScanLog(RowLog):
         """Log a hearing from outside the radio, its rssi as a float, as the next
         row and return the row. Its link has no emitter and is no relay: rows
         that have an emitter are written by `World.step` alone."""
-        row = len(self)
-        self.t.append(sighting.time)
-        self.value.append(sighting.rssi)
+        # the rssi and time as the log holds them, so a bad one raises before the log changes
+        row, rssi, (time,) = len(self), array("d", [sighting.rssi]), array("q", [sighting.time])
         link = Link(receiver, None, False, sighting.mac, sighting.payload, sighting.rx_location)
-        self.key.append(self.intern(link.ident, link, row))
+        self.repeat(range(time, time + 1), [self.intern(link.ident, link, row)], rssi)
         return row
 
     def kind(self, link_id: int) -> beacon.Kind:
@@ -426,11 +510,12 @@ class World:
         two waypoint times of any node; trajectories are piecewise constant)
         and kept; the span may not leave t's epoch. One tick's rows are the
         deliveries in emission order, then scanner order, and a new link is
-        interned on the row of its first tick. One loop repeats the tick's
-        rows over the span (`RowLog.repeat`) in chunks of whole ticks, at
-        most 2 * NOISE_CHUNK_PAIRS rows (or one tick), each followed by its
-        noise, the next values of the world's gaussian sequence in row
-        order, in one numpy add: `propagate`'s value plus the noise, so
+        interned on the row of its first tick. The tick's link ids are
+        appended once, as one span over all `ticks` (`RowLog.repeat`); then
+        one loop adds the rows' rssi in chunks of whole ticks, at most
+        2 * NOISE_CHUNK_PAIRS rows (or one tick), each the noiseless values
+        plus its noise, the next values of the world's gaussian sequence in
+        row order, in one numpy add: `propagate`'s value plus the noise, so
         results are bit-identical to computing each delivery of each tick
         from scratch.
         """
@@ -455,11 +540,12 @@ class World:
             ids.extend(delivered[0])
             noiseless.extend(delivered[1])
         n = len(ids)
+        log.repeat(range(t, t + ticks * tick, tick), ids)  # link ids once; values follow
         per = max(1, 2 * NOISE_CHUNK_PAIRS // n) if n else ticks  # ticks per chunk
         noisy = n > 0 and self.config.path_loss.noise_sigma > 0
         for done in range(0, ticks, per):
-            m, at = min(per, ticks - done), len(log)
-            log.repeat(range(t + done * tick, t + (done + m) * tick, tick), ids, noiseless)
+            m, at = min(per, ticks - done), len(log.value)
+            log.value.extend(noiseless * m)
             if noisy:  # a view pins the column, so none outlives this statement
                 np.frombuffer(log.value, dtype=np.float64)[at:] += self._noise.take(m * n)
         return range(start, len(log))
@@ -479,27 +565,29 @@ def write_event_log(log: ScanLog, path) -> None:
     fields = ({"receiver": receiver, "emitter": emitter, "relay": relay, "mac": mac,
                "rx_x": rx[0], "rx_y": rx[1], "payload_hex": payload.hex()}
               for receiver, emitter, relay, mac, payload, rx in log.keys)
-    write_lines(path, *log.columns(), log.first, fields, "rssi", 3)
+    rssi = np.frombuffer(log.value, dtype=np.float64)
+    write_lines(path, log, lambda rows, t, link: rssi[rows], fields, "rssi", 3)
 
 
-def write_lines(path, t: np.ndarray, key: np.ndarray, value: np.ndarray, first, fields,
-                name: str, tail: int) -> None:
-    """Write the rows of the columns `t`, `key` and `value` to `path`,
-    WRITE_BATCH_ROWS at a time (see `render_lines`): row i as
-    `json.dumps({"t": t[i], **head, name: value[i], **end})`, where `end` is
-    the last `tail` fields of `fields[key[i]]` (its line's fields in line order
-    but `t` and the value) and `head` the others. `first` holds a row number
-    of each key (a `RowLog`'s `first`), and `name` is a plain key, written as
-    it is.
+def write_lines(path, log: RowLog, value, fields, name: str, tail: int) -> None:
+    """Write the rows of `log` to `path`, WRITE_BATCH_ROWS at a time (see
+    `render_lines`), decoding the times and key ids of WRITE_DECODE_BATCHES
+    batches from the spans at once and no more: row i as
+    `json.dumps({"t": t[i], **head, name: v[i], **end})`, where `v`
+    is `value(rows, t, key)`, the values of the row numbers `rows` whose
+    times and key ids are `t` and `key`, `end` the last `tail` fields of
+    `fields[key[i]]` (its line's fields in line order but `t` and the value)
+    and `head` the others. `name` is a plain key, written as it is.
 
     Each key's line but `t` is rendered once, by one `json.dumps` call with
-    the value of its row in `first` in the value's place: that text whole is
-    the key's body, and cut around the value it is the key's head and tail.
-    The cut is at the first `, "<name>": `, which can only be the value's
-    key, as a `"` inside a JSON string is escaped; the value's text ends at
-    the next `, `, which no number's text holds."""
+    the value of its first row (`log.first`) in the value's place: that text
+    whole is the key's body, and cut around the value it is the key's head
+    and tail. The cut is at the first `, "<name>": `, which can only be the
+    value's key, as a `"` inside a JSON string is escaped; the value's text
+    ends at the next `, `, which no number's text holds."""
     sep = f', "{name}": '
-    first_values = value[np.asarray(first, dtype=np.int64)]
+    first = np.array(log.first, dtype=np.int64)
+    first_values = value(first, *log.decode(first))
     bodies, heads, tails = [], [], []
     for line, at_first in zip(fields, first_values.tolist()):
         items = list(line.items())
@@ -510,10 +598,15 @@ def write_lines(path, t: np.ndarray, key: np.ndarray, value: np.ndarray, first, 
         tails.append(text[text.index(", ", cut):] + "\n")
     bits = first_values.view(np.int64)
     texts = [np.array(column, dtype=object) for column in (bodies, heads, tails)]
+    decoded = WRITE_DECODE_BATCHES * WRITE_BATCH_ROWS
     with open(path, "w") as fh:
-        for start in range(0, len(key), WRITE_BATCH_ROWS):
-            rows = slice(start, start + WRITE_BATCH_ROWS)
-            fh.write(render_lines(t[rows], key[rows], value[rows], bits, *texts))
+        for at in range(0, len(log), decoded):
+            rows = np.arange(at, min(at + decoded, len(log)))
+            t, key = log.decode(rows)
+            values = value(rows, t, key)
+            for start in range(0, len(rows), WRITE_BATCH_ROWS):
+                batch = slice(start, start + WRITE_BATCH_ROWS)
+                fh.write(render_lines(t[batch], key[batch], values[batch], bits, *texts))
 
 
 def render_lines(t: np.ndarray, key: np.ndarray, value: np.ndarray, bits: np.ndarray,

@@ -5,11 +5,15 @@ the same configs serialized to JSON (regenerated by scripts/make_scenarios.py)
 so the file-based CLI path stays exercised. Geometry notes inline; the
 default radio model places the 55 dB attenuation cutoff at ~5 m and the
 radio horizon at 50 m unless overridden.
+
+`population` is the scale workload, a generator of sparse moving crowds of
+any size; it is not one of the bundled `BUILDERS`.
 """
 
 from __future__ import annotations
 
 import math
+from random import Random
 
 # mask XORs the tx_power byte from 0x00 (0 dBm) to 0xF8 (-8 dBm): the victim
 # computes an 8 dB smaller attenuation, so the deputy appears ~8 dB nearer
@@ -191,6 +195,48 @@ def coverage_sweep():
         "alphas_cd": grid,
         "one_sided_quality": 1.0,
     }
+
+
+def population(n, *, duration, seed, alpha_app, alpha_deputy=0.0, prevalence=0.05,
+               places=40, moves_per_hour=6, side_m=2000):
+    """A sparse moving population of `n` nodes over `duration` s (more than 60).
+
+    `places` places are drawn uniformly in a `side_m` square. Each node starts
+    at a random place and moves to a random place at
+    round(moves_per_hour * duration / 3600) distinct random seconds (at most
+    duration - 1), each waypoint jittered by up to 5 m in x and y and
+    rounded to mm. The radio reaches 50 m, with noise_sigma 4; no attack.
+
+    Roles come from three uniforms per node, (app, deputy, infected), drawn
+    for every node first, in node order, from `Random(seed)`, whatever the
+    alphas: a node has the app when its first is below `alpha_app`, is a
+    deputy when its second is below `alpha_deputy` and is infected (at 0)
+    when its third is below `prevalence`. So a larger alpha's set holds a
+    smaller one's, and the geometry is the same at any alpha. An infected
+    app user is diagnosed at duration - 60; an infected node without the
+    app is never diagnosed, as it has no app to publish from.
+    """
+    rng = Random(seed)
+    draws = [(rng.random(), rng.random(), rng.random()) for _ in range(n)]
+    spots = [(rng.uniform(0, side_m), rng.uniform(0, side_m)) for _ in range(places)]
+    moves = min(round(moves_per_hour * duration / 3600), duration - 1)
+
+    def waypoint(t):
+        x, y = rng.choice(spots)
+        return [t, round(x + rng.uniform(-5, 5), 3), round(y + rng.uniform(-5, 5), 3)]
+
+    nodes = []
+    for i, (u_app, u_deputy, u_infected) in enumerate(draws):
+        times = [0, *sorted(rng.sample(range(1, duration), moves))]
+        node = _node(f"p{i:04d}", [waypoint(t) for t in times],
+                     app=u_app < alpha_app, deputy=u_deputy < alpha_deputy)
+        if u_infected < prevalence:
+            node["infected_at"] = 0
+            if node["app"]:
+                node["diagnosed_at"] = duration - 60
+        nodes.append(node)
+    return _base(f"population_n{n}_s{seed}", seed=seed, duration=duration, nodes=nodes,
+                 path_loss={"ref_rssi_at_1m": -41.0, "exponent": 2.0, "noise_sigma": 4.0})
 
 
 BUILDERS = {

@@ -22,7 +22,8 @@ def decisions(server):
     if server is None:
         return []
     out = []
-    for t, entry in zip(server.plan.t, server.plan.key):
+    t_col, entry_col, _ = server.plan.columns()
+    for t, entry in zip(t_col.tolist(), entry_col.tolist()):
         fields = {**server.plan.keys[entry], "t": t}
         fields["age_s"] = t - fields["harvest_t"]
         assert sorted(fields) == sorted(PLAN_KEYS)

@@ -80,8 +80,9 @@ def events(log, rows=None):
     """`rows` of `log` (every row when None), in the order given, as ScanEvents."""
     out = []
     for row in range(len(log)) if rows is None else map(int, rows):
-        link = log.keys[log.key[row]]
-        sighting = Sighting(link.payload, link.mac, log.value[row], log.t[row], link.rx)
+        t, link_id = log.at(row)
+        link = log.keys[link_id]
+        sighting = Sighting(link.payload, link.mac, log.value[row], t, link.rx)
         out.append(ScanEvent(link.receiver, sighting, link.emitter, link.relay))
     return out
 

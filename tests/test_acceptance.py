@@ -106,7 +106,7 @@ def test_criterion_05_remote_attacker_refutation(acceptance_record, hospital_run
     decisions = len(plan)
     sources_ok = decisions > 0 and all(
         e["source_deputy"] in deputies and e["deputy"] in deputies
-        for e in map(plan.keys.__getitem__, plan.key))
+        for e in map(plan.keys.__getitem__, plan.columns()[1].tolist()))
     # every row has a link, and every link a row: its first hearing
     relay_links = [link for link in result.world.events.keys if link.relay]
     emissions_ok = bool(relay_links) and {link.emitter for link in relay_links} <= deputies

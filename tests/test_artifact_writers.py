@@ -51,12 +51,12 @@ def harvest(server, dev, t, deputy="hosp", loc=(0.0, 0.0), rssi=-40.0, mac=None)
     server.deputy_on_scan(deputy, Sighting(frame.payload, mac or frame.mac, rssi, t, loc))
 
 
-def plan_span(server, t, deputies, times=()):
+def plan_span(server, t, deputies, times=range(0)):
     """Plan tick t and repeat its rows at each of `times`, as `engine.run_scenario`
     does: the plan rows from the plan's length before `select_relays` on."""
     first = len(server.plan)
     orders = server.select_relays(t, deputies)
-    server.plan.repeat(times, server.plan.key[first:])
+    server.plan.repeat(times, server.plan.decode(np.arange(first, len(server.plan)))[1])
     return orders
 
 
@@ -66,7 +66,7 @@ def plan(server, deputies):
     written the same way as a planned one."""
     plan_span(server, 600, deputies, range(601, 604))
     plan_span(server, 700, deputies)
-    assert list(dict.fromkeys(server.plan.t)) == [600, 601, 602, 603, 700]
+    assert list(dict.fromkeys(server.plan.columns()[0].tolist())) == [600, 601, 602, 603, 700]
 
 
 def written(server, dossiers, tmp_path):
@@ -132,15 +132,17 @@ def test_tick_7_span_writes_each_tick_as_planned_on_its_own(tmp_path):
     spanned.select_relays(14, deputies)
     entries = spanned.plan.keys
     before = [dict(entry) for entry in entries]
-    spanned.plan.repeat(range(21, 70, 7), spanned.plan.key[0:])
+    spanned.plan.repeat(range(21, 70, 7), spanned.plan.decode(np.arange(len(spanned.plan)))[1])
     ticks = range(14, 70, 7)
     for t in ticks:
         ticked.select_relays(t, deputies)
 
     assert spanned.plan.keys is entries and entries == before  # no entry made or changed
     assert len(entries) == 4 and ticked.plan.keys == entries
-    assert list(spanned.plan.t) == list(ticked.plan.t) == [t for t in ticks for _ in range(4)]
-    assert list(spanned.plan.key) == list(ticked.plan.key) == [0, 1, 2, 3] * len(ticks)
+    spanned_t, spanned_key, _ = spanned.plan.columns()
+    ticked_t, ticked_key, _ = ticked.plan.columns()
+    assert spanned_t.tolist() == ticked_t.tolist() == [t for t in ticks for _ in range(4)]
+    assert spanned_key.tolist() == ticked_key.tolist() == [0, 1, 2, 3] * len(ticks)
     assert list(spanned.plan.first) == list(ticked.plan.first) == [0, 1, 2, 3]
     text = assert_same(spanned, [], tmp_path)
     assert text == assert_same(ticked, [], tmp_path / "ticked")
@@ -316,8 +318,9 @@ def test_group_wider_than_a_batch(tmp_path, monkeypatch):
     plan_span(server, 100, deputies, range(101, 103))
     plan_span(server, 200, deputies)
     assert len(server.plan.keys) == 1200
-    assert list(server.plan.key) == list(range(1200)) * 4
-    assert Counter(server.plan.t) == {100: 1200, 101: 1200, 102: 1200, 200: 1200}
+    t, entry, _ = server.plan.columns()
+    assert entry.tolist() == list(range(1200)) * 4
+    assert Counter(t.tolist()) == {100: 1200, 101: 1200, 102: 1200, 200: 1200}
     batches = rendered_batches(monkeypatch)
     assert_same(server, [], tmp_path)
     assert batches == [WRITE_BATCH_ROWS] * 4 + [4 * 1200 - 4 * WRITE_BATCH_ROWS]
@@ -354,7 +357,7 @@ def test_repeat_after_a_tick_that_planned_nothing_adds_no_row():
     harvest(server, DeviceState(id="victim", rng=random.Random(9)), 0)
     factory = {"fac": (1000.0, 0.0)}
     plan_span(server, 600, factory, range(601, 603))
-    rows = list(zip(server.plan.t, server.plan.key))
+    rows = list(zip(*(column.tolist() for column in server.plan.columns()[:2])))
     assert rows == [(600, 0), (601, 0), (602, 0)]
 
     # no deputy in a target zone
@@ -362,7 +365,7 @@ def test_repeat_after_a_tick_that_planned_nothing_adds_no_row():
     last = server.plan.keys[0]["deadline_t"]
     # targets, but no live candidate
     assert plan_span(server, last + 1, factory, range(last + 2, last + 9)) == []
-    assert list(zip(server.plan.t, server.plan.key)) == rows
+    assert list(zip(*(column.tolist() for column in server.plan.columns()[:2]))) == rows
 
 
 def test_pair_planned_in_two_spans_is_one_entry_rendered_once(tmp_path, monkeypatch):
@@ -373,7 +376,7 @@ def test_pair_planned_in_two_spans_is_one_entry_rendered_once(tmp_path, monkeypa
     server = server_with()
     harvest(server, DeviceState(id="victim", rng=random.Random(10)), 0)
     plan(server, {"fac1": (1000.0, 0.0), "fac2": (1001.0, 0.0)})
-    assert len(server.plan.keys) == 2 and list(server.plan.key) == [0, 1] * 5
+    assert len(server.plan.keys) == 2 and server.plan.columns()[1].tolist() == [0, 1] * 5
     calls, dumps = [], json.dumps
     monkeypatch.setattr(json, "dumps", lambda *args, **kw: calls.append(args) or dumps(*args, **kw))
     engine.write_attack_plan(server, tmp_path / "attack_plan.jsonl")
@@ -401,9 +404,9 @@ INT64_ENDS = (-2 ** 63, -2 ** 63 + 1, 2 ** 63 - 2, 2 ** 63 - 1)
 
 @st.composite
 def row_logs(draw):
-    """(batch, t, key, value, first, fields, name, tail) for `radio.write_lines`
-    with WRITE_BATCH_ROWS set to `batch`: one dict of 2-9 fields per key,
-    more rows than a batch holds, in ticks of 1-5 rows whose `t` mostly rises
+    """(batch, t, key, value, first, fields, name, tail), the columns of the
+    rows `radio.write_lines` writes with WRITE_BATCH_ROWS set to `batch`: one
+    dict of 2-9 fields per key, more rows than a batch holds, in ticks of 1-5 rows whose `t` mostly rises
     but may fall or jump to either end of int64, and a value column of int64
     or float64. Each key's values come from a pool of 1-3 numbers (or of 0.0
     and -0.0, or of NaN and a number), so rows that hold their key's first
@@ -449,6 +452,15 @@ def test_write_lines_is_one_json_dumps_per_line(log):
         items = list(fields[key[i]].items())
         line = {"t": t[i].item(), **dict(items[:-tail]), name: value[i].item(), **dict(items[-tail:])}
         want.append(json.dumps(line) + "\n")
+    # the rows as a log without values: one span per run of rows of one `t`
+    rows_log = radio.RowLog()
+    for rows in np.split(np.arange(len(t)), np.flatnonzero(np.diff(t)) + 1):
+        ids = [rows_log.intern(k, fields[k], row)
+               for row, k in zip(rows.tolist(), key[rows].tolist())]
+        at = t[rows[0]].item()
+        rows_log.repeat(range(at, at + 1), ids)
+    assert list(rows_log.first) == first and rows_log.keys == fields
     with tempfile.TemporaryDirectory() as tmp, mock.patch.object(radio, "WRITE_BATCH_ROWS", batch):
-        radio.write_lines(Path(tmp) / "log.jsonl", t, key, value, first, fields, name, tail)
+        radio.write_lines(Path(tmp) / "log.jsonl", rows_log, lambda rows, t, key: value[rows],
+                          fields, name, tail)
         assert (Path(tmp) / "log.jsonl").read_text() == "".join(want)

@@ -162,7 +162,7 @@ class TestSelectRelays:
         s, _ = gaen_sighting(0, loc=(1.0, 2.0))
         server.deputy_on_scan("hosp", s)
         server.select_relays(600, {"fac": (1000.0, 0.0)})
-        assert list(server.plan.t) == [600] and list(server.plan.key) == [0]
+        assert [column.tolist() for column in server.plan.columns()[:2]] == [[600], [0]]
         [entry] = server.plan.keys
         assert entry["source_deputy"] == "hosp"
         assert entry["deputy"] == "fac"

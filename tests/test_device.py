@@ -114,8 +114,8 @@ class TestStorage:
         for t in range(100_000):
             on_scan(dev, sighting_of(frame, t))
         assert len(dev.sightings) == 100_000
-        assert [dev.log.t[row] for row in dev.sightings[:5]] == [0, 1, 2, 3, 4]
-        assert dev.log.t[dev.sightings[-1]] == 99_999
+        assert [dev.log.at(row)[0] for row in dev.sightings[:5]] == [0, 1, 2, 3, 4]
+        assert dev.log.at(dev.sightings[-1])[0] == 99_999
 
     def test_duplicates_kept_separately(self):
         dev = make_device()

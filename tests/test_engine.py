@@ -248,7 +248,7 @@ class TestAttackStructure:
         deputies = set(result.deputies)
         plan = result.attacker.plan
         assert len(plan)
-        for e in plan.key:
+        for e in plan.columns()[1].tolist():
             entry = plan.keys[e]
             assert entry["source_deputy"] in deputies
             assert entry["deputy"] in deputies
@@ -286,7 +286,7 @@ class TestAttackStructure:
         result = run_scenario(ScenarioConfig.from_dict(scenarios.hospital_replay()))
         plan = result.attacker.plan
         assert len(plan)
-        for t, e in zip(plan.t, plan.key):
+        for t, e in zip(*(column.tolist() for column in plan.columns()[:2])):
             assert t <= plan.keys[e]["deadline_t"]
 
     def test_relay_machinery_is_blind(self, monkeypatch):
@@ -340,9 +340,9 @@ class TestInjection:
         result = run_scenario(ScenarioConfig.from_dict(raw))
         dev = result.devices["b"]
         log, rows = dev.log, dev.sightings.tolist()
-        macs = {log.keys[log.key[row]].mac for row in rows}
+        macs = {log.keys[log.at(row)[1]].mac for row in rows}
         assert "AB:B1:E9:9E:1B:BA" in macs
-        hits = [row for row in rows if log.keys[log.key[row]].mac == "AB:B1:E9:9E:1B:BA"]
+        hits = [row for row in rows if log.keys[log.at(row)[1]].mac == "AB:B1:E9:9E:1B:BA"]
         assert len(hits) == 1
         assert log.value[hits[0]] == -12.0
 
@@ -373,7 +373,8 @@ class TestInjection:
         # 2**53 + 1 has no float; the column holds the nearest, 2**53
         result = self._with_deputy([("d", 9007199254740993)])
         log = result.world.events
-        row, = [row for row in range(len(log)) if log.keys[log.key[row]].mac == self.INJECTED_MAC]
+        row, = [row for row, link_id in enumerate(log.columns()[1].tolist())
+                if log.keys[link_id].mac == self.INJECTED_MAC]
         assert log.columns()[2][row].item() == 9007199254740992.0  # what matching reads
         record = result.attacker.record(row)
         assert type(record.rssi) is float and record.rssi == 9007199254740992.0
@@ -512,7 +513,8 @@ class TestComputeOnce:
         assert calls["encrypt_aem"] == device_intervals
         assert calls["encode_gaen"] == device_intervals + len(candidates)
         plan = result.attacker.plan
-        assert {plan.keys[e]["rpi_hex"] for e in plan.key} == {rpi.hex() for rpi in candidates}
+        assert ({plan.keys[e]["rpi_hex"] for e in plan.columns()[1].tolist()}
+                == {rpi.hex() for rpi in candidates})
 
     def test_world_steps_the_devices_own_emissions(self, monkeypatch):
         # a device's frame is the Emission the world takes, not a copy made per step
@@ -544,7 +546,7 @@ class TestComputeOnce:
         monkeypatch.setattr(beacon, "encode_gaen", counted)
         result = run_scenario(ScenarioConfig.from_dict(scenarios.targeted_replay()))
         plan = result.attacker.plan
-        relayed = {plan.keys[e]["rpi_hex"] for e in plan.key}
+        relayed = {plan.keys[e]["rpi_hex"] for e in plan.columns()[1].tolist()}
         assert len(plan) > len(relayed) > 0
         device_intervals = sum(len(dev.mac_history) for dev in result.devices.values())
         assert calls["encode_gaen"] == device_intervals + len(relayed)

@@ -40,7 +40,7 @@ def reference_rows(result) -> list:
         assert np.array_equal(dev.sightings, heard)
         state = SimpleNamespace(sightings=reference_radio.sightings(log, heard),
                                 tek_history=dev.tek_history, current_tek=dev.current_tek)
-        direct = [log.keys[log.key[row]].direct for row in heard.tolist()]
+        direct = [log.keys[link_id].direct for link_id in log.decode(heard)[1].tolist()]
         for note in reference_matching.match_exposures(state, teks, result.config.matching, direct):
             rows.append({
                 "device_id": nid,
@@ -60,7 +60,8 @@ def reference_dossiers(result) -> list:
     if server is None:
         return []
     log = server.log
-    kept = [row for row in range(len(log)) if log.key[row] in server.harvest_links]
+    kept = [row for row, link_id in enumerate(log.columns()[1].tolist())
+            if link_id in server.harvest_links]
     return reference_matching.reidentify(
         SimpleNamespace(db=list(map(server.record, kept)), policy=server.policy), result.published)
 
@@ -113,7 +114,7 @@ def test_edge_cases(name):
 def test_relayed_published_identifiers_match():
     result = assert_matches_every_row(scenario())
     log = result.world.events
-    relayed = [log.keys[log.key[row]].relay for row in range(len(log))]
+    relayed = [log.keys[link_id].relay for link_id in log.columns()[1].tolist()]
     assert any(relayed)
     assert {r["device_id"] for r in result.notification_rows} & {"worker0", "worker1"}
 
@@ -149,7 +150,7 @@ def allowed_rows(result) -> set:
 
     keep = {link_id for link_id, link in enumerate(log.keys) if carries_published(link)
             and (link.receiver in result.devices or link_id in harvested)}
-    return {row for row in range(len(log)) if log.key[row] in keep}
+    return {row for row, link_id in enumerate(log.columns()[1].tolist()) if link_id in keep}
 
 
 @pytest.mark.parametrize("name", ["tick7_float_waypoints", "injections_first_and_last_tick",

@@ -206,7 +206,7 @@ class TestStep:
             w.step(0, ems, ticks=6)  # ticks 0-5 cross the move at 4.5
         assert len(w.step(0, ems, ticks=5)) == 5  # ticks 0-4 stop before it
         assert len(w.step(5, ems, ticks=5)) == 5
-        assert w.events.t.tolist() == list(range(10))
+        assert w.events.columns()[0].tolist() == list(range(10))
 
     def test_links_keyed_by_written_position(self, tmp_path):
         # one 10-minute interval: the receiver is back at (0, 0) after a geometry
@@ -219,7 +219,7 @@ class TestStep:
         for t in range(4):
             w.step(t, [em])
         assert len(w.events.keys) == 3
-        assert w.events.key.tolist() == [0, 1, 0, 2]
+        assert w.events.columns()[1].tolist() == [0, 1, 0, 2]
         write_event_log(w.events, tmp_path / "events.jsonl")
         lines = (tmp_path / "events.jsonl").read_text().splitlines()
         assert [line[line.index('"rx_x"'):line.index(', "payload_hex"')] for line in lines] == [
@@ -396,12 +396,10 @@ class TestRowLog:
                               for row, (i, _) in enumerate(template)])
         values = array("d", [value for _, value in template])
         repeated.repeat(times, ids, values if valued else None)
-        for time in times:
+        for time in times:  # each row on its own: a span of one row
             for key_id, value in zip(ids, values):
-                appended.t.append(time)
-                appended.key.append(key_id)
-                if valued:
-                    appended.value.append(value)
+                one = array("d", [value]) if valued else None
+                appended.repeat(range(time, time + 1), array("i", [key_id]), one)
 
         assert len(repeated) == len(appended) == len(template) * k
         for a, b in zip(repeated.columns(), appended.columns()):
@@ -429,7 +427,7 @@ class TestInject:
         w = make_world([still("a", 0, 0, app=True)])
         s = Sighting(encode_gaen(bytes(16), bytes(4)), "AB:B1:E9:9E:1B:BA", -12.0, 3, (0.0, 0.0))
         w.inject("a", s)
-        links = [w.events.keys[link_id] for link_id in w.events.key]
+        links = [w.events.keys[link_id] for link_id in w.events.columns()[1].tolist()]
         hits = [link for link in links if link.receiver == "a"]
         assert len(hits) == 1
         assert hits[0].mac == "AB:B1:E9:9E:1B:BA"
