@@ -11,8 +11,8 @@ into a temporary directory that is deleted afterwards. By default the run is
 perfbench's crowd, every node an app user: the child sets
 `workloads.CROWD_NODES` and `workloads.CROWD_DURATION_S` in its own copy of
 perfbench's workload module (no file changes). With `--population` it is
-`scenarios.population` at `--alpha-app` (default 1.0), with no deputies and
-its other defaults. The event log alone is about 230 bytes per event, so
+`scenarios.population` at `--alpha-app` (default 1.0), which has no
+deputies. The event log alone is about 230 bytes per event, so
 check free disk space before large runs, or pass `--run-only`, which writes
 nothing (its write_s reads `-`).
 One row is printed per run: the share of nodes drawn as app users

@@ -284,9 +284,10 @@ class AttackerServer:
         published_frame = published_kind(log, index)
         rows = log.rows_of(link_id for link_id in self.harvest_links if published_frame(link_id))
         hits: list[list[tuple]] = [[] for _ in published]  # (t, x, y, row, mac)
-        for kind, group in log.group(published_frame, rows).items():
-            times, link_ids = log.decode(group)
-            for t, link_id, row in zip(times.tolist(), link_ids.tolist(), group.tolist()):
+        times, link_ids = log.decode(rows)  # once: each group takes its own by position
+        for kind, group in log.group(published_frame, rows, link_ids).items():
+            at = np.searchsorted(rows, group)
+            for t, link_id, row in zip(times[at].tolist(), link_ids[at].tolist(), group.tolist()):
                 link = log.keys[link_id]
                 hit = (t, link.rx[0], link.rx[1], row, link.mac)
                 for pos, _interval in index[kind.rpi]:

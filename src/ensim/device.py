@@ -182,13 +182,14 @@ def match_exposures(state: DeviceState, published_teks, params: MatchingParams, 
 
     log = state.log
     rssi_col = np.frombuffer(log.value, dtype=np.float64)
-    if rows is None:
-        rows = state.sightings
+    rows = state.sightings if rows is None else np.asarray(rows, dtype=np.int64)
+    times, link_ids = log.decode(rows)  # once: each group takes its own by position
     matched_t: list[list] = [[] for _ in published_teks]  # times of the close matched rows per key
     direct_t: list[list] = [[] for _ in published_teks]  # those of them heard direct
     min_att: list[Optional[float]] = [None] * len(matched_t)
-    for kind, group in log.group(published_kind(log, index), rows).items():
-        (group_t, group_link), group_rssi = log.decode(group), rssi_col[group]
+    for kind, group in log.group(published_kind(log, index), rows, link_ids).items():
+        at = np.searchsorted(rows, group)
+        group_t, group_link, group_rssi = times[at], link_ids[at], rssi_col[group]
         direct = None  # per row; links hold one frame, so each is looked at once
         for pos, interval in index[kind.rpi]:
             window_start = interval * crypto.INTERVAL_SECONDS

@@ -220,8 +220,9 @@ class RowLog:
         `times` in turn, as one span (none when it has no rows). When the
         last span has these key ids and its range goes on into `times`, as
         a step's first tick and the ticks that repeat it do, it takes the
-        rows instead. A log with values takes them here, or (`World.step`)
-        extends `value` with them after the call."""
+        rows instead; a span of one tick takes the step of `times`. A log
+        with values takes them here, or (`World.step`) extends `value` with
+        them after the call."""
         n = len(keys)
         if not n or not len(times):
             return
@@ -231,10 +232,14 @@ class RowLog:
         if values is not None:
             self.value.extend(values * len(times))
         last = len(self._row) - 1
-        goes_on = (last >= 0 and self._width[last] == n and self._dt[last] == times.step
-                   and self._t0[last] + (self._rows - self._row[last]) // n * times.step
-                   == times.start and self._pool[self._at[last]:].tobytes() == ids)
-        if not goes_on:
+        ticks = (self._rows - self._row[last]) // n if last >= 0 else 0  # the last span's
+        goes_on = (ticks > 0 and self._width[last] == n
+                   and (ticks == 1 or self._dt[last] == times.step)
+                   and self._t0[last] + ticks * times.step == times.start
+                   and self._pool[self._at[last]:].tobytes() == ids)
+        if goes_on:
+            self._dt[last] = times.step
+        else:
             for column, field in zip((self._row, self._t0, self._dt, self._width, self._at), span):
                 column.append(field)
             self._pool.frombytes(ids)
@@ -286,18 +291,19 @@ class RowLog:
         may be held across an append."""
         return (*self.decode(np.arange(self._rows)), np.frombuffer(self.value, dtype=np.float64))
 
-    def group(self, key, rows) -> dict:
+    def group(self, key, rows, key_ids=None) -> dict:
         """`rows` (row numbers, in log order) split by `key(key_id)` of each
         row's key: {key: row numbers in the order of `rows`}, in the order in
         which the keys first come up among the rows' key ids. Rows whose key
-        is None are left out.
+        is None are left out. `key_ids` are the rows' key ids, as `decode`
+        gives them, for a caller that holds them already.
 
         `key` is called once per key id the rows contain; only the rows handed
         over are decoded, and the split is one stable sort of a per-row code,
         the narrowest unsigned dtype that holds one code per key and a last
         one for None (a stable sort of 8- or 16-bit codes is a radix sort).
         """
-        of_row = self.decode(rows)[1]
+        of_row = self.decode(rows)[1] if key_ids is None else key_ids
         heard = np.zeros(len(self.keys), dtype=bool)
         heard[of_row] = True
         present = np.flatnonzero(heard)

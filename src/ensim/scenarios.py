@@ -19,6 +19,12 @@ from random import Random
 # computes an 8 dB smaller attenuation, so the deputy appears ~8 dB nearer
 RANGE_EXTENSION_MASK_HEX = "00f80000"
 
+# `population`'s geometry and prevalence
+POPULATION_PLACES = 40
+POPULATION_MOVES_PER_HOUR = 6
+POPULATION_SIDE_M = 2000
+POPULATION_PREVALENCE = 0.05
+
 
 def _node(nid, xy_or_traj, **kw):
     if isinstance(xy_or_traj, tuple):
@@ -197,40 +203,40 @@ def coverage_sweep():
     }
 
 
-def population(n, *, duration, seed, alpha_app, alpha_deputy=0.0, prevalence=0.05,
-               places=40, moves_per_hour=6, side_m=2000):
+def population(n, *, duration, seed, alpha_app):
     """A sparse moving population of `n` nodes over `duration` s (more than 60).
 
-    `places` places are drawn uniformly in a `side_m` square. Each node starts
-    at a random place and moves to a random place at
-    round(moves_per_hour * duration / 3600) distinct random seconds (at most
-    duration - 1), each waypoint jittered by up to 5 m in x and y and
-    rounded to mm. The radio reaches 50 m, with noise_sigma 4; no attack.
+    POPULATION_PLACES places are drawn uniformly in a POPULATION_SIDE_M
+    square. Each node starts at a random place and moves to a random place
+    at round(POPULATION_MOVES_PER_HOUR * duration / 3600) distinct random
+    seconds (at most duration - 1), each waypoint jittered by up to 5 m in x
+    and y and rounded to mm. The radio reaches 50 m, with noise_sigma 4; no
+    node is a deputy and there is no attack.
 
-    Roles come from three uniforms per node, (app, deputy, infected), drawn
-    for every node first, in node order, from `Random(seed)`, whatever the
-    alphas: a node has the app when its first is below `alpha_app`, is a
-    deputy when its second is below `alpha_deputy` and is infected (at 0)
-    when its third is below `prevalence`. So a larger alpha's set holds a
-    smaller one's, and the geometry is the same at any alpha. An infected
-    app user is diagnosed at duration - 60; an infected node without the
-    app is never diagnosed, as it has no app to publish from.
+    Roles come from two uniforms per node, (app, infected), drawn for every
+    node first, in node order, from `Random(seed)`, whatever `alpha_app`: a
+    node has the app when its first is below `alpha_app` and is infected (at
+    0) when its second is below POPULATION_PREVALENCE. So a larger
+    `alpha_app`'s app users hold a smaller one's, and the geometry is the
+    same at any `alpha_app`. An infected app user is diagnosed at
+    duration - 60; an infected node without the app is never diagnosed, as
+    it has no app to publish from.
     """
     rng = Random(seed)
-    draws = [(rng.random(), rng.random(), rng.random()) for _ in range(n)]
-    spots = [(rng.uniform(0, side_m), rng.uniform(0, side_m)) for _ in range(places)]
-    moves = min(round(moves_per_hour * duration / 3600), duration - 1)
+    draws = [(rng.random(), rng.random()) for _ in range(n)]
+    spots = [(rng.uniform(0, POPULATION_SIDE_M), rng.uniform(0, POPULATION_SIDE_M))
+             for _ in range(POPULATION_PLACES)]
+    moves = min(round(POPULATION_MOVES_PER_HOUR * duration / 3600), duration - 1)
 
     def waypoint(t):
         x, y = rng.choice(spots)
         return [t, round(x + rng.uniform(-5, 5), 3), round(y + rng.uniform(-5, 5), 3)]
 
     nodes = []
-    for i, (u_app, u_deputy, u_infected) in enumerate(draws):
+    for i, (u_app, u_infected) in enumerate(draws):
         times = [0, *sorted(rng.sample(range(1, duration), moves))]
-        node = _node(f"p{i:04d}", [waypoint(t) for t in times],
-                     app=u_app < alpha_app, deputy=u_deputy < alpha_deputy)
-        if u_infected < prevalence:
+        node = _node(f"p{i:04d}", [waypoint(t) for t in times], app=u_app < alpha_app)
+        if u_infected < POPULATION_PREVALENCE:
             node["infected_at"] = 0
             if node["app"]:
                 node["diagnosed_at"] = duration - 60

@@ -159,9 +159,9 @@ def test_no_split_beyond_the_rows_that_can_match(name, monkeypatch):
     splits = []
     group = radio.ScanLog.group
 
-    def recorded(log, key, rows=None):
+    def recorded(log, key, rows=None, *key_ids):
         splits.append(None if rows is None else set(np.asarray(rows).tolist()))
-        return group(log, key, rows)
+        return group(log, key, rows, *key_ids)
 
     with monkeypatch.context() as patch:
         patch.setattr(radio.ScanLog, "group", recorded)

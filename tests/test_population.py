@@ -12,33 +12,27 @@ from ensim import engine, scenarios
 from ensim.radio import MIN_DISTANCE_M
 
 ALPHA = st.floats(0.0, 1.0)
-POPULATIONS = st.fixed_dictionaries(
-    {"n": st.integers(0, 25), "duration": st.integers(61, 7200), "seed": st.integers(0, 2**32),
-     "alpha_app": ALPHA},
-    optional={"alpha_deputy": ALPHA, "prevalence": ALPHA, "places": st.integers(1, 60),
-              "moves_per_hour": st.integers(0, 30), "side_m": st.floats(1.0, 5000.0)})
 
 
 def draws(n, seed):
-    """The (app, deputy, infected) uniforms of each node, as the docstring names them."""
+    """The (app, infected) uniforms of each node, as the docstring names them."""
     rng = Random(seed)
-    return [(rng.random(), rng.random(), rng.random()) for _ in range(n)]
+    return [(rng.random(), rng.random()) for _ in range(n)]
 
 
 @settings(max_examples=60, deadline=None)
-@given(POPULATIONS)
-def test_population_is_pure_and_valid(args):
-    args = dict(args)
-    n = args.pop("n")
+@given(n=st.integers(0, 25), duration=st.integers(61, 7200), seed=st.integers(0, 2**32),
+       alpha_app=ALPHA)
+def test_population_is_pure_and_valid(n, duration, seed, alpha_app):
+    args = {"duration": duration, "seed": seed, "alpha_app": alpha_app}
     text = json.dumps(scenarios.population(n, **args))
     assert json.dumps(scenarios.population(n, **args)) == text
     raw = json.loads(text)
     cfg = engine.ScenarioConfig.from_dict(raw)
     assert len(cfg.world.nodes) == n and cfg.attack is None
     assert cfg.world.radio_range_max == 50.0 and cfg.world.path_loss.noise_sigma == 4.0
-    duration = args["duration"]
-    moves = min(round(args.get("moves_per_hour", 6) * duration / 3600), duration - 1)
-    side = args.get("side_m", 2000)
+    moves = min(round(scenarios.POPULATION_MOVES_PER_HOUR * duration / 3600), duration - 1)
+    side = scenarios.POPULATION_SIDE_M
     for node in raw["nodes"]:
         times = [wp[0] for wp in node["trajectory"]]
         assert times[0] == 0 and len(times) == moves + 1 and len(set(times)) == len(times)
@@ -46,11 +40,11 @@ def test_population_is_pure_and_valid(args):
                    for wp in node["trajectory"] for v in wp[1:])
 
     # roles: the thresholded draws, nothing else
-    u = draws(n, args["seed"])
-    alpha_deputy, prevalence = args.get("alpha_deputy", 0.0), args.get("prevalence", 0.05)
-    assert [node["app"] for node in raw["nodes"]] == [a < args["alpha_app"] for a, _, _ in u]
-    assert [node["deputy"] for node in raw["nodes"]] == [d < alpha_deputy for _, d, _ in u]
-    assert ["infected_at" in node for node in raw["nodes"]] == [i < prevalence for _, _, i in u]
+    u = draws(n, seed)
+    assert [node["app"] for node in raw["nodes"]] == [a < alpha_app for a, _ in u]
+    assert not any(node.deputy for node in cfg.world.nodes)
+    assert ["infected_at" in node for node in raw["nodes"]] == \
+        [i < scenarios.POPULATION_PREVALENCE for _, i in u]
     for node in raw["nodes"]:
         assert node.get("infected_at", 0) == 0
         diagnosed = "infected_at" in node and node["app"]
@@ -61,16 +55,15 @@ def test_population_is_pure_and_valid(args):
 @given(n=st.integers(1, 25), seed=st.integers(0, 1000),
        alphas=st.lists(ALPHA, min_size=2, max_size=2))
 def test_roles_nest_and_geometry_stays(n, seed, alphas):
-    """A larger alpha's app set, and deputy set, holds a smaller one's, and the
-    nodes' places and times do not depend on the alphas."""
+    """A larger alpha's app set holds a smaller one's, and the nodes' places,
+    times and infections do not depend on the alpha."""
     low, high = sorted(alphas)
-    small, large = (scenarios.population(n, duration=1200, seed=seed, alpha_app=a, alpha_deputy=a)
+    small, large = (scenarios.population(n, duration=1200, seed=seed, alpha_app=a)
                     for a in (low, high))
-    for role in ("app", "deputy"):
-        assert {node["id"] for node in small["nodes"] if node[role]} <= \
-            {node["id"] for node in large["nodes"] if node[role]}
-    assert [node["trajectory"] for node in small["nodes"]] == \
-        [node["trajectory"] for node in large["nodes"]]
+    assert {node["id"] for node in small["nodes"] if node["app"]} <= \
+        {node["id"] for node in large["nodes"] if node["app"]}
+    assert [(node["trajectory"], "infected_at" in node) for node in small["nodes"]] == \
+        [(node["trajectory"], "infected_at" in node) for node in large["nodes"]]
 
 
 def test_population_is_not_bundled():

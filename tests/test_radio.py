@@ -386,24 +386,25 @@ class TestRowLog:
            t=st.integers(0, 10**6), k=st.integers(0, 20), valued=st.booleans())
     def test_repeat_is_appending_tick_by_tick(self, template, t, k, valued):
         """One tick's rows, interned as `World.step` interns them, repeated at
-        each of `times` in one call, are the columns that appending each row of
-        each tick on its own gives; key ids run in order of first use, `first`
+        each of `times` in one call, are the rows that listing each row of each
+        tick on its own gives; key ids run in order of first use, `first`
         holds each key's first row, and a log given no values keeps none."""
         times = range(t, t + 7 * k, 7)
-        repeated, appended = RowLog(), RowLog()
-        for log in (repeated, appended):
-            ids = array("i", [log.intern(LINKS[i].ident, LINKS[i], row)
-                              for row, (i, _) in enumerate(template)])
+        repeated = RowLog()
+        ids = array("i", [repeated.intern(LINKS[i].ident, LINKS[i], row)
+                          for row, (i, _) in enumerate(template)])
         values = array("d", [value for _, value in template])
         repeated.repeat(times, ids, values if valued else None)
-        for time in times:  # each row on its own: a span of one row
-            for key_id, value in zip(ids, values):
-                one = array("d", [value]) if valued else None
-                appended.repeat(range(time, time + 1), array("i", [key_id]), one)
+        # each row on its own, as plain lists
+        want_t = [time for time in times for _ in template]
+        want_key = [key_id for _ in times for key_id in ids.tolist()]
+        want_value = [value for _ in times for _, value in template] if valued else []
 
-        assert len(repeated) == len(appended) == len(template) * k
-        for a, b in zip(repeated.columns(), appended.columns()):
-            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        assert len(repeated) == len(template) * k
+        got_t, got_key, got_value = repeated.columns()
+        assert (got_t.dtype, got_key.dtype, got_value.dtype) == (np.int64, np.int32, np.float64)
+        assert got_t.tolist() == want_t and got_key.tolist() == want_key
+        assert got_value.tobytes() == array("d", want_value).tobytes()
         first_use = {}  # ident -> (link, first row of the template)
         for row, (i, _) in enumerate(template):
             first_use.setdefault(LINKS[i].ident, (LINKS[i], row))

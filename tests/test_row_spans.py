@@ -5,7 +5,7 @@ The reference log keeps every row as a (t, key id, value) tuple and interns
 keys as `RowLog.intern` does. Both are driven through the same operations:
 `repeat` over ranges of ticks with steps of 1 and more, with empty key
 blocks and empty ranges, repeats that go on from the last one (which the
-log stores as one span) and (on a `ScanLog`) single-row `append`s before,
+log stores as one span), at its step or, after a single tick, at another, and (on a `ScanLog`) single-row `append`s before,
 at, just after or long after the last row's time. Every reader is checked against the
 reference: `len`, `keys`, `first`, `columns()`, `at`, `decode`, `rows_of`
 and `group`.
@@ -22,6 +22,8 @@ from hypothesis import given, settings, strategies as st
 from ensim.radio import NOISE_CHUNK_PAIRS, Emission, Link, NodeSpec, PathLoss, RowLog, ScanLog, \
     Sighting, World, WorldConfig
 from ensim import radio
+from ensim.device import DeviceState
+from test_artifact_writers import harvest, plan_span, server_with
 
 MACS = ("aa:aa:aa:aa:aa:aa", "bb:bb:bb:bb:bb:bb")
 # links from outside the radio (as `ScanLog.append` makes them) and radio links
@@ -29,11 +31,14 @@ LINKS = [Link(receiver, emitter, False, mac, b"p", (x, 0.0))
          for receiver in ("a", "b") for emitter in (None, "e") for mac in MACS for x in (0.0, 1.5)]
 
 TIMES = st.builds(lambda t, step, k: range(t, t + step * k, step),
-                  st.integers(0, 10**6), st.sampled_from([1, 1, 2, 7, 600]), st.integers(0, 6))
+                  st.integers(0, 10**6), st.sampled_from([1, 1, 2, 7, 600]),
+                  st.one_of(st.just(1), st.integers(0, 6)))  # often one tick
 BLOCK = st.lists(st.tuples(st.integers(0, len(LINKS) - 1), st.floats(width=64)), max_size=6)
 REPEAT = st.tuples(st.just("repeat"), TIMES, BLOCK)
-# the last repeat's block again over k more of its ticks, or over ticks that skip one
-AGAIN = st.tuples(st.just("again"), st.integers(0, 4), st.booleans())
+# the last repeat's block again over k more of its ticks, or over ticks that skip one,
+# at its step or at another (which a repeat of one tick goes on with)
+AGAIN = st.tuples(st.just("again"), st.integers(0, 4), st.booleans(),
+                  st.sampled_from([None, 1, 7]))
 # a hearing at the last row's time plus a step, one link of LINKS, its rssi
 APPEND = st.tuples(st.just("append"), st.sampled_from([-600, -1, 0, 0, 1, 1, 7200]),
                    st.integers(0, len(LINKS) - 1), st.floats(width=64))
@@ -62,10 +67,11 @@ def drive(log, ref, ops, valued):
         if op[0] == "again":
             if last is None:
                 continue
-            _, k, skip = op
+            _, k, skip, step = op
             times, block = last
-            start = times.start + len(times) * times.step + skip * times.step
-            op = ("repeat", range(start, start + k * times.step, times.step), block)
+            step = step or times.step
+            start = times[-1] + (1 + skip) * step
+            op = ("repeat", range(start, start + k * step, step), block)
         if op[0] == "repeat":
             _, times, block = op
             last = (times, block) if len(times) else last
@@ -128,6 +134,8 @@ def check(log, ref, data):
         if part is not None:
             want[part].append(r)
     got = log.group(split, rows)
+    assert list(got) == list(want) and {k: v.tolist() for k, v in got.items()} == want
+    got = log.group(split, rows, log.decode(rows)[1])  # key ids the caller decoded
     assert list(got) == list(want) and {k: v.tolist() for k, v in got.items()} == want
 
 
@@ -223,6 +231,32 @@ def test_a_tick_and_its_repeats_are_one_span():
     assert len(world.events._row) == 3
     assert world.events.columns()[0].tolist() == [t for t in range(10) for _ in range(6)] + [9] + \
         [t for t in range(10, 15) for _ in range(6)]
+
+
+def test_a_plan_tick_and_its_repeats_are_one_span_at_any_tick():
+    """At a tick of 7 s too, a world step and the steps that repeat it are one
+    span, and so are a relay plan tick (a one-tick range of step 1, as
+    `AttackerServer.select_relays` writes it) and the ticks of 7 s that the
+    run loop repeats it at; either read back tick by tick."""
+    nodes = tuple(NodeSpec(id=f"n{i}", trajectory=((0, float(i), 0.0),), app=True)
+                  for i in range(3))
+    ems = [Emission(f"n{i}", bytes([i]) * 31, MACS[0]) for i in range(3)]
+    world = World(WorldConfig(nodes=nodes, path_loss=PathLoss(noise_sigma=4.0), duration=70,
+                              tick=7))
+    world.step(0, ems)
+    world.step(7, ems, ticks=9)
+    assert len(world.events._row) == 1
+    assert world.events.columns()[0].tolist() == [t for t in range(0, 70, 7) for _ in range(6)]
+
+    deputies = {"fac1": (1000.0, 0.0), "fac2": (1001.0, 1.0)}
+    server = server_with(max_relays_per_deputy=2)
+    for seed, t in ((4, 0), (5, 3)):
+        harvest(server, DeviceState(id=f"d{seed}", rng=Random(seed)), t)
+    plan_span(server, 14, deputies, range(21, 70, 7))
+    plan_span(server, 70, deputies, range(77, 78, 7))  # a repeat of a single tick
+    plan = server.plan
+    assert len(plan) == 4 * 10 and len(plan._row) == 2 and len(plan._pool) == 8
+    assert plan.columns()[0].tolist() == [t for t in (*range(14, 70, 7), 70, 77) for _ in range(4)]
 
 
 def test_a_time_outside_int64_leaves_the_log_as_it_was():
